@@ -10,19 +10,15 @@ stochastic claims by reproducible Monte Carlo.
 """
 
 from .errors import (
-    BadArityError,
     BadIndexError,
     ChaosLabError,
-    ConflictingValueError,
     DiagonalPairError,
-    DiagonalTupleError,
     DivergentSeriesError,
     DomainError,
     NonPositiveLengthError,
     OutOfRangeError,
     ResourceLimitError,
 )
-from .kernels import Kernel, kernel_new, norm_sq, partial_sum
 from .poisson_moments import (
     CertifiedValue,
     abs_central_moment,

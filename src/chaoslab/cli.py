@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import mc, point_process, poisson_moments, poisson_pair, series, two_point
+from . import mc, point_process, poisson_moments, poisson_pair, series
 from .errors import BadIndexError, ChaosLabError, DomainError, ResourceLimitError
 from .report import Report, render_json, render_text
 
@@ -185,15 +185,19 @@ def build_csv(stats: mc.TrajectoryStats) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _three_se(stderr: float) -> float:
+    """Tolerance of a Monte Carlo row; infinite when one replication gives no stderr."""
+    return 3.0 * stderr if not math.isnan(stderr) else math.inf
+
+
 def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
     for w in mc.first_chaos_report(stats):
         est = w.estimate
-        tol = 3.0 * est.stderr if not math.isnan(est.stderr) else math.inf
         report.add(
             f"window[{w.n_lo},{w.n_hi}) event prob vs exact",
             est.mean,
             w.exact_prob,
-            abs(est.mean - w.exact_prob) <= tol,
+            abs(est.mean - w.exact_prob) <= _three_se(est.stderr),
             stderr=est.stderr,
         )
         if w.max_event_deviation is not None:
@@ -245,30 +249,25 @@ def cmd_simulate(args) -> int:
     f_mean, f_se = stats.f_mean()
     fsq_mean, fsq_se = stats.f_sq_mean()
     a52_mean, a52_se = stats.f_abs52_mean()
+    model = mc.MODELS[config.example]
     start = config.start_n
     probes = [n for n in (1, 4, 16, 100, 256) if start <= n <= config.n_max]
     for n in probes:
         i = n - start
-        if config.example == "twopoint":
-            target = two_point.second_moment(n)
-        else:
-            target = poisson_pair.second_moment(n)
-        tol = 3.0 * fsq_se[i] if not math.isnan(fsq_se[i]) else math.inf
+        target = model.second_moment(n)
         report.add(
             f"E[F_{n}^2] vs exact", float(fsq_mean[i]), target,
-            abs(fsq_mean[i] - target) <= tol, stderr=float(fsq_se[i]),
+            abs(fsq_mean[i] - target) <= _three_se(fsq_se[i]), stderr=float(fsq_se[i]),
         )
-        tol = 3.0 * f_se[i] if not math.isnan(f_se[i]) else math.inf
         report.add(
             f"E[F_{n}] vs 0", float(f_mean[i]), 0.0,
-            abs(f_mean[i]) <= tol, stderr=float(f_se[i]),
+            abs(f_mean[i]) <= _three_se(f_se[i]), stderr=float(f_se[i]),
         )
-        if config.example == "poisson":
-            bound = poisson_pair.moment52_bound(n)
-            tol = 3.0 * a52_se[i] if not math.isnan(a52_se[i]) else math.inf
+        if model.moment52_bound is not None:
+            bound = model.moment52_bound(n)
             report.add(
                 f"E|F_{n}|^(5/2) vs decay bound", float(a52_mean[i]), bound,
-                a52_mean[i] <= bound + tol, stderr=float(a52_se[i]),
+                a52_mean[i] <= bound + _three_se(a52_se[i]), stderr=float(a52_se[i]),
             )
     _diagnostic_rows(report, stats)
     _window_rows(report, stats)

@@ -5,18 +5,6 @@ class ChaosLabError(Exception):
     """Base class for all chaoslab errors."""
 
 
-class BadArityError(ChaosLabError):
-    """Kernel index tuple length does not match the declared degree."""
-
-
-class DiagonalTupleError(ChaosLabError):
-    """Index tuple repeats an entry; kernels vanish on the diagonal."""
-
-
-class ConflictingValueError(ChaosLabError):
-    """Two raw entries map the same canonical tuple to different values."""
-
-
 class OutOfRangeError(ChaosLabError):
     """Distribution parameter outside its admissible interval."""
 

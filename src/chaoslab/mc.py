@@ -1,10 +1,15 @@
 """Reproducible Monte Carlo over the two counterexample constructions.
 
-Trajectories are simulated in fixed blocks of BLOCK_SIZE; every variable in
-every block owns its own counter-based stream (see streams), so results are
-bitwise identical for any worker count and any replication split along
-block boundaries.  Each block walks the pair index n downward, which makes
-every suffix supremum available in a single pass; per-n sums use numpy's
+The engine knows a construction only through its pair model (see
+pair_model), looked up by name in MODELS: per-n tables and a per-row draw
+that turns the uniforms of (Y_2n, Y_2n+1) into X_2n, F_n and the
+recurrence event.  Trajectories are simulated in fixed blocks of
+BLOCK_SIZE; every variable in every block owns its own counter-based
+stream (see streams), so results are bitwise identical for any worker
+count and any replication split along block boundaries.  Each block walks
+the pair index n downward, which makes every suffix supremum available in
+a single pass, and yields a one-block TrajectoryStats; run_range and merge
+join contiguous parts with the same _assemble.  Per-n sums use numpy's
 pairwise reduction inside a block and an exactly rounded compensated sum
 across blocks.
 """
@@ -21,10 +26,12 @@ import numpy as np
 
 from . import poisson_pair, two_point
 from .errors import BadIndexError, ResourceLimitError
+from .pair_model import PairModel, PairTables
 from .streams import BLOCK_SIZE, block_bounds, uniform_block
-from .variables import poisson_from_uniform
+from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
 
-EXAMPLES = ("twopoint", "poisson")
+MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_pair.MODEL}
+EXAMPLES = tuple(MODELS)
 
 # Per-n trajectory sums kept by the engine, in storage order.
 STAT_NAMES = ("x_even", "x_even_sq", "f", "f_sq", "f_quad", "f_abs52", "f_abs5")
@@ -53,7 +60,7 @@ class SimConfig:
 
     @property
     def start_n(self) -> int:
-        return two_point.START_N if self.example == "twopoint" else poisson_pair.START_N
+        return MODELS[self.example].start_n
 
 
 class McEstimate(NamedTuple):
@@ -88,74 +95,6 @@ def dyadic_windows(n_max: int, base: int = 10) -> tuple[tuple[int, int], ...]:
     return tuple(windows)
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """Per-n scalars precomputed once per run; rows are n - start_n."""
-
-    kind: str
-    n_values: np.ndarray
-    coef: np.ndarray          # degree-one coefficient: p_(2n+1) or lambda_(2n+1)
-    cond_obs: np.ndarray      # engine value of |degree-one part| on the window event
-    closed_form: np.ndarray   # analytic closed form of the same quantity
-    rel_dev: np.ndarray       # |cond_obs - closed_form| / closed_form
-    p_even: np.ndarray = field(default=None)  # twopoint only
-    p_odd: np.ndarray = field(default=None)
-    v_plus: np.ndarray = field(default=None)
-    v_minus: np.ndarray = field(default=None)
-    lam_even: np.ndarray = field(default=None)  # poisson only
-    lam_odd: np.ndarray = field(default=None)
-    sqrt_lam_even: np.ndarray = field(default=None)
-
-    def event_prob(self) -> np.ndarray:
-        """Exact P of the recurrence event {Y_2n = 1} (sign +1 / count 1)."""
-        if self.kind == "twopoint":
-            return self.p_even
-        return np.exp(-self.lam_even) * self.lam_even
-
-
-def _build_tables(config: SimConfig) -> _Tables:
-    n = np.arange(config.start_n, config.n_max + 1)
-    if config.example == "twopoint":
-        p_even = np.asarray(two_point.prob(2 * n))
-        p_odd = np.asarray(two_point.prob(2 * n + 1))
-        v_plus = np.sqrt((1.0 - p_even) / p_even)
-        v_minus = -np.sqrt(p_even / (1.0 - p_even))
-        coef = p_odd
-        cond_obs = coef * v_plus
-        closed = np.asarray(two_point.first_chaos_on_plus(n))
-        return _Tables(
-            kind="twopoint", n_values=n, coef=coef, cond_obs=cond_obs,
-            closed_form=closed, rel_dev=np.abs(cond_obs - closed) / closed,
-            p_even=p_even, p_odd=p_odd, v_plus=v_plus, v_minus=v_minus,
-        )
-    lam_even = np.asarray(poisson_pair.intensity(2 * n))
-    lam_odd = np.asarray(poisson_pair.intensity(2 * n + 1))
-    sqrt_lam_even = np.sqrt(lam_even)
-    coef = lam_odd
-    cond_obs = coef * ((1.0 - lam_even) / sqrt_lam_even)
-    closed = np.asarray(poisson_pair.first_chaos_at_one(n))
-    safe = np.where(closed == 0.0, 1.0, closed)
-    return _Tables(
-        kind="poisson", n_values=n, coef=coef, cond_obs=np.abs(cond_obs),
-        closed_form=closed, rel_dev=np.abs(np.abs(cond_obs) - closed) / np.abs(safe),
-        lam_even=lam_even, lam_odd=lam_odd, sqrt_lam_even=sqrt_lam_even,
-    )
-
-
-@dataclass
-class _BlockResult:
-    lo: int
-    hi: int
-    sums: np.ndarray          # [n_rows, len(STAT_NAMES)]
-    window_max: np.ndarray    # [hi - lo]
-    suffix_max: np.ndarray    # [n_grid, hi - lo]
-    win_hits: np.ndarray      # [n_windows] trajectories with >= 1 event
-    win_events: np.ndarray    # [n_windows] total event count over (n, trajectory)
-    win_max_abs: np.ndarray   # [n_windows] max |degree-one part| in window
-    win_max_event: np.ndarray # [n_windows] max event value, -inf if no event
-    win_max_dev: np.ndarray   # [n_windows] max closed-form deviation at events
-
-
 def _uniform_slice(seed: int, var_index: int, lo: int, hi: int) -> np.ndarray:
     """Uniforms for trajectories [lo, hi) of one variable (single block)."""
     block, offset = divmod(lo, BLOCK_SIZE)
@@ -165,12 +104,12 @@ def _uniform_slice(seed: int, var_index: int, lo: int, hi: int) -> np.ndarray:
 
 def _walk_block(
     config: SimConfig,
-    tables: _Tables,
+    tables: PairTables,
     grid: tuple[int, ...],
     windows: tuple[tuple[int, int], ...],
     lo: int,
     hi: int,
-) -> _BlockResult:
+) -> TrajectoryStats:
     size = hi - lo
     start = config.start_n
     n_rows = config.n_max - start + 1
@@ -178,15 +117,13 @@ def _walk_block(
     sums = np.zeros((n_rows, len(STAT_NAMES)))
     run_max = np.zeros(size)
     suffix_max = np.zeros((len(grid), size))
-    grid_desc = sorted(grid, reverse=True)
-    gi = 0
+    grid_row = {g: i for i, g in enumerate(grid)}
     n_win = len(windows)
     win_of: dict[int, int] = {}
     for w, (w_lo, w_hi) in enumerate(windows):
         for n in range(w_lo, w_hi):
             win_of[n] = w
-    ev_or = [None] * n_win
-    win_hits = np.zeros(n_win, dtype=np.int64)
+    ev_or = np.zeros((n_win, size), dtype=bool)  # event seen anywhere in the window
     win_events = np.zeros(n_win, dtype=np.int64)
     win_max_abs = np.full(n_win, -np.inf)
     win_max_event = np.full(n_win, -np.inf)
@@ -196,20 +133,8 @@ def _walk_block(
         row = n - start
         u_even = _uniform_slice(seed, 2 * n, lo, hi)
         u_odd = _uniform_slice(seed, 2 * n + 1, lo, hi)
+        x_even, idx, f_nz, event = tables.draw(row, u_even, u_odd)
         w = win_of.get(n, -1)
-        if tables.kind == "twopoint":
-            plus_even = u_even < tables.p_even[row]
-            x_even = np.where(plus_even, tables.v_plus[row], tables.v_minus[row])
-            idx = np.nonzero(u_odd < tables.p_odd[row])[0]
-            f_nz = x_even[idx]
-            event = plus_even if w >= 0 else None
-        else:
-            y_even = poisson_from_uniform(u_even, tables.lam_even[row])
-            x_even = (y_even - tables.lam_even[row]) / tables.sqrt_lam_even[row]
-            y_odd = poisson_from_uniform(u_odd, tables.lam_odd[row])
-            idx = np.nonzero(y_odd)[0]
-            f_nz = x_even[idx] * y_odd[idx]
-            event = (y_even == 1) if w >= 0 else None
 
         abs_f = np.abs(f_nz)
         f_sq = f_nz * f_nz
@@ -224,10 +149,7 @@ def _walk_block(
         run_max[idx] = np.maximum(run_max[idx], abs_f)
 
         if w >= 0:
-            if ev_or[w] is None:
-                ev_or[w] = event.copy()
-            else:
-                ev_or[w] |= event
+            ev_or[w] |= event
             n_events = int(event.sum())
             if n_events:
                 win_events[w] += n_events
@@ -238,16 +160,14 @@ def _walk_block(
             win_max_abs[w] = max(
                 win_max_abs[w], tables.coef[row] * max(hi_x, -lo_x)
             )
-        while gi < len(grid_desc) and n == grid_desc[gi]:
-            suffix_max[len(grid) - 1 - gi] = run_max
-            gi += 1
+        if n in grid_row:
+            suffix_max[grid_row[n]] = run_max
 
-    for w in range(n_win):
-        if ev_or[w] is not None:
-            win_hits[w] = int(ev_or[w].sum())
-    return _BlockResult(
-        lo=lo, hi=hi, sums=sums, window_max=run_max, suffix_max=suffix_max,
-        win_hits=win_hits, win_events=win_events, win_max_abs=win_max_abs,
+    return TrajectoryStats(
+        config=config, lo=lo, hi=hi, n_values=tables.n_values, grid=grid,
+        windows=windows, tables=tables, block_sums=[sums],
+        window_max=run_max, suffix_max=suffix_max, win_hits=ev_or.sum(axis=1),
+        win_events=win_events, win_max_abs=win_max_abs,
         win_max_event=win_max_event, win_max_dev=win_max_dev,
     )
 
@@ -262,9 +182,8 @@ class TrajectoryStats:
     n_values: np.ndarray
     grid: tuple[int, ...]
     windows: tuple[tuple[int, int], ...]
-    tables: _Tables
+    tables: PairTables
     block_sums: list[np.ndarray]          # per block: [n_rows, n_stats]
-    block_ranges: list[tuple[int, int]]
     window_max: np.ndarray                # [hi - lo]
     suffix_max: np.ndarray                # [n_grid, hi - lo]
     win_hits: np.ndarray
@@ -329,13 +248,15 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     The cost guard, the streams, and the aggregates all see absolute
     trajectory indices, so disjoint ranges combine exactly via merge().
     """
+    if not 0 <= lo < hi:
+        raise BadIndexError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     if lo % BLOCK_SIZE != 0:
         raise BadIndexError(f"range start must be a multiple of {BLOCK_SIZE}")
     if (hi - lo) * config.n_max > config.budget:
         raise ResourceLimitError(
             f"{hi - lo} trajectories x n_max={config.n_max} exceeds budget {config.budget}"
         )
-    tables = _build_tables(config)
+    tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
     grid = config.diagnostic_grid or default_diagnostic_grid(config.start_n, config.n_max)
     grid = tuple(sorted(set(grid)))
     for g in grid:
@@ -346,45 +267,38 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     workers = _worker_count(len(bounds))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
+            parts = list(
                 pool.map(lambda b: _walk_block(config, tables, grid, windows, *b), bounds)
             )
     else:
-        results = [_walk_block(config, tables, grid, windows, *b) for b in bounds]
-    return _assemble(config, tables, grid, windows, lo, hi, results)
+        parts = [_walk_block(config, tables, grid, windows, *b) for b in bounds]
+    return _assemble(parts)
 
 
-def _assemble(config, tables, grid, windows, lo, hi, results) -> TrajectoryStats:
+def _assemble(parts: list[TrajectoryStats]) -> TrajectoryStats:
+    """Join contiguous parts, in order; the per-block partials are kept as they are."""
+    first = parts[0]
     return TrajectoryStats(
-        config=config,
-        lo=lo,
-        hi=hi,
-        n_values=tables.n_values,
-        grid=tuple(grid),
-        windows=windows,
-        tables=tables,
-        block_sums=[r.sums for r in results],
-        block_ranges=[(r.lo, r.hi) for r in results],
-        window_max=np.concatenate([r.window_max for r in results]),
-        suffix_max=np.concatenate([r.suffix_max for r in results], axis=1),
-        win_hits=sum(r.win_hits for r in results),
-        win_events=sum(r.win_events for r in results),
-        win_max_abs=np.max([r.win_max_abs for r in results], axis=0)
-        if windows else np.zeros(0),
-        win_max_event=np.max([r.win_max_event for r in results], axis=0)
-        if windows else np.zeros(0),
-        win_max_dev=np.max([r.win_max_dev for r in results], axis=0)
-        if windows else np.zeros(0),
+        config=first.config,
+        lo=first.lo,
+        hi=parts[-1].hi,
+        n_values=first.n_values,
+        grid=first.grid,
+        windows=first.windows,
+        tables=first.tables,
+        block_sums=[s for p in parts for s in p.block_sums],
+        window_max=np.concatenate([p.window_max for p in parts]),
+        suffix_max=np.concatenate([p.suffix_max for p in parts], axis=1),
+        win_hits=sum(p.win_hits for p in parts),
+        win_events=sum(p.win_events for p in parts),
+        win_max_abs=np.max([p.win_max_abs for p in parts], axis=0),
+        win_max_event=np.max([p.win_max_event for p in parts], axis=0),
+        win_max_dev=np.max([p.win_max_dev for p in parts], axis=0),
     )
 
 
 def run(config: SimConfig) -> TrajectoryStats:
     """Simulate all configured replications."""
-    if config.replications * config.n_max > config.budget:
-        raise ResourceLimitError(
-            f"replications x n_max = {config.replications * config.n_max} "
-            f"exceeds budget {config.budget}"
-        )
     return run_range(config, 0, config.replications)
 
 
@@ -400,25 +314,7 @@ def merge(a: TrajectoryStats, b: TrajectoryStats) -> TrajectoryStats:
         raise BadIndexError("cannot merge stats from different configurations")
     if a.hi != b.lo or b.lo % BLOCK_SIZE != 0 or a.lo % BLOCK_SIZE != 0:
         raise BadIndexError("ranges must be contiguous and block-aligned")
-    has_windows = bool(a.windows)
-    return TrajectoryStats(
-        config=a.config,
-        lo=a.lo,
-        hi=b.hi,
-        n_values=a.n_values,
-        grid=a.grid,
-        windows=a.windows,
-        tables=a.tables,
-        block_sums=a.block_sums + b.block_sums,
-        block_ranges=a.block_ranges + b.block_ranges,
-        window_max=np.concatenate([a.window_max, b.window_max]),
-        suffix_max=np.concatenate([a.suffix_max, b.suffix_max], axis=1),
-        win_hits=a.win_hits + b.win_hits,
-        win_events=a.win_events + b.win_events,
-        win_max_abs=np.maximum(a.win_max_abs, b.win_max_abs) if has_windows else a.win_max_abs,
-        win_max_event=np.maximum(a.win_max_event, b.win_max_event) if has_windows else a.win_max_event,
-        win_max_dev=np.maximum(a.win_max_dev, b.win_max_dev) if has_windows else a.win_max_dev,
-    )
+    return _assemble([a, b])
 
 
 def _binomial_estimate(stats: TrajectoryStats, count: int) -> McEstimate:
@@ -474,7 +370,7 @@ def first_chaos_report(stats: TrajectoryStats) -> list[WindowReport]:
     """Per-window recurrence frequencies and degree-one magnitudes."""
     tables = stats.tables
     start = stats.config.start_n
-    p_event = tables.event_prob()
+    p_event = tables.event_prob
     reports = []
     for w, (w_lo, w_hi) in enumerate(stats.windows):
         rows = slice(w_lo - start, w_hi - start)

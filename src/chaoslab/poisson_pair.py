@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndexError, DomainError
+from .pair_model import PairModel, PairTables
 from .poisson_moments import abs_central_moment, raw_abs_moment
 from .series import intensity_cross_sum, intensity_fourth_sum
-from .variables import poisson_normalize
+from .variables import poisson_from_uniform, poisson_normalize
 
 START_N = 1
 
@@ -179,3 +180,32 @@ def scan_first_chaos_exceeds(threshold: float, n_cap: int = 2**62) -> tuple[int,
             return n, value
         n *= 2
     raise BadIndexError(f"closed form stayed <= {threshold} up to n={n_cap}")
+
+
+def pair_tables(n: np.ndarray) -> PairTables:
+    """Engine tables; the event is {Y_2n = 1} and g = Y_2n+1."""
+    lam_even = np.asarray(intensity(2 * n))
+    lam_odd = np.asarray(intensity(2 * n + 1))
+    sqrt_lam_even = np.sqrt(lam_even)
+    cond_obs = lam_odd * ((1.0 - lam_even) / sqrt_lam_even)
+    closed = np.asarray(first_chaos_at_one(n))
+    safe = np.where(closed == 0.0, 1.0, closed)  # the closed form vanishes at n = 1
+
+    def draw(row, u_even, u_odd):
+        y_even = poisson_from_uniform(u_even, lam_even[row])
+        x_even = (y_even - lam_even[row]) / sqrt_lam_even[row]
+        y_odd = poisson_from_uniform(u_odd, lam_odd[row])
+        idx = np.nonzero(y_odd)[0]
+        return x_even, idx, x_even[idx] * y_odd[idx], y_even == 1
+
+    return PairTables(
+        n_values=n, coef=lam_odd, cond_obs=np.abs(cond_obs), closed_form=closed,
+        rel_dev=np.abs(np.abs(cond_obs) - closed) / np.abs(safe),
+        event_prob=np.exp(-lam_even) * lam_even, draw=draw,
+    )
+
+
+MODEL = PairModel(
+    start_n=START_N, tables=pair_tables, second_moment=second_moment,
+    moment52_bound=moment52_bound,
+)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .errors import BadIndexError
+from .pair_model import PairModel, PairTables
 from .variables import TwoPointSpec, two_point_from_p
 
 START_N = 2
@@ -100,3 +101,27 @@ def scan_first_chaos_exceeds(threshold: float, n_cap: int = 2**62) -> tuple[int,
             return n, value
         n *= 2
     raise BadIndexError(f"closed form stayed <= {threshold} up to n={n_cap}")
+
+
+def pair_tables(n: np.ndarray) -> PairTables:
+    """Engine tables; the event is {Y_2n = 1} and g = 1{Y_2n+1 = 1}."""
+    p_even = np.asarray(prob(2 * n))
+    p_odd = np.asarray(prob(2 * n + 1))
+    v_plus = np.sqrt((1.0 - p_even) / p_even)
+    v_minus = -np.sqrt(p_even / (1.0 - p_even))
+    cond_obs = p_odd * v_plus
+    closed = np.asarray(first_chaos_on_plus(n))
+
+    def draw(row, u_even, u_odd):
+        plus_even = u_even < p_even[row]
+        x_even = np.where(plus_even, v_plus[row], v_minus[row])
+        idx = np.nonzero(u_odd < p_odd[row])[0]
+        return x_even, idx, x_even[idx], plus_even
+
+    return PairTables(
+        n_values=n, coef=p_odd, cond_obs=cond_obs, closed_form=closed,
+        rel_dev=np.abs(cond_obs - closed) / closed, event_prob=p_even, draw=draw,
+    )
+
+
+MODEL = PairModel(start_n=START_N, tables=pair_tables, second_moment=second_moment)

@@ -45,9 +45,10 @@ def test_rerun_is_bitwise_identical():
     assert stats_equal(mc.run(cfg), mc.run(cfg))
 
 
-def test_thread_count_invariance(monkeypatch):
+@pytest.mark.parametrize("example", ["poisson", "twopoint"])
+def test_thread_count_invariance(monkeypatch, example):
     cfg = mc.SimConfig(
-        example="poisson", n_max=50, replications=2 * BLOCK_SIZE + 999, master_seed=5
+        example=example, n_max=50, replications=2 * BLOCK_SIZE + 999, master_seed=5
     )
     monkeypatch.setenv("CHAOSLAB_THREADS", "1")
     s1 = mc.run(cfg)
@@ -71,6 +72,15 @@ def test_merge_equals_single_run():
         mc.merge(b, a)
     with pytest.raises(BadIndexError):
         mc.run_range(cfg, 100, 200)
+    with pytest.raises(BadIndexError):
+        mc.run_range(cfg, 0, 0)
+    with pytest.raises(BadIndexError):
+        mc.run_range(cfg, BLOCK_SIZE, 0)
+    other = mc.SimConfig(
+        example="twopoint", n_max=30, replications=cfg.replications, master_seed=18
+    )
+    with pytest.raises(BadIndexError):
+        mc.merge(a, mc.run_range(other, BLOCK_SIZE, cfg.replications))
 
 
 def test_replication_count_and_estimates():
