@@ -36,6 +36,8 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"bad numeric list {text!r}") from exc
     if not vals:
         raise UsageError(f"empty numeric list {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"non-finite value in {text!r}")
     return vals
 
 
@@ -175,7 +177,7 @@ def build_csv(stats: mc.TrajectoryStats) -> str:
     for i, n in enumerate(stats.n_values):
         for name, vals, ses in columns:
             lines.append(f"{n},{name},{_format_cell(vals[i])},{se_cell(ses[i])}")
-    for n0, est in mc.tail_diagnostic(stats, stats.config.epsilon):
+    for n0, est in mc.tail_diagnostic(stats):
         lines.append(f"{n0},sup_exceed_prob,{_format_cell(est.mean)},{se_cell(est.stderr)}")
     for w in mc.first_chaos_report(stats):
         lines.append(
@@ -210,7 +212,7 @@ def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
 
 
 def _diagnostic_rows(report: Report, stats: mc.TrajectoryStats) -> None:
-    for n0, est in mc.tail_diagnostic(stats, stats.config.epsilon):
+    for n0, est in mc.tail_diagnostic(stats):
         report.add(
             f"P(sup_(n>={n0}) |F| > {stats.config.epsilon:g})",
             est.mean,

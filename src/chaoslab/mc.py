@@ -6,12 +6,18 @@ that turns the uniforms of (Y_2n, Y_2n+1) into X_2n, F_n and the
 recurrence event.  Trajectories are simulated in fixed blocks of
 BLOCK_SIZE; every variable in every block owns its own counter-based
 stream (see streams), so results are bitwise identical for any worker
-count and any replication split along block boundaries.  Each block walks
-the pair index n downward, which makes every suffix supremum available in
-a single pass, and yields a one-block TrajectoryStats; run_range and merge
-join contiguous parts with the same _assemble.  Per-n sums use numpy's
-pairwise reduction inside a block and an exactly rounded compensated sum
-across blocks.
+count and any replication split along block boundaries.
+
+Each block walks the pair index n downward, so its running supremum of
+|F_n| is the suffix supremum, and the tail diagnostic at a grid point is
+one count of trajectories above SimConfig.epsilon.  Besides those counts a
+block keeps its per-n sums (STAT_NAMES, the recurrence events included),
+the supremum over the whole range per trajectory (sup_exceedance takes any
+threshold) and per-window hit counts; run_range and merge join contiguous
+parts with the same _assemble.  Per-n sums are numpy pairwise reductions
+inside a block, never BLAS dot products, whose split across BLAS threads
+would make the bytes depend on the thread count; across blocks they are
+combined by an exactly rounded compensated sum, and counts add.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_
 EXAMPLES = tuple(MODELS)
 
 # Per-n trajectory sums kept by the engine, in storage order.
-STAT_NAMES = ("x_even", "x_even_sq", "f", "f_sq", "f_quad", "f_abs52", "f_abs5")
+STAT_NAMES = ("x_even", "x_even_sq", "f", "f_sq", "f_quad", "f_abs52", "f_abs5", "events")
 _SQ_OF = {"x_even": "x_even_sq", "f": "f_sq", "f_sq": "f_quad", "f_abs52": "f_abs5"}
 
 
@@ -55,8 +61,8 @@ class SimConfig:
             raise BadIndexError(f"n_max must be >= {self.start_n}")
         if self.replications < 1:
             raise BadIndexError("need at least one replication")
-        if not self.epsilon > 0.0:
-            raise BadIndexError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise BadIndexError("epsilon must be positive and finite")
 
     @property
     def start_n(self) -> int:
@@ -95,13 +101,6 @@ def dyadic_windows(n_max: int, base: int = 10) -> tuple[tuple[int, int], ...]:
     return tuple(windows)
 
 
-def _uniform_slice(seed: int, var_index: int, lo: int, hi: int) -> np.ndarray:
-    """Uniforms for trajectories [lo, hi) of one variable (single block)."""
-    block, offset = divmod(lo, BLOCK_SIZE)
-    u = uniform_block(seed, var_index, block, hi - block * BLOCK_SIZE)
-    return u[offset:] if offset else u
-
-
 def _walk_block(
     config: SimConfig,
     tables: PairTables,
@@ -111,64 +110,42 @@ def _walk_block(
     hi: int,
 ) -> TrajectoryStats:
     size = hi - lo
+    block = lo // BLOCK_SIZE
     start = config.start_n
     n_rows = config.n_max - start + 1
     seed = config.master_seed
     sums = np.zeros((n_rows, len(STAT_NAMES)))
     run_max = np.zeros(size)
-    suffix_max = np.zeros((len(grid), size))
     grid_row = {g: i for i, g in enumerate(grid)}
-    n_win = len(windows)
+    suffix_hits = np.zeros(len(grid), dtype=np.int64)
     win_of: dict[int, int] = {}
     for w, (w_lo, w_hi) in enumerate(windows):
         for n in range(w_lo, w_hi):
             win_of[n] = w
-    ev_or = np.zeros((n_win, size), dtype=bool)  # event seen anywhere in the window
-    win_events = np.zeros(n_win, dtype=np.int64)
-    win_max_abs = np.full(n_win, -np.inf)
-    win_max_event = np.full(n_win, -np.inf)
-    win_max_dev = np.full(n_win, -np.inf)
+    ev_or = np.zeros((len(windows), size), dtype=bool)  # event seen anywhere in the window
 
     for n in range(config.n_max, start - 1, -1):
         row = n - start
-        u_even = _uniform_slice(seed, 2 * n, lo, hi)
-        u_odd = _uniform_slice(seed, 2 * n + 1, lo, hi)
+        u_even = uniform_block(seed, 2 * n, block, size)
+        u_odd = uniform_block(seed, 2 * n + 1, block, size)
         x_even, idx, f_nz, event = tables.draw(row, u_even, u_odd)
-        w = win_of.get(n, -1)
-
         abs_f = np.abs(f_nz)
         f_sq = f_nz * f_nz
         a52 = f_sq * np.sqrt(abs_f)
-        sums[row, 0] = x_even.sum()
-        sums[row, 1] = np.dot(x_even, x_even)
-        sums[row, 2] = f_nz.sum()
-        sums[row, 3] = f_sq.sum()
-        sums[row, 4] = np.dot(f_sq, f_sq)
-        sums[row, 5] = a52.sum()
-        sums[row, 6] = np.dot(a52, a52)
+        sums[row] = (
+            x_even.sum(), (x_even * x_even).sum(), f_nz.sum(), f_sq.sum(),
+            (f_sq * f_sq).sum(), a52.sum(), (a52 * a52).sum(), event.sum(),
+        )
         run_max[idx] = np.maximum(run_max[idx], abs_f)
-
-        if w >= 0:
-            ev_or[w] |= event
-            n_events = int(event.sum())
-            if n_events:
-                win_events[w] += n_events
-                win_max_event[w] = max(win_max_event[w], tables.cond_obs[row])
-                win_max_dev[w] = max(win_max_dev[w], tables.rel_dev[row])
-            hi_x = float(x_even.max())
-            lo_x = float(x_even.min())
-            win_max_abs[w] = max(
-                win_max_abs[w], tables.coef[row] * max(hi_x, -lo_x)
-            )
+        if n in win_of:
+            ev_or[win_of[n]] |= event
         if n in grid_row:
-            suffix_max[grid_row[n]] = run_max
+            suffix_hits[grid_row[n]] = (run_max > config.epsilon).sum()
 
     return TrajectoryStats(
         config=config, lo=lo, hi=hi, n_values=tables.n_values, grid=grid,
-        windows=windows, tables=tables, block_sums=[sums],
-        window_max=run_max, suffix_max=suffix_max, win_hits=ev_or.sum(axis=1),
-        win_events=win_events, win_max_abs=win_max_abs,
-        win_max_event=win_max_event, win_max_dev=win_max_dev,
+        windows=windows, tables=tables, block_sums=[sums], window_max=run_max,
+        suffix_hits=suffix_hits, win_hits=ev_or.sum(axis=1),
     )
 
 
@@ -183,14 +160,10 @@ class TrajectoryStats:
     grid: tuple[int, ...]
     windows: tuple[tuple[int, int], ...]
     tables: PairTables
-    block_sums: list[np.ndarray]          # per block: [n_rows, n_stats]
-    window_max: np.ndarray                # [hi - lo]
-    suffix_max: np.ndarray                # [n_grid, hi - lo]
-    win_hits: np.ndarray
-    win_events: np.ndarray
-    win_max_abs: np.ndarray
-    win_max_event: np.ndarray
-    win_max_dev: np.ndarray
+    block_sums: list[np.ndarray]   # per block: [n_rows, n_stats]
+    window_max: np.ndarray         # [hi - lo]: sup over all n of |F_n|
+    suffix_hits: np.ndarray        # [n_grid]: count of sup_(n >= g) |F_n| > epsilon
+    win_hits: np.ndarray           # [n_windows]: count of the event somewhere in the window
     _sum_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -288,12 +261,8 @@ def _assemble(parts: list[TrajectoryStats]) -> TrajectoryStats:
         tables=first.tables,
         block_sums=[s for p in parts for s in p.block_sums],
         window_max=np.concatenate([p.window_max for p in parts]),
-        suffix_max=np.concatenate([p.suffix_max for p in parts], axis=1),
+        suffix_hits=sum(p.suffix_hits for p in parts),
         win_hits=sum(p.win_hits for p in parts),
-        win_events=sum(p.win_events for p in parts),
-        win_max_abs=np.max([p.win_max_abs for p in parts], axis=0),
-        win_max_event=np.max([p.win_max_event for p in parts], axis=0),
-        win_max_dev=np.max([p.win_max_dev for p in parts], axis=0),
     )
 
 
@@ -310,7 +279,7 @@ def merge(a: TrajectoryStats, b: TrajectoryStats) -> TrajectoryStats:
     the parts' partials, and every derived quantity matches a single run
     over the full range bit for bit.
     """
-    if a.config != b.config or a.grid != b.grid:
+    if a.config != b.config:
         raise BadIndexError("cannot merge stats from different configurations")
     if a.hi != b.lo or b.lo % BLOCK_SIZE != 0 or a.lo % BLOCK_SIZE != 0:
         raise BadIndexError("ranges must be contiguous and block-aligned")
@@ -332,22 +301,20 @@ def sup_exceedance(stats: TrajectoryStats, t: float) -> McEstimate:
 
 
 def tail_diagnostic(
-    stats: TrajectoryStats, epsilon: float, grid: tuple[int, ...] | None = None
+    stats: TrajectoryStats, grid: tuple[int, ...] | None = None
 ) -> list[tuple[int, McEstimate]]:
     """P(sup_{n0 <= n <= n_max} |F_n| > epsilon) for each requested n0.
 
-    Almost-sure convergence to 0 is equivalent to these probabilities
-    vanishing as n0 grows, for every epsilon.
+    epsilon is the run's SimConfig.epsilon.  Almost-sure convergence to 0
+    is equivalent to these probabilities vanishing as n0 grows, for every
+    epsilon.
     """
-    if not epsilon > 0.0:
-        raise BadIndexError("epsilon must be positive")
     chosen = stats.grid if grid is None else tuple(grid)
     out = []
     for n0 in chosen:
         if n0 not in stats.grid:
             raise BadIndexError(f"n0={n0} not in the stored diagnostic grid {stats.grid}")
-        row = stats.grid.index(n0)
-        out.append((n0, _binomial_estimate(stats, int((stats.suffix_max[row] > epsilon).sum()))))
+        out.append((n0, _binomial_estimate(stats, int(stats.suffix_hits[stats.grid.index(n0)]))))
     return out
 
 
@@ -360,7 +327,6 @@ class WindowReport:
     estimate: McEstimate       # empirical P(event occurs somewhere in window)
     exact_prob: float          # 1 - prod (1 - P(event at n))
     event_count: int
-    max_abs_first_chaos: float
     closed_form_max: float     # max closed form over the window
     max_event_value: float | None
     max_event_deviation: float | None
@@ -371,22 +337,23 @@ def first_chaos_report(stats: TrajectoryStats) -> list[WindowReport]:
     tables = stats.tables
     start = stats.config.start_n
     p_event = tables.event_prob
+    events = stats.sums("events")
     reports = []
     for w, (w_lo, w_hi) in enumerate(stats.windows):
         rows = slice(w_lo - start, w_hi - start)
         exact = 1.0 - float(np.prod(1.0 - p_event[rows]))
-        has_event = stats.win_events[w] > 0
+        seen = events[rows] > 0  # rows n where some trajectory has the event
+        has_event = seen.any()
         reports.append(
             WindowReport(
                 n_lo=w_lo,
                 n_hi=w_hi,
                 estimate=_binomial_estimate(stats, int(stats.win_hits[w])),
                 exact_prob=exact,
-                event_count=int(stats.win_events[w]),
-                max_abs_first_chaos=float(stats.win_max_abs[w]),
+                event_count=int(events[rows].sum()),
                 closed_form_max=float(tables.closed_form[rows].max()),
-                max_event_value=float(stats.win_max_event[w]) if has_event else None,
-                max_event_deviation=float(stats.win_max_dev[w]) if has_event else None,
+                max_event_value=float(tables.cond_obs[rows][seen].max()) if has_event else None,
+                max_event_deviation=float(tables.rel_dev[rows][seen].max()) if has_event else None,
             )
         )
     return reports

@@ -218,5 +218,5 @@ def test_determinism_contract(tmp_path, capsys, monkeypatch):
         for stat in mc.STAT_NAMES:
             assert np.array_equal(s1.sums(stat), s8.sums(stat))
         assert np.array_equal(s1.window_max, s8.window_max)
-        assert np.array_equal(s1.suffix_max, s8.suffix_max)
+        assert np.array_equal(s1.suffix_hits, s8.suffix_hits)
         assert np.array_equal(s1.win_hits, s8.win_hits)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chaoslab
 from chaoslab.cli import build_csv, main
 from chaoslab.report import Report, render_json, render_text
 from chaoslab import mc
@@ -178,6 +183,29 @@ def test_unknown_flags_and_commands(capsys):
     assert run_cli(capsys, "simulate", "--example", "gaussian")[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys, "moments", "--j-max", "-2")[0] == 1
+    assert run_cli(capsys, "moments", "--lambda-grid", "inf")[0] == 1
+    assert run_cli(capsys, "moments", "--lambda-grid", "0.5,nan")[0] == 1
+    assert run_cli(capsys, "tail", "--t-grid", "9,inf")[0] == 1
+    assert run_cli(capsys, "simulate", "--example", "poisson", "--epsilon", "inf")[0] == 1
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # one full block: vectors this long are split across BLAS threads by a dot product
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        csv_path = tmp_path / f"blas{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chaoslab.cli", "simulate", "--example", "twopoint",
+             "--n-max", "20", "--reps", "16384", "--seed", "7", "--format", "json",
+             "--out", str(csv_path)],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_code_two_on_failed_row():

@@ -13,11 +13,9 @@ from chaoslab.variables import poisson_from_uniform
 def stats_equal(a: mc.TrajectoryStats, b: mc.TrajectoryStats) -> bool:
     return (
         np.array_equal(a.window_max, b.window_max)
-        and np.array_equal(a.suffix_max, b.suffix_max)
+        and np.array_equal(a.suffix_hits, b.suffix_hits)
         and all(np.array_equal(x, y) for x, y in zip(a.block_sums, b.block_sums))
         and np.array_equal(a.win_hits, b.win_hits)
-        and np.array_equal(a.win_events, b.win_events)
-        and np.array_equal(a.win_max_abs, b.win_max_abs)
     )
 
 
@@ -28,8 +26,9 @@ def test_config_validation():
         mc.SimConfig(example="twopoint", n_max=1)
     with pytest.raises(BadIndexError):
         mc.SimConfig(example="poisson", replications=0)
-    with pytest.raises(BadIndexError):
-        mc.SimConfig(example="poisson", epsilon=0.0)
+    for bad_epsilon in (0.0, math.inf, math.nan):
+        with pytest.raises(BadIndexError):
+            mc.SimConfig(example="poisson", epsilon=bad_epsilon)
 
 
 def test_budget_limit():
@@ -133,17 +132,17 @@ def test_tail_diagnostic_two_point_separation():
         example="twopoint", n_max=1000, replications=20_000, master_seed=29, epsilon=0.1
     )
     stats = mc.run(cfg)
-    diag = dict(mc.tail_diagnostic(stats, 0.1, grid=(10, 200)))
+    diag = dict(mc.tail_diagnostic(stats, grid=(10, 200)))
     lo, hi = diag[200], diag[10]
     assert lo.mean + 3 * (lo.stderr + hi.stderr) < hi.mean
     with pytest.raises(BadIndexError):
-        mc.tail_diagnostic(stats, 0.1, grid=(137,))
+        mc.tail_diagnostic(stats, grid=(137,))
 
 
 def test_tail_diagnostic_poisson_trend():
     cfg = mc.SimConfig(example="poisson", n_max=1000, replications=20_000, master_seed=31)
     stats = mc.run(cfg)
-    diag = dict(mc.tail_diagnostic(stats, 1.0, grid=(10, 100, 1000)))
+    diag = dict(mc.tail_diagnostic(stats, grid=(10, 100, 1000)))
     assert diag[1000].mean <= diag[10].mean + 3 * (diag[1000].stderr + diag[10].stderr)
     assert diag[100].mean <= diag[10].mean + 3 * (diag[100].stderr + diag[10].stderr)
 
@@ -151,7 +150,7 @@ def test_tail_diagnostic_poisson_trend():
 def test_tail_diagnostic_last_point_is_single_term():
     cfg = mc.SimConfig(example="poisson", n_max=50, replications=8192, master_seed=37)
     stats = mc.run(cfg)
-    (n0, est) = mc.tail_diagnostic(stats, 1.0, grid=(50,))[0]
+    (n0, est) = mc.tail_diagnostic(stats, grid=(50,))[0]
     # recompute |F_50| directly from the same streams
     lam_e, lam_o = poisson_pair.intensity(100), poisson_pair.intensity(101)
     ye = poisson_from_uniform(uniform_block(37, 100, 0, 8192), lam_e)
@@ -193,14 +192,41 @@ def test_first_chaos_report_poisson():
     assert w.closed_form_max == pytest.approx(poisson_pair.first_chaos_at_one(19), rel=1e-12)
 
 
+def assert_counts_match(stats, f_by_n, event_by_n, on_event):
+    """Window report and tail diagnostic against reconstructed trajectories.
+
+    f_by_n and event_by_n are [n, trajectory] arrays of F_n and the
+    recurrence event; on_event(n) gives the degree-one part on the event by
+    the scalar API and its closed form.
+    """
+    cfg = stats.config
+    reps, start = cfg.replications, cfg.start_n
+    (w,) = mc.first_chaos_report(stats)
+    assert (w.n_lo, w.n_hi) == (10, 20)
+    events = event_by_n[10 - start : 20 - start]
+    assert w.event_count == events.sum() > 0
+    assert w.estimate.mean == events.any(axis=0).sum() / reps
+    on = [on_event(n) for n in range(10, 20) if events[n - 10].any()]
+    assert w.max_event_value == pytest.approx(max(v for v, _ in on), rel=1e-12)
+    assert w.max_event_deviation == pytest.approx(
+        max(abs(v - c) / c for v, c in on), abs=1e-12
+    )
+    diag = mc.tail_diagnostic(stats)
+    assert [n0 for n0, _ in diag] == list(stats.grid)
+    for n0, est in diag:
+        suffix_sup = np.abs(f_by_n[n0 - start :]).max(axis=0)
+        assert est.mean == (suffix_sup > cfg.epsilon).sum() / reps
+
+
 def test_engine_matches_scalar_reconstruction_twopoint():
     # rebuild every trajectory from the same streams through the module-level
     # scalar API (using the defining sum form, not the collapsed one) and
-    # compare the per-n aggregates and the window supremum
-    cfg = mc.SimConfig(example="twopoint", n_max=12, replications=64, master_seed=71)
+    # compare the per-n aggregates, the window supremum and the counts
+    cfg = mc.SimConfig(example="twopoint", n_max=20, replications=64, master_seed=71)
     stats = mc.run(cfg)
     reps, start = cfg.replications, cfg.start_n
     f_by_n = np.zeros((cfg.n_max - start + 1, reps))
+    event_by_n = np.zeros_like(f_by_n, dtype=bool)
     for n in range(start, cfg.n_max + 1):
         se, so = two_point.even_spec(n), two_point.odd_spec(n)
         ue = uniform_block(cfg.master_seed, 2 * n, 0, reps)
@@ -209,9 +235,16 @@ def test_engine_matches_scalar_reconstruction_twopoint():
             xe = se.value_plus if ue[r] < se.p else se.value_minus
             xo = so.value_plus if uo[r] < so.p else so.value_minus
             f_by_n[n - start, r] = two_point.term(n, xe, xo)
+            event_by_n[n - start, r] = ue[r] < se.p
     assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-12, atol=1e-12)
     assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-12, atol=1e-12)
     assert np.allclose(stats.window_max, np.abs(f_by_n).max(axis=0), rtol=1e-12, atol=1e-12)
+
+    def on_event(n):
+        value = two_point.first_chaos(n, two_point.even_spec(n).value_plus)
+        return value, two_point.first_chaos_on_plus(n)
+
+    assert_counts_match(stats, f_by_n, event_by_n, on_event)
 
 
 def test_engine_matches_scalar_reconstruction_poisson():
@@ -224,10 +257,11 @@ def test_engine_matches_scalar_reconstruction_poisson():
         def random(self):
             return self.u
 
-    cfg = mc.SimConfig(example="poisson", n_max=12, replications=64, master_seed=73)
+    cfg = mc.SimConfig(example="poisson", n_max=20, replications=64, master_seed=73)
     stats = mc.run(cfg)
     reps, start = cfg.replications, cfg.start_n
     f_by_n = np.zeros((cfg.n_max - start + 1, reps))
+    event_by_n = np.zeros_like(f_by_n, dtype=bool)
     for n in range(start, cfg.n_max + 1):
         lam_e = poisson_pair.intensity(2 * n)
         lam_o = poisson_pair.intensity(2 * n + 1)
@@ -237,9 +271,15 @@ def test_engine_matches_scalar_reconstruction_poisson():
             ye = sample_poisson(lam_e, OneShot(ue[r]))
             yo = sample_poisson(lam_o, OneShot(uo[r]))
             f_by_n[n - start, r] = sum(poisson_pair.term_components(n, ye, yo))
+            event_by_n[n - start, r] = ye == 1
     assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-10, atol=1e-12)
     assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-10, atol=1e-10)
     assert np.allclose(stats.window_max, np.abs(f_by_n).max(axis=0), rtol=1e-10, atol=1e-12)
+
+    def on_event(n):
+        return poisson_pair.first_chaos(n, 1), poisson_pair.first_chaos_at_one(n)
+
+    assert_counts_match(stats, f_by_n, event_by_n, on_event)
 
 
 def test_custom_grid_normalized_and_env_validated(monkeypatch):
@@ -249,7 +289,7 @@ def test_custom_grid_normalized_and_env_validated(monkeypatch):
     )
     stats = mc.run(cfg)
     assert stats.grid == (10, 50)
-    d = dict(mc.tail_diagnostic(stats, 1.0))
+    d = dict(mc.tail_diagnostic(stats))
     assert d[10].mean >= d[50].mean  # suffix sup shrinks with n0
     monkeypatch.setenv("CHAOSLAB_THREADS", "many")
     with pytest.raises(BadIndexError):
