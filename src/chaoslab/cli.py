@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import mc, point_process, poisson_moments, poisson_pair, series
+from . import mc, point_process, poisson_moments, poisson_pair, series, streams
 from .errors import BadIndexError, ChaosLabError, DomainError, ResourceLimitError
 from .report import Report, render_json, render_text
 
@@ -54,6 +54,11 @@ def cmd_moments(args) -> int:
     )
     if args.j_max < 0:
         raise UsageError("--j-max must be >= 0")
+    for lam in lam_grid:
+        if not 0.0 < lam <= poisson_moments.MAX_RATE:
+            raise UsageError(
+                f"intensity {lam:g} outside the supported range (0, {poisson_moments.MAX_RATE:g}]"
+            )
     report = Report(
         "moments",
         {"lambda_grid": f"{lam_grid[0]:g}..{lam_grid[-1]:g}({len(lam_grid)})", "j_max": args.j_max},
@@ -192,15 +197,25 @@ def _three_se(stderr: float) -> float:
     return 3.0 * stderr if not math.isnan(stderr) else math.inf
 
 
+def _exact_se(variance: float, replications: int) -> float:
+    """Standard error of a mean of independent draws of known variance.
+
+    Rows that compare a Monte Carlo mean with its exact value use it instead
+    of the sample stderr, which heavy tails bias low; nan for one draw.
+    """
+    return math.sqrt(variance / replications) if replications > 1 else math.nan
+
+
 def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
     for w in mc.first_chaos_report(stats):
         est = w.estimate
+        se = _exact_se(w.exact_prob * (1.0 - w.exact_prob), est.replications)
         report.add(
             f"window[{w.n_lo},{w.n_hi}) event prob vs exact",
             est.mean,
             w.exact_prob,
-            abs(est.mean - w.exact_prob) <= _three_se(est.stderr),
-            stderr=est.stderr,
+            abs(est.mean - w.exact_prob) <= _three_se(se),
+            stderr=se,
         )
         if w.max_event_deviation is not None:
             report.add(
@@ -245,11 +260,12 @@ def cmd_simulate(args) -> int:
             "n_max": args.n_max,
             "reps": args.reps,
             "epsilon": args.epsilon,
+            "stream_layout": streams.LAYOUT_VERSION,
         },
         seed=args.seed,
     )
-    f_mean, f_se = stats.f_mean()
-    fsq_mean, fsq_se = stats.f_sq_mean()
+    f_mean, _ = stats.f_mean()
+    fsq_mean, _ = stats.f_sq_mean()
     a52_mean, a52_se = stats.f_abs52_mean()
     model = mc.MODELS[config.example]
     start = config.start_n
@@ -257,13 +273,15 @@ def cmd_simulate(args) -> int:
     for n in probes:
         i = n - start
         target = model.second_moment(n)
+        se = _exact_se(model.fourth_moment(n) - target * target, config.replications)
         report.add(
             f"E[F_{n}^2] vs exact", float(fsq_mean[i]), target,
-            abs(fsq_mean[i] - target) <= _three_se(fsq_se[i]), stderr=float(fsq_se[i]),
+            abs(fsq_mean[i] - target) <= _three_se(se), stderr=se,
         )
+        se = _exact_se(target, config.replications)
         report.add(
             f"E[F_{n}] vs 0", float(f_mean[i]), 0.0,
-            abs(f_mean[i]) <= _three_se(f_se[i]), stderr=float(f_se[i]),
+            abs(f_mean[i]) <= _three_se(se), stderr=se,
         )
         if model.moment52_bound is not None:
             bound = model.moment52_bound(n)
@@ -279,6 +297,8 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     if args.n < poisson_pair.START_N:
         raise UsageError(f"--n must be >= {poisson_pair.START_N}")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     layout = point_process.build_layout(
         [poisson_pair.intensity(2 * args.n), poisson_pair.intensity(2 * args.n + 1)],
         start_index=2 * args.n,
@@ -328,7 +348,8 @@ def cmd_tail(args) -> int:
     stats = mc.run(config)
     report = Report(
         "tail",
-        {"t_grid": args.t_grid, "n_max": args.n_max, "reps": args.reps},
+        {"t_grid": args.t_grid, "n_max": args.n_max, "reps": args.reps,
+         "stream_layout": streams.LAYOUT_VERSION},
         seed=args.seed,
     )
     a = series.intensity_fourth_sum()

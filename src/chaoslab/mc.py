@@ -1,22 +1,29 @@
 """Reproducible Monte Carlo over the two counterexample constructions.
 
 The engine knows a construction only through its pair model (see
-pair_model), looked up by name in MODELS: per-n tables and a per-row draw
-that turns the uniforms of (Y_2n, Y_2n+1) into X_2n, F_n and the
-recurrence event.  Trajectories are simulated in fixed blocks of
-BLOCK_SIZE; every variable in every block owns its own counter-based
-stream (see streams), so results are bitwise identical for any worker
-count and any replication split along block boundaries.
+pair_model), looked up by name in MODELS: per-n arrays giving, for each
+parity, the probability that a count is nonzero and the zero-truncated law
+of a nonzero count, plus the affine map from the even count to X_2n.
+F_n = X_2n C_2n+1 is then nonzero only where the odd count is, and every
+kept statistic follows from the nonzero counts alone.
 
-Each block walks the pair index n downward, so its running supremum of
-|F_n| is the suffix supremum, and the tail diagnostic at a grid point is
-one count of trajectories above SimConfig.epsilon.  Besides those counts a
-block keeps its per-n sums (STAT_NAMES, the recurrence events included),
-the supremum over the whole range per trajectory (sup_exceedance takes any
-threshold) and per-window hit counts; run_range and merge join contiguous
-parts with the same _assemble.  Per-n sums are numpy pairwise reductions
-inside a block, never BLAS dot products, whose split across BLAS threads
-would make the bytes depend on the thread count; across blocks they are
+Trajectories are simulated in fixed blocks of BLOCK_SIZE.  A block walks
+the pair indices upward in chunks of rows holding about _CHUNK_DRAWS
+expected nonzero counts; in each chunk and for each parity it draws the
+positions of the nonzero counts by geometric skipping, then their values,
+from the parity's stream of that block (see streams).  Results are
+therefore bitwise identical for any worker count and any replication split
+along block boundaries.
+
+Per chunk the draws reduce to per-n sums (STAT_NAMES): X_2n sums from the
+integer sums of the even counts, F_n sums over the odd draws row by row,
+with X_2n taken from the even count where both counts of a trajectory are
+nonzero, and the recurrence events {Y_2n = 1}.  A block also keeps, per
+trajectory, the supremum of |F_n| over the whole range (sup_exceedance
+takes any threshold) and the last n with |F_n| > SimConfig.epsilon, which
+gives the tail diagnostic as one count per grid point; and per window the
+count of trajectories with an event in it.  run_range and merge join
+contiguous parts with the same _assemble; across blocks the per-n sums are
 combined by an exactly rounded compensated sum, and counts add.
 """
 
@@ -26,14 +33,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import poisson_pair, two_point
 from .errors import BadIndexError, ResourceLimitError
 from .pair_model import PairModel, PairTables
-from .streams import BLOCK_SIZE, block_bounds, uniform_block
+from .streams import BLOCK_SIZE, block_bounds, block_stream, uniform_block
 from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
 
 MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_pair.MODEL}
@@ -63,6 +70,8 @@ class SimConfig:
             raise BadIndexError("need at least one replication")
         if not 0.0 < self.epsilon < math.inf:
             raise BadIndexError("epsilon must be positive and finite")
+        if not 0 <= self.master_seed < 2**64:
+            raise BadIndexError(f"seed must lie in [0, 2**64), got {self.master_seed}")
 
     @property
     def start_n(self) -> int:
@@ -101,6 +110,218 @@ def dyadic_windows(n_max: int, base: int = 10) -> tuple[tuple[int, int], ...]:
     return tuple(windows)
 
 
+# Gaps drawn per chunk of rows, both parities together: about the expected
+# nonzero counts plus the spare gaps.  It bounds the size of a chunk's
+# arrays; smaller chunks cost more numpy calls per count, larger ones more
+# peak memory.
+_CHUNK_DRAWS = 1 << 15
+# Gaps drawn per row beyond the expected count of nonzero slots, in
+# standard deviations; a row whose gaps end short of its last slot draws
+# more (_top_up).
+_SPARE_SD = 4.0
+
+
+class Draws(NamedTuple):
+    """The nonzero counts of one parity in one chunk, in ascending (row, pos)."""
+
+    rows: np.ndarray     # row within the chunk
+    pos: np.ndarray      # trajectory offset within the block
+    counts: np.ndarray   # the counts, all >= 1
+    per_row: np.ndarray  # number of nonzero counts in each row of the chunk
+
+
+def _gaps(u: np.ndarray, inv_log: np.ndarray, width: int) -> np.ndarray:
+    """Geometric trial counts by inversion: P(gap > k) = (1 - q)^k, k >= 0.
+
+    inv_log is 1 / log(1 - q); gaps beyond the row width are cut to it.
+    The uniforms u are overwritten.
+    """
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= inv_log
+    np.minimum(u, width, out=u)
+    gaps = u.astype(np.int64)  # truncation is the floor: u >= 0
+    gaps += 1
+    return gaps
+
+
+def _top_up(stream, inv_log: float, last: int, width: int, batch: int) -> np.ndarray:
+    """Slots after `last` that a row's first gaps did not reach."""
+    found = []
+    while last < width:
+        pos = last + np.cumsum(_gaps(uniform_block(stream, batch), inv_log, width))
+        found.append(pos[pos < width])
+        last = int(pos[-1])
+    return np.concatenate(found)
+
+
+def _gap_counts(q: np.ndarray, width: int) -> np.ndarray:
+    """Gaps a row draws first: its expected nonzero count, _SPARE_SD standard
+    deviations more, and one."""
+    expected = width * q
+    return (np.ceil(expected + _SPARE_SD * np.sqrt(expected)) + 1).astype(np.int64)
+
+
+def _nonzero_slots(stream, inv_log: np.ndarray, n_gaps: np.ndarray, width: int):
+    """Positions of the nonzero slots, row-major, and their count per row.
+
+    Slot (j, r), r < width, is nonzero with probability q[j], independently
+    of every other slot; inv_log[j] is 1 / log(1 - q[j]).  Row j draws
+    n_gaps[j] geometric gaps; the gaps past the row's end are dropped, which
+    the memoryless gaps allow, and a row whose gaps end short of it draws
+    more.
+    """
+    ends = np.cumsum(n_gaps)
+    pos = _gaps(uniform_block(stream, int(ends[-1])), np.repeat(inv_log, n_gaps), width)
+    np.cumsum(pos, out=pos)
+    before = np.concatenate(([0], pos[ends[:-1] - 1]))  # trials before each row
+    pos -= np.repeat(before + 1, n_gaps)
+    first = ends - n_gaps
+    last = pos[ends - 1]
+    keep = pos < width
+    per_row = np.add.reduceat(keep, first, dtype=np.int64)
+    pos = np.compress(keep, pos)
+    short = np.flatnonzero(last < width)
+    if short.size:
+        extra = [_top_up(stream, inv_log[j], last[j], width, n_gaps[j]) for j in short]
+        rows = np.repeat(np.arange(n_gaps.size), per_row)
+        rows = np.concatenate([rows, *(np.full(e.size, j) for j, e in zip(short, extra))])
+        pos = np.concatenate([pos, *extra])
+        order = np.argsort(rows * width + pos)
+        pos = pos[order]
+        per_row = np.bincount(rows, minlength=n_gaps.size)
+    return pos, per_row
+
+
+def _truncated_counts(stream, rate: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zero-truncated Poisson(rate[row]) counts by inversion, one uniform each.
+
+    Rate 0 is the point mass at 1; a chunk whose rates are all 0 draws nothing.
+    """
+    counts = np.ones(rows.size, dtype=np.int64)
+    if not rate.any():
+        return counts
+    u = uniform_block(stream, rows.size)
+    p_one = np.divide(rate, np.expm1(rate), out=np.ones_like(rate), where=rate > 0)
+    live = (u >= p_one[rows]).nonzero()[0]  # the counts above 1
+    lam = rate[rows[live]]
+    term = cdf = p_one[rows[live]]
+    k = 1
+    while live.size:
+        k += 1
+        counts[live] = k
+        term = term * lam / k  # P(count = k | count > 0)
+        if not term.any():  # the rest of the tail is below the smallest double
+            break
+        cdf = cdf + term
+        up = u[live] >= cdf
+        live, lam, term, cdf = live[up], lam[up], term[up], cdf[up]
+    return counts
+
+
+def _chunk_bounds(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive row ranges, each the longest whose cost sums to at most
+    _CHUNK_DRAWS, or one row."""
+    cum = np.cumsum(cost)
+    bounds = []
+    lo, base = 0, 0
+    while lo < cum.size:
+        hi = max(lo + 1, int(cum.searchsorted(base + _CHUNK_DRAWS, side="right")))
+        bounds.append((lo, hi))
+        lo, base = hi, cum[hi - 1]
+    return bounds
+
+
+def sparse_draws(
+    tables: PairTables, master_seed: int, block: int, width: int
+) -> Iterator[tuple[int, int, Draws, Draws]]:
+    """The nonzero counts of one block, chunk by chunk in ascending n.
+
+    Yields (j0, j1, even, odd): the chunk's rows [j0, j1) and the Draws of
+    Y_2n and C_2n+1 there, for the first `width` trajectories of the block.
+    Each parity's stream gives, per chunk, the positions, then the counts.
+    """
+    laws = [
+        (block_stream(master_seed, parity, block), 1.0 / np.log1p(-q), _gap_counts(q, width), rate)
+        for parity, q, rate in ((0, tables.q_even, tables.rate_even),
+                                (1, tables.q_odd, tables.rate_odd))
+    ]
+    for j0, j1 in _chunk_bounds(laws[0][2] + laws[1][2]):
+        parts = []
+        for stream, inv_log, n_gaps, rate in laws:
+            pos, per_row = _nonzero_slots(stream, inv_log[j0:j1], n_gaps[j0:j1], width)
+            rows = np.repeat(np.arange(j1 - j0), per_row)
+            parts.append(Draws(rows, pos, _truncated_counts(stream, rate[j0:j1], rows), per_row))
+        yield j0, j1, *parts
+
+
+def _row_sums(values: np.ndarray, per_row: np.ndarray) -> np.ndarray:
+    """Sums along the last axis over consecutive runs of per_row[j] entries."""
+    out = np.zeros(values.shape[:-1] + per_row.shape, dtype=values.dtype)
+    full = per_row.nonzero()[0]
+    if full.size:
+        out[..., full] = np.add.reduceat(values, (per_row.cumsum() - per_row)[full], axis=-1)
+    return out
+
+
+def _both_nonzero(even: Draws, odd: Draws, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into odd and into even of the slots where both counts are nonzero."""
+    if not (odd.pos.size and even.pos.size):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    odd_key = odd.rows * width + odd.pos
+    even_key = even.rows * width + even.pos
+    at = np.minimum(odd_key.searchsorted(even_key), odd_key.size - 1)
+    both = (odd_key[at] == even_key).nonzero()[0]
+    return at[both], both
+
+
+class _Block:
+    """One block's accumulators: per-n sums, per-trajectory suprema, window hits."""
+
+    def __init__(self, config: SimConfig, tables: PairTables, windows, width: int) -> None:
+        self.config, self.tables, self.width = config, tables, width
+        rows = len(tables.n_values)
+        self.sums = np.zeros((rows, len(STAT_NAMES)))
+        self.run_max = np.zeros(width)
+        self.last_big = np.full(width, -1)  # last row with |F_n| > epsilon
+        self.window_of = np.full(rows, -1)
+        for w, (w_lo, w_hi) in enumerate(windows):
+            self.window_of[w_lo - config.start_n : w_hi - config.start_n] = w
+        self.ev_or = np.zeros((len(windows), width), dtype=bool)  # event seen in the window
+
+    def add(self, j0: int, j1: int, even: Draws, odd: Draws) -> None:
+        """Reduce the draws of rows [j0, j1)."""
+        width = self.width
+        loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
+        y = even.counts
+        sum_y, sum_y2 = _row_sums(np.stack([y, y * y]), even.per_row).astype(np.float64)
+        # X_2n where F_n may be nonzero: its zero-count value unless Y_2n != 0 too
+        f = np.repeat(-loc / scale, odd.per_row)
+        at, both = _both_nonzero(even, odd, width)
+        rows = even.rows[both]
+        f[at] = (y[both] - loc[rows]) / scale[rows]
+        f *= odd.counts
+        abs_f = np.abs(f)
+        f_sq = f * f
+        block = self.sums[j0:j1]
+        block[:, 0] = (sum_y - width * loc) / scale
+        block[:, 1] = (sum_y2 - 2.0 * loc * sum_y + width * loc * loc) / (scale * scale)
+        block[:, 2] = _row_sums(f, odd.per_row)
+        block[:, 3] = _row_sums(f_sq, odd.per_row)
+        a52 = np.sqrt(abs_f, out=f)  # F_n is summed; its buffer takes |F_n|^(5/2)
+        a52 *= f_sq
+        block[:, 5] = _row_sums(a52, odd.per_row)
+        block[:, 4] = _row_sums(np.square(f_sq, out=f_sq), odd.per_row)
+        block[:, 6] = _row_sums(np.square(a52, out=a52), odd.per_row)
+        event = (y == 1).nonzero()[0]
+        block[:, 7] = np.bincount(even.rows[event], minlength=j1 - j0)
+        np.maximum.at(self.run_max, odd.pos, abs_f)
+        big = (abs_f > self.config.epsilon).nonzero()[0]
+        np.maximum.at(self.last_big, odd.pos[big], odd.rows[big] + j0)
+        w = self.window_of[even.rows[event] + j0]
+        self.ev_or[w[w >= 0], even.pos[event][w >= 0]] = True
+
+
 def _walk_block(
     config: SimConfig,
     tables: PairTables,
@@ -109,43 +330,15 @@ def _walk_block(
     lo: int,
     hi: int,
 ) -> TrajectoryStats:
-    size = hi - lo
-    block = lo // BLOCK_SIZE
-    start = config.start_n
-    n_rows = config.n_max - start + 1
-    seed = config.master_seed
-    sums = np.zeros((n_rows, len(STAT_NAMES)))
-    run_max = np.zeros(size)
-    grid_row = {g: i for i, g in enumerate(grid)}
-    suffix_hits = np.zeros(len(grid), dtype=np.int64)
-    win_of: dict[int, int] = {}
-    for w, (w_lo, w_hi) in enumerate(windows):
-        for n in range(w_lo, w_hi):
-            win_of[n] = w
-    ev_or = np.zeros((len(windows), size), dtype=bool)  # event seen anywhere in the window
-
-    for n in range(config.n_max, start - 1, -1):
-        row = n - start
-        u_even = uniform_block(seed, 2 * n, block, size)
-        u_odd = uniform_block(seed, 2 * n + 1, block, size)
-        x_even, idx, f_nz, event = tables.draw(row, u_even, u_odd)
-        abs_f = np.abs(f_nz)
-        f_sq = f_nz * f_nz
-        a52 = f_sq * np.sqrt(abs_f)
-        sums[row] = (
-            x_even.sum(), (x_even * x_even).sum(), f_nz.sum(), f_sq.sum(),
-            (f_sq * f_sq).sum(), a52.sum(), (a52 * a52).sum(), event.sum(),
-        )
-        run_max[idx] = np.maximum(run_max[idx], abs_f)
-        if n in win_of:
-            ev_or[win_of[n]] |= event
-        if n in grid_row:
-            suffix_hits[grid_row[n]] = (run_max > config.epsilon).sum()
-
+    acc = _Block(config, tables, windows, hi - lo)
+    for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo):
+        acc.add(j0, j1, even, odd)
+        del even, odd  # free this chunk's draws before the next is drawn
+    suffix_hits = [(acc.last_big >= g - config.start_n).sum() for g in grid]
     return TrajectoryStats(
         config=config, lo=lo, hi=hi, n_values=tables.n_values, grid=grid,
-        windows=windows, tables=tables, block_sums=[sums], window_max=run_max,
-        suffix_hits=suffix_hits, win_hits=ev_or.sum(axis=1),
+        windows=windows, tables=tables, block_sums=[acc.sums], window_max=acc.run_max,
+        suffix_hits=np.array(suffix_hits, dtype=np.int64), win_hits=acc.ev_or.sum(axis=1),
     )
 
 

@@ -2,9 +2,16 @@
 
 Each construction pairs its variables as (Y_2n, Y_2n+1) and studies
 F_n = c_n X_2n + d_n X_2n X_2n+1, which collapses per realization to
-X_2n g(Y_2n+1); its degree-one part c_n X_2n has a closed form on a
-recurrent event.  A construction module describes itself once as a
-PairModel; the Monte Carlo engine and `simulate` reach it only that way.
+X_2n C_2n+1 with C_2n+1 a count; its degree-one part c_n X_2n has a closed
+form on a recurrent event.  A construction module describes itself once as
+a PairModel; the Monte Carlo engine and `simulate` reach it only that way.
+
+The engine sees each variable as a count that is zero except on a rare
+event: a Poisson count itself, or the indicator of a +1 sign.  A count is
+nonzero with probability q_n, and a nonzero count follows a zero-truncated
+Poisson law of rate nu_n, where nu_n = 0 is the point mass at 1.  The even
+count Y maps to X_2n = (Y - x_loc_n) / x_scale_n, the odd count is C_2n+1,
+and the recurrence event is {Y = 1}.
 """
 
 from __future__ import annotations
@@ -14,15 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-# (row, u_even, u_odd) -> (x_even, idx, f_nz, event): X_2n for every
-# trajectory, the trajectories where F_n may be nonzero, F_n there, and the
-# recurrence indicator; row is n - start_n.
-Draw = Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
-
 
 @dataclass(frozen=True)
 class PairTables:
-    """Per-n scalars and the per-row draw, built once per run; rows are n - start_n."""
+    """Per-n arrays, built once per run; rows are n - start_n."""
 
     n_values: np.ndarray
     coef: np.ndarray          # degree-one coefficient: p_(2n+1) or lambda_(2n+1)
@@ -30,7 +32,12 @@ class PairTables:
     closed_form: np.ndarray   # analytic closed form of the same quantity
     rel_dev: np.ndarray       # |cond_obs - closed_form| / closed_form
     event_prob: np.ndarray    # exact probability of the recurrence event
-    draw: Draw
+    q_even: np.ndarray        # P(even count != 0)
+    q_odd: np.ndarray         # P(odd count != 0)
+    rate_even: np.ndarray     # zero-truncated Poisson rate of a nonzero even count
+    rate_odd: np.ndarray      # the same for the odd count
+    x_loc: np.ndarray         # X_2n = (even count - x_loc) / x_scale
+    x_scale: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -38,5 +45,6 @@ class PairModel:
     start_n: int
     tables: Callable[[np.ndarray], PairTables]  # pair indices start_n..n_max
     second_moment: Callable[[int], float]       # exact E(F_n^2)
+    fourth_moment: Callable[[int], float]       # exact E(F_n^4)
     # Decay bound on E|F_n|^(5/2), where the paper states one.
     moment52_bound: Callable[[int], float] | None = None

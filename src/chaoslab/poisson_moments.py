@@ -15,6 +15,9 @@ from typing import NamedTuple
 from .errors import OutOfRangeError
 
 _EPS = sys.float_info.epsilon
+# Largest intensity whose first pmf term exp(-lam) is a normal double; above
+# it the pmf recurrence of poisson_tail starts from an underflowed term.
+MAX_RATE = 700.0
 
 
 class CertifiedValue(NamedTuple):
@@ -42,8 +45,8 @@ def poisson_tail(lam: float, j: int) -> CertifiedValue:
     covers the pmf recurrence, the compensated sum, and the final
     complement.
     """
-    if not lam > 0.0:
-        raise OutOfRangeError(f"Poisson intensity must be positive, got {lam}")
+    if not 0.0 < lam <= MAX_RATE:
+        raise OutOfRangeError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
     if j < 0:
         raise OutOfRangeError(f"j must be a nonnegative integer, got {j}")
     pmf = math.exp(-lam)

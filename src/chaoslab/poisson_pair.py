@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import BadIndexError, DomainError
 from .pair_model import PairModel, PairTables
-from .poisson_moments import abs_central_moment, raw_abs_moment
+from .poisson_moments import abs_central_moment, raw_abs_moment, raw_moment_4
 from .series import intensity_cross_sum, intensity_fourth_sum
-from .variables import poisson_from_uniform, poisson_normalize
+from .variables import poisson_normalize
 
 START_N = 1
 
@@ -61,6 +61,13 @@ def second_moment(n: int) -> float:
     """E(F_n^2) = lambda_(2n+1)(1 + lambda_(2n+1)), by independence."""
     lam_odd = intensity(2 * n + 1)
     return lam_odd * (1.0 + lam_odd)
+
+
+def fourth_moment(n: int) -> float:
+    """E(F_n^4) = E(X_2n^4) E(Y_2n+1^4), with E(X^4) = 3 + 1/lambda_2n."""
+    if n < START_N:
+        raise BadIndexError(f"pair index must be >= {START_N}")
+    return (3.0 + 1.0 / intensity(2 * n)) * raw_moment_4(intensity(2 * n + 1))
 
 
 def moment52_bound(n) -> np.ndarray | float:
@@ -183,29 +190,23 @@ def scan_first_chaos_exceeds(threshold: float, n_cap: int = 2**62) -> tuple[int,
 
 
 def pair_tables(n: np.ndarray) -> PairTables:
-    """Engine tables; the event is {Y_2n = 1} and g = Y_2n+1."""
+    """Engine tables; the event is {Y_2n = 1} and C_2n+1 = Y_2n+1."""
     lam_even = np.asarray(intensity(2 * n))
     lam_odd = np.asarray(intensity(2 * n + 1))
     sqrt_lam_even = np.sqrt(lam_even)
     cond_obs = lam_odd * ((1.0 - lam_even) / sqrt_lam_even)
     closed = np.asarray(first_chaos_at_one(n))
     safe = np.where(closed == 0.0, 1.0, closed)  # the closed form vanishes at n = 1
-
-    def draw(row, u_even, u_odd):
-        y_even = poisson_from_uniform(u_even, lam_even[row])
-        x_even = (y_even - lam_even[row]) / sqrt_lam_even[row]
-        y_odd = poisson_from_uniform(u_odd, lam_odd[row])
-        idx = np.nonzero(y_odd)[0]
-        return x_even, idx, x_even[idx] * y_odd[idx], y_even == 1
-
     return PairTables(
         n_values=n, coef=lam_odd, cond_obs=np.abs(cond_obs), closed_form=closed,
         rel_dev=np.abs(np.abs(cond_obs) - closed) / np.abs(safe),
-        event_prob=np.exp(-lam_even) * lam_even, draw=draw,
+        event_prob=np.exp(-lam_even) * lam_even,
+        q_even=-np.expm1(-lam_even), q_odd=-np.expm1(-lam_odd),
+        rate_even=lam_even, rate_odd=lam_odd, x_loc=lam_even, x_scale=sqrt_lam_even,
     )
 
 
 MODEL = PairModel(
     start_n=START_N, tables=pair_tables, second_moment=second_moment,
-    moment52_bound=moment52_bound,
+    fourth_moment=fourth_moment, moment52_bound=moment52_bound,
 )

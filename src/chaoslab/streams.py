@@ -1,18 +1,28 @@
-"""Deterministic uniform streams keyed by (master seed, variable index, block).
+"""Deterministic random streams keyed by (master seed, parity, block).
 
-Every simulated variable in every trajectory block owns a counter-based
-Philox stream, derived from the master seed with a spawn key.  Trajectory
-``r`` lives in block ``r // BLOCK_SIZE`` at offset ``r % BLOCK_SIZE``; the
-layout is a fixed constant, independent of worker count and of the total
-replication count, so the uniforms assigned to a given (trajectory,
-variable) pair never move.  A variable that consumes a data-dependent
-number of uniforms therefore cannot shift any other variable's draws.
+Trajectory ``r`` lives in block ``r // BLOCK_SIZE`` at offset
+``r % BLOCK_SIZE``.  The Monte Carlo engine draws a block from two
+counter-based Philox streams, one for the even variables Y_2n (parity 0)
+and one for the odd variables Y_2n+1 (parity 1), keyed directly by
+``(master seed, 2 * block + parity)`` without a SeedSequence.  Each stream
+is consumed in ascending n, chunk by chunk, and only where a count is
+nonzero: the positions of the nonzero counts by geometric skipping, then
+their values (see mc.sparse_draws).  The draws of a block are therefore a
+function of the seed, the construction, n_max, the block and its width,
+never of the worker count or of how the replications are split along
+block boundaries; a full block's draws do not depend on the total
+replication count.
+
+LAYOUT_VERSION names this layout and changes whenever the same seed would
+give different draws.  Version 1 gave every (variable index, block) pair
+its own stream and one uniform per trajectory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+LAYOUT_VERSION = 2
 BLOCK_SIZE = 1 << 14
 
 
@@ -30,14 +40,19 @@ def block_bounds(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def generator(master_seed: int, *key: int) -> np.random.Generator:
-    """Philox generator for an arbitrary spawn key under the master seed."""
+    """Philox generator for an arbitrary spawn key under the master seed.
+
+    For seeded draws outside the engine, such as point-process batches.
+    """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def uniform_block(master_seed: int, var_index: int, block: int, size: int) -> np.ndarray:
-    """The `size` uniforms owned by one variable in one trajectory block.
+def block_stream(master_seed: int, parity: int, block: int) -> np.random.Generator:
+    """The engine's Philox stream for one parity of one block; master_seed < 2**64."""
+    return np.random.Generator(np.random.Philox(key=master_seed | (2 * block + parity) << 64))
 
-    Element ``i`` belongs to trajectory ``block * BLOCK_SIZE + i``.
-    """
-    return generator(master_seed, var_index, block).random(size)
+
+def uniform_block(stream: np.random.Generator, size: int) -> np.ndarray:
+    """The next `size` uniforms of a block stream; the engine draws only through here."""
+    return stream.random(size)

@@ -62,6 +62,14 @@ def second_moment(n: int) -> float:
     return prob(2 * n + 1)
 
 
+def fourth_moment(n: int) -> float:
+    """E(F_n^4) = E(X_2n^4) p_(2n+1), with E(X^4) = (1-p)^2/p + p^2/(1-p) at p = p_2n."""
+    if n < START_N:
+        raise BadIndexError(f"pair index must be >= {START_N}")
+    p = prob(2 * n)
+    return ((1.0 - p) ** 2 / p + p * p / (1.0 - p)) * prob(2 * n + 1)
+
+
 def first_chaos(n: int, x_even: float) -> float:
     """Degree-one chaos component of F_n: p_(2n+1) * X_2n."""
     if n < START_N:
@@ -104,24 +112,22 @@ def scan_first_chaos_exceeds(threshold: float, n_cap: int = 2**62) -> tuple[int,
 
 
 def pair_tables(n: np.ndarray) -> PairTables:
-    """Engine tables; the event is {Y_2n = 1} and g = 1{Y_2n+1 = 1}."""
+    """Engine tables; the counts are the indicators of +1 signs, so the event
+    is {Y_2n = 1} and C_2n+1 = 1{Y_2n+1 = 1}."""
     p_even = np.asarray(prob(2 * n))
     p_odd = np.asarray(prob(2 * n + 1))
-    v_plus = np.sqrt((1.0 - p_even) / p_even)
-    v_minus = -np.sqrt(p_even / (1.0 - p_even))
-    cond_obs = p_odd * v_plus
+    cond_obs = p_odd * np.sqrt((1.0 - p_even) / p_even)
     closed = np.asarray(first_chaos_on_plus(n))
-
-    def draw(row, u_even, u_odd):
-        plus_even = u_even < p_even[row]
-        x_even = np.where(plus_even, v_plus[row], v_minus[row])
-        idx = np.nonzero(u_odd < p_odd[row])[0]
-        return x_even, idx, x_even[idx], plus_even
-
+    one = np.zeros_like(p_even)  # truncated-Poisson rate 0: a nonzero count is 1
     return PairTables(
         n_values=n, coef=p_odd, cond_obs=cond_obs, closed_form=closed,
-        rel_dev=np.abs(cond_obs - closed) / closed, event_prob=p_even, draw=draw,
+        rel_dev=np.abs(cond_obs - closed) / closed, event_prob=p_even,
+        q_even=p_even, q_odd=p_odd, rate_even=one, rate_odd=one,
+        x_loc=p_even, x_scale=np.sqrt(p_even * (1.0 - p_even)),
     )
 
 
-MODEL = PairModel(start_n=START_N, tables=pair_tables, second_moment=second_moment)
+MODEL = PairModel(
+    start_n=START_N, tables=pair_tables, second_moment=second_moment,
+    fourth_moment=fourth_moment,
+)

@@ -10,7 +10,7 @@ import pytest
 import chaoslab
 from chaoslab.cli import build_csv, main
 from chaoslab.report import Report, render_json, render_text
-from chaoslab import mc
+from chaoslab import mc, streams
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +187,14 @@ def test_unknown_flags_and_commands(capsys):
     assert run_cli(capsys, "moments", "--lambda-grid", "0.5,nan")[0] == 1
     assert run_cli(capsys, "tail", "--t-grid", "9,inf")[0] == 1
     assert run_cli(capsys, "simulate", "--example", "poisson", "--epsilon", "inf")[0] == 1
+    for argv in (
+        ("simulate", "--example", "poisson", "--n-max", "5", "--reps", "3", "--seed", "-1"),
+        ("tail", "--n-max", "5", "--reps", "3", "--seed", "-1"),
+        ("decompose", "--n", "4", "--seed", "-1"),
+        ("moments", "--lambda-grid", "1e300", "--j-max", "1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("usage error:"), argv
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -216,6 +224,29 @@ def test_exit_code_two_on_failed_row():
     assert report.exit_code() == 2
     assert "FAIL" in render_text(report)
     assert json.loads(render_json(report))["rows"][1]["pass"] is False
+
+
+def test_reports_carry_stream_layout_and_exact_stderr(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--example", "poisson", "--n-max", "20", "--reps", "3000",
+        "--seed", "5", "--format", "json", "--out", os.devnull,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["stream_layout"] == streams.LAYOUT_VERSION == 2
+    rows = {r["label"]: r for r in payload["rows"]}
+    model = mc.MODELS["poisson"]
+    var4 = model.fourth_moment(4) - model.second_moment(4) ** 2
+    assert rows["E[F_4^2] vs exact"]["stderr"] == pytest.approx(math.sqrt(var4 / 3000), rel=1e-12)
+    assert rows["E[F_4] vs 0"]["stderr"] == pytest.approx(
+        math.sqrt(model.second_moment(4) / 3000), rel=1e-12)
+    p = next(w.exact_prob for w in mc.first_chaos_report(
+        mc.run(mc.SimConfig(example="poisson", n_max=20, replications=3000, master_seed=5))))
+    assert rows["window[10,20) event prob vs exact"]["stderr"] == pytest.approx(
+        math.sqrt(p * (1 - p) / 3000), rel=1e-12)
+    code, out, _ = run_cli(
+        capsys, "tail", "--n-max", "5", "--reps", "3", "--seed", "1", "--format", "json")
+    assert json.loads(out)["params"]["stream_layout"] == 2
 
 
 def test_csv_layout():

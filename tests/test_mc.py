@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_oracle
 from chaoslab import mc, poisson_pair, two_point
 from chaoslab.errors import BadIndexError, ResourceLimitError
-from chaoslab.streams import BLOCK_SIZE, uniform_block
-from chaoslab.variables import poisson_from_uniform
+from chaoslab.streams import BLOCK_SIZE
 
 
 def stats_equal(a: mc.TrajectoryStats, b: mc.TrajectoryStats) -> bool:
@@ -29,6 +29,9 @@ def test_config_validation():
     for bad_epsilon in (0.0, math.inf, math.nan):
         with pytest.raises(BadIndexError):
             mc.SimConfig(example="poisson", epsilon=bad_epsilon)
+    for bad_seed in (-1, 2**64):
+        with pytest.raises(BadIndexError):
+            mc.SimConfig(example="poisson", master_seed=bad_seed)
 
 
 def test_budget_limit():
@@ -147,14 +150,19 @@ def test_tail_diagnostic_poisson_trend():
     assert diag[100].mean <= diag[10].mean + 3 * (diag[100].stderr + diag[10].stderr)
 
 
+def sparse_counts(cfg):
+    """[n, trajectory] even and odd counts of a one-block run, from the sparse draws."""
+    tables = mc.MODELS[cfg.example].tables(np.arange(cfg.start_n, cfg.n_max + 1))
+    return dense_oracle.sparse_counts(cfg, tables, 0, cfg.replications)
+
+
 def test_tail_diagnostic_last_point_is_single_term():
     cfg = mc.SimConfig(example="poisson", n_max=50, replications=8192, master_seed=37)
     stats = mc.run(cfg)
     (n0, est) = mc.tail_diagnostic(stats, grid=(50,))[0]
-    # recompute |F_50| directly from the same streams
-    lam_e, lam_o = poisson_pair.intensity(100), poisson_pair.intensity(101)
-    ye = poisson_from_uniform(uniform_block(37, 100, 0, 8192), lam_e)
-    yo = poisson_from_uniform(uniform_block(37, 101, 0, 8192), lam_o)
+    # recompute |F_50| directly from the same draws
+    ye, yo = (c[-1] for c in sparse_counts(cfg))
+    lam_e = poisson_pair.intensity(100)
     f = (ye - lam_e) / math.sqrt(lam_e) * yo
     assert est.mean == (np.abs(f) > 1.0).mean()
 
@@ -219,23 +227,21 @@ def assert_counts_match(stats, f_by_n, event_by_n, on_event):
 
 
 def test_engine_matches_scalar_reconstruction_twopoint():
-    # rebuild every trajectory from the same streams through the module-level
+    # rebuild every trajectory from the same draws through the module-level
     # scalar API (using the defining sum form, not the collapsed one) and
     # compare the per-n aggregates, the window supremum and the counts
     cfg = mc.SimConfig(example="twopoint", n_max=20, replications=64, master_seed=71)
     stats = mc.run(cfg)
     reps, start = cfg.replications, cfg.start_n
+    plus_even, plus_odd = sparse_counts(cfg)
     f_by_n = np.zeros((cfg.n_max - start + 1, reps))
-    event_by_n = np.zeros_like(f_by_n, dtype=bool)
+    event_by_n = plus_even == 1
     for n in range(start, cfg.n_max + 1):
         se, so = two_point.even_spec(n), two_point.odd_spec(n)
-        ue = uniform_block(cfg.master_seed, 2 * n, 0, reps)
-        uo = uniform_block(cfg.master_seed, 2 * n + 1, 0, reps)
         for r in range(reps):
-            xe = se.value_plus if ue[r] < se.p else se.value_minus
-            xo = so.value_plus if uo[r] < so.p else so.value_minus
+            xe = se.value_plus if plus_even[n - start, r] else se.value_minus
+            xo = so.value_plus if plus_odd[n - start, r] else so.value_minus
             f_by_n[n - start, r] = two_point.term(n, xe, xo)
-            event_by_n[n - start, r] = ue[r] < se.p
     assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-12, atol=1e-12)
     assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-12, atol=1e-12)
     assert np.allclose(stats.window_max, np.abs(f_by_n).max(axis=0), rtol=1e-12, atol=1e-12)
@@ -248,30 +254,16 @@ def test_engine_matches_scalar_reconstruction_twopoint():
 
 
 def test_engine_matches_scalar_reconstruction_poisson():
-    from chaoslab.variables import sample_poisson
-
-    class OneShot:
-        def __init__(self, u):
-            self.u = u
-
-        def random(self):
-            return self.u
-
     cfg = mc.SimConfig(example="poisson", n_max=20, replications=64, master_seed=73)
     stats = mc.run(cfg)
     reps, start = cfg.replications, cfg.start_n
+    y_even, y_odd = sparse_counts(cfg)
     f_by_n = np.zeros((cfg.n_max - start + 1, reps))
-    event_by_n = np.zeros_like(f_by_n, dtype=bool)
+    event_by_n = y_even == 1
     for n in range(start, cfg.n_max + 1):
-        lam_e = poisson_pair.intensity(2 * n)
-        lam_o = poisson_pair.intensity(2 * n + 1)
-        ue = uniform_block(cfg.master_seed, 2 * n, 0, reps)
-        uo = uniform_block(cfg.master_seed, 2 * n + 1, 0, reps)
         for r in range(reps):
-            ye = sample_poisson(lam_e, OneShot(ue[r]))
-            yo = sample_poisson(lam_o, OneShot(uo[r]))
+            ye, yo = int(y_even[n - start, r]), int(y_odd[n - start, r])
             f_by_n[n - start, r] = sum(poisson_pair.term_components(n, ye, yo))
-            event_by_n[n - start, r] = ye == 1
     assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-10, atol=1e-12)
     assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-10, atol=1e-10)
     assert np.allclose(stats.window_max, np.abs(f_by_n).max(axis=0), rtol=1e-10, atol=1e-12)
@@ -280,6 +272,138 @@ def test_engine_matches_scalar_reconstruction_poisson():
         return poisson_pair.first_chaos(n, 1), poisson_pair.first_chaos_at_one(n)
 
     assert_counts_match(stats, f_by_n, event_by_n, on_event)
+
+
+def assert_equals_dense_aggregation(stats):
+    """The engine's aggregates against a dense aggregation of the same draws."""
+    dense = dense_oracle.run(stats.config, counts=dense_oracle.sparse_counts)
+    for stat in mc.STAT_NAMES:
+        assert np.allclose(stats.sums(stat), dense["sums"][stat], rtol=1e-10, atol=1e-10), stat
+    assert np.array_equal(stats.sums("events"), dense["sums"]["events"])
+    assert np.array_equal(stats.window_max, dense["window_max"])
+    assert np.array_equal(stats.suffix_hits, dense["suffix_hits"])
+    assert np.array_equal(stats.win_hits, dense["win_hits"])
+
+
+@pytest.mark.parametrize("example", ["poisson", "twopoint"])
+def test_sparse_aggregates_equal_dense_aggregation(example):
+    # two blocks, the second partial, and an epsilon that splits the suffix counts
+    cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300,
+                       master_seed=83, epsilon=0.5)
+    assert_equals_dense_aggregation(mc.run(cfg))
+
+
+def test_gap_top_up_keeps_draws_exact(monkeypatch):
+    # with no spare gaps about half the rows run out before their last slot
+    monkeypatch.setattr(mc, "_SPARE_SD", 0.0)
+    top_ups = []
+    real_top_up = mc._top_up
+
+    def counting_top_up(*args):
+        top_ups.append(args)
+        return real_top_up(*args)
+
+    monkeypatch.setattr(mc, "_top_up", counting_top_up)
+    cfg = mc.SimConfig(example="poisson", n_max=200, replications=4096, master_seed=89)
+    tables = mc.MODELS["poisson"].tables(np.arange(1, 201))
+    per_row = {"even": np.zeros(200), "odd": np.zeros(200)}
+    for j0, j1, even, odd in mc.sparse_draws(tables, cfg.master_seed, 0, 4096):
+        for name, d in (("even", even), ("odd", odd)):
+            key = d.rows * 4096 + d.pos
+            assert np.all(np.diff(key) > 0) and d.pos.min(initial=0) >= 0
+            assert d.pos.max(initial=0) < 4096 and d.counts.min(initial=1) >= 1
+            assert np.array_equal(np.bincount(d.rows, minlength=j1 - j0), d.per_row)
+            per_row[name][j0:j1] = d.per_row
+    assert len(top_ups) > 100
+    # the nonzero counts per row are Binomial(width, q): total and spread
+    for name, q in (("even", tables.q_even), ("odd", tables.q_odd)):
+        mean, var = 4096 * q, 4096 * q * (1 - q)
+        z = (per_row[name] - mean) / np.sqrt(var)
+        assert abs(z.sum()) / math.sqrt(z.size) < 5
+        assert abs((z**2).mean() - 1) < 5 * math.sqrt(2 / z.size)
+    assert_equals_dense_aggregation(mc.run(cfg))
+
+
+def test_poisson_block_draws_only_the_nonzero_counts(monkeypatch):
+    # count every variate a Poisson block draws, whatever method draws it
+    drawn = []
+
+    class CountingStream:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def __getattr__(self, name):
+            method = getattr(self.stream, name)
+
+            def counted(*args, **kwargs):
+                out = method(*args, **kwargs)
+                drawn.append(np.size(out))
+                return out
+
+            return counted
+
+    real_stream = mc.block_stream
+    monkeypatch.setattr(mc, "block_stream", lambda *key: CountingStream(real_stream(*key)))
+    cfg = mc.SimConfig(example="poisson", n_max=2000, replications=BLOCK_SIZE, master_seed=97)
+    mc.run(cfg)
+    tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
+    expected = BLOCK_SIZE * (tables.q_even + tables.q_odd).sum()
+    rows = 2 * len(tables.n_values)
+    assert expected <= sum(drawn) <= 3 * expected + 8 * rows
+    assert sum(drawn) < BLOCK_SIZE * rows / 5  # one uniform per count would be BLOCK_SIZE * rows
+
+
+def holm_rejections(p_values: dict, alpha: float) -> list:
+    """Hypotheses Holm's step-down procedure rejects at family-wise level alpha."""
+    ordered = sorted(p_values.items(), key=lambda kv: kv[1])
+    rejected = []
+    for i, (name, p) in enumerate(ordered):
+        if p > alpha / (len(ordered) - i):
+            break
+        rejected.append((name, p))
+    return rejected
+
+
+def two_sample_p(mean_a, var_a, mean_b, var_b, r):
+    z = (mean_a - mean_b) / math.sqrt((var_a + var_b) / r)
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def count_p(hits_a, hits_b, r):
+    p = (hits_a + hits_b) / (2 * r)
+    if p in (0.0, 1.0):
+        return 1.0
+    return two_sample_p(hits_a / r, p * (1 - p), hits_b / r, p * (1 - p), r)
+
+
+@pytest.mark.parametrize("example", ["poisson", "twopoint"])
+def test_sparse_engine_matches_dense_oracle_in_distribution(example):
+    # Two independent samples, sparse engine and dense oracle, at fixed seeds.
+    # Every per-n mean (f, f_sq, f_abs52, x_even), per-n event count,
+    # suffix-hit count and window-hit count is one two-sample z-test; Holm's
+    # step-down keeps the family-wise false-failure rate at 1e-3 per seed.
+    cfg = mc.SimConfig(example=example, n_max=64, replications=2 * BLOCK_SIZE, master_seed=101)
+    oracle_cfg = mc.SimConfig(example=example, n_max=64, replications=2 * BLOCK_SIZE,
+                              master_seed=102)
+    stats = mc.run(cfg)
+    dense = dense_oracle.run(oracle_cfg)
+    r = cfg.replications
+    p_values = {}
+    for stat in ("f", "f_sq", "f_abs52", "x_even"):
+        sq = mc._SQ_OF[stat]
+        m_a, m_b = stats.sums(stat) / r, dense["sums"][stat] / r
+        v_a = stats.sums(sq) / r - m_a**2
+        v_b = dense["sums"][sq] / r - m_b**2
+        for i, n in enumerate(stats.n_values):
+            p_values[f"{stat}[{n}]"] = two_sample_p(m_a[i], v_a[i], m_b[i], v_b[i], r)
+    for i, n in enumerate(stats.n_values):
+        p_values[f"events[{n}]"] = count_p(stats.sums("events")[i], dense["sums"]["events"][i], r)
+    for g, a, b in zip(stats.grid, stats.suffix_hits, dense["suffix_hits"]):
+        p_values[f"suffix_hits[{g}]"] = count_p(a, b, r)
+    for (lo, _), a, b in zip(stats.windows, stats.win_hits, dense["win_hits"]):
+        p_values[f"win_hits[{lo}]"] = count_p(a, b, r)
+    assert len(p_values) > 250
+    assert holm_rejections(p_values, alpha=1e-3) == []
 
 
 def test_custom_grid_normalized_and_env_validated(monkeypatch):

@@ -12,6 +12,7 @@ from chaoslab.poisson_pair import (
     event_bounds,
     first_chaos,
     first_chaos_at_one,
+    fourth_moment,
     intensity,
     moment52_bound,
     moment52_exact,
@@ -81,6 +82,19 @@ def test_second_moment_by_enumeration():
         ef2 = float((pe * x_e**2).sum() * (po * ks.astype(float) ** 2).sum())
         assert ef2 == pytest.approx(lam_o * (1 + lam_o), rel=1e-10)
         assert second_moment(n) == pytest.approx(ef2, rel=1e-10)
+
+
+def test_fourth_moment_by_enumeration():
+    ks = np.arange(0, 80)
+    for n in (1, 4, 16, 256):
+        lam_e, lam_o = intensity(2 * n), intensity(2 * n + 1)
+        pe = scipy.stats.poisson.pmf(ks, lam_e)
+        po = scipy.stats.poisson.pmf(ks, lam_o)
+        x_e = (ks - lam_e) / math.sqrt(lam_e)
+        ef4 = float((pe * x_e**4).sum() * (po * ks.astype(float) ** 4).sum())
+        assert fourth_moment(n) == pytest.approx(ef4, rel=1e-10)
+    with pytest.raises(BadIndexError):
+        fourth_moment(0)
 
 
 def test_moment52_bound_shape():

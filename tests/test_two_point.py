@@ -14,6 +14,7 @@ from chaoslab.two_point import (
     even_spec,
     first_chaos,
     first_chaos_on_plus,
+    fourth_moment,
     odd_spec,
     prob,
     scan_first_chaos_exceeds,
@@ -70,6 +71,19 @@ def test_moments_by_enumeration():
         assert abs(mean) <= 1e-12
         assert abs(sq - second_moment(n)) <= 1e-12
         assert second_moment(n) == prob(2 * n + 1)
+
+
+def test_fourth_moment_by_enumeration():
+    for n in (2, 3, 10, 100):
+        se, so = even_spec(n), odd_spec(n)
+        terms = [
+            (se.p if ye == 1 else 1 - se.p) * (so.p if yo == 1 else 1 - so.p)
+            * term(n, two_point_value(se, ye), two_point_value(so, yo)) ** 4
+            for ye, yo in OUTCOMES
+        ]
+        assert fourth_moment(n) == pytest.approx(math.fsum(terms), rel=1e-12)
+    with pytest.raises(BadIndexError):
+        fourth_moment(1)
 
 
 def test_second_moment_decreases_to_zero():
