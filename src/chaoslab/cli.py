@@ -136,11 +136,12 @@ def cmd_series(args) -> int:
         report.add(f"{s.value} partial_sum N={args.n}", partial)
         if s is series.Series.EVEN_HARMONIC:
             n_exceed = series.scan_partial_exceeds(s, 5.0)
+            p_exceed = series.partial_sum(s, n_exceed)
             report.add(
                 f"{s.value} divergence: partial sum exceeds 5 at N={n_exceed}",
-                series.partial_sum(s, n_exceed),
+                p_exceed,
                 5.0,
-                series.partial_sum(s, n_exceed) > 5.0,
+                p_exceed > 5.0,
             )
             continue
         n1 = max(start, 3, args.n // 1000)

@@ -16,7 +16,8 @@ from .errors import OutOfRangeError
 
 _EPS = sys.float_info.epsilon
 # Largest intensity whose first pmf term exp(-lam) is a normal double; above
-# it the pmf recurrence of poisson_tail starts from an underflowed term.
+# it every pmf recurrence here and in variables starts from an underflowed
+# term.
 MAX_RATE = 700.0
 
 
@@ -76,8 +77,8 @@ def _truncated_moment(lam: float, q: float, centered: bool) -> CertifiedValue:
     (b) the geometric tail 2*(K+1)^q*pmf(K+1) is below 1e-13 of the sum.
     |k-lam|^q <= k^q for k >= lam/2, satisfied beyond the floor k >= 3*lam.
     """
-    if not 0.0 < lam <= 1e6 or not math.isfinite(lam):
-        raise OutOfRangeError(f"intensity outside the supported range (0, 1e6]: {lam}")
+    if not 0.0 < lam <= MAX_RATE:
+        raise OutOfRangeError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
     if q < 1.0:
         raise OutOfRangeError(f"moment order must be >= 1, got {q}")
     k_floor = max(8, math.ceil(2.0 * q), math.ceil(3.0 * lam))

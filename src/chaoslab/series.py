@@ -45,18 +45,28 @@ _POWER = {
 CONSTANT_DEPTH = 10**8
 
 
+def _evaluate(series: Series, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the terms at the float64 indices x into out, in place; returns out."""
+    if series is Series.TWO_POINT_JOINT:
+        # n^(-1-1/sqrt(log n)) = exp(-sqrt(log n))/n
+        np.log(x, out=out)
+        np.sqrt(out, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.divide(out, x, out=out)
+    elif series is Series.EVEN_HARMONIC:
+        np.divide(1.0, x, out=out)
+    else:
+        np.power(x, -_POWER[series], out=out)
+    return out
+
+
 def term(series: Series, n) -> np.ndarray | float:
     """Value of the n-th term; accepts scalars or integer arrays."""
     x = np.asarray(n, dtype=np.float64)
     if np.any(x < START[series]):
         raise BadIndexError(f"{series.value} starts at n={START[series]}")
-    if series is Series.TWO_POINT_JOINT:
-        # n^(-1-1/sqrt(log n)) = exp(-sqrt(log n))/n
-        out = np.exp(-np.sqrt(np.log(x))) / x
-    elif series is Series.EVEN_HARMONIC:
-        out = 1.0 / x
-    else:
-        out = np.power(x, -_POWER[series])
+    out = _evaluate(series, x, np.empty_like(x))
     if out.ndim == 0:
         return float(out)
     return out
@@ -65,19 +75,24 @@ def term(series: Series, n) -> np.ndarray | float:
 def partial_sum(series: Series, n_terms: int) -> float:
     """Sum of terms from the series start through n_terms inclusive.
 
-    Chunks are reduced with numpy's pairwise summation and combined with an
-    exactly rounded compensated sum, so the result does not depend on how
-    the chunks are scheduled.
+    The terms are taken in fixed chunks of 2^20 indices (the last one
+    shorter); each chunk is reduced by numpy's pairwise summation and the
+    chunk sums are combined by math.fsum, an exactly rounded sum.  The
+    chunk width therefore fixes the bits of the result.  The chunks are
+    evaluated in place in two buffers allocated once per call: the indices
+    are float64 and advance by the chunk width, which is exact below 2^53.
     """
     start = START[series]
     if n_terms < start:
         raise BadIndexError(f"{series.value} starts at n={start}, got N={n_terms}")
+    width = min(_CHUNK, n_terms - start + 1)
+    idx = np.arange(start, start + width, dtype=np.float64)
+    buf = np.empty(width)
     partials = []
-    lo = start
-    while lo <= n_terms:
-        hi = min(lo + _CHUNK - 1, n_terms)
-        partials.append(float(term(series, np.arange(lo, hi + 1)).sum()))
-        lo = hi + 1
+    for lo in range(start, n_terms + 1, _CHUNK):
+        size = min(_CHUNK, n_terms - lo + 1)
+        partials.append(float(_evaluate(series, idx[:size], buf[:size]).sum()))
+        idx += _CHUNK
     return math.fsum(partials)
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError
+from .poisson_moments import MAX_RATE
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ _TAIL_CUTOFF = 1e-25
 
 @lru_cache(maxsize=None)
 def _poisson_cdf(lam: float) -> np.ndarray:
-    if not 0.0 < lam <= 1e6 or not math.isfinite(lam):
-        raise OutOfRangeError(f"intensity outside the supported range (0, 1e6]: {lam}")
+    if not 0.0 < lam <= MAX_RATE:
+        raise OutOfRangeError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
     pmf = math.exp(-lam)
     levels = [pmf]
     k = 0

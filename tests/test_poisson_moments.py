@@ -147,4 +147,10 @@ def test_validation():
         raw_abs_moment(0.5, 0.5)
     with pytest.raises(OutOfRangeError):
         raw_abs_moment(1e12, 2.0)  # O(rate) series walk is capped
+    for lam in (800.0, 1000.0):  # exp(-lam) would underflow the pmf recurrence
+        with pytest.raises(OutOfRangeError):
+            raw_abs_moment(lam, 2.5)
+        with pytest.raises(OutOfRangeError):
+            abs_central_moment(lam, 2.5)
+    assert raw_abs_moment(700.0, 2.5).value == pytest.approx(1.2999e7, rel=1e-4)
     assert raw_abs_moment(30.0, 2.0).value == pytest.approx(30.0 + 900.0, rel=1e-12)

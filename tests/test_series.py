@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from chaoslab.errors import BadIndexError, DivergentSeriesError
 from chaoslab.series import (
+    _CHUNK,
     START,
     ConstantEstimate,
     Series,
@@ -24,6 +26,61 @@ CONVERGENT = (Series.TWO_POINT_JOINT, Series.INTENSITY_FOURTH, Series.INTENSITY_
 
 def brute_partial(series: Series, n: int) -> float:
     return math.fsum(term(series, k) for k in range(START[series], n + 1))
+
+
+FROZEN_CHUNK = 1 << 20
+
+
+def frozen_partial_sum(series: Series, n_terms: int) -> float:
+    """Reference for the published bits: the chunked partial sum as first written.
+
+    A fresh index array per chunk of FROZEN_CHUNK terms, each chunk reduced
+    by numpy's pairwise sum, the chunk sums combined by math.fsum.
+    """
+    start = START[series]
+    partials = []
+    lo = start
+    while lo <= n_terms:
+        hi = min(lo + FROZEN_CHUNK - 1, n_terms)
+        x = np.arange(lo, hi + 1).astype(np.float64)
+        if series is Series.TWO_POINT_JOINT:
+            values = np.exp(-np.sqrt(np.log(x))) / x
+        elif series is Series.EVEN_HARMONIC:
+            values = 1.0 / x
+        elif series is Series.INTENSITY_FOURTH:
+            values = np.power(x, -5.0 / 4.0)
+        else:
+            values = np.power(x, -17.0 / 16.0)
+        partials.append(float(values.sum()))
+        lo = hi + 1
+    return math.fsum(partials)
+
+
+@pytest.mark.parametrize("series", list(Series))
+def test_partial_sum_is_bitwise_the_frozen_reference(series):
+    start = START[series]
+    edges = (start, 3, 1000, 10**6, FROZEN_CHUNK + start - 1, FROZEN_CHUNK + start,
+             3 * FROZEN_CHUNK + 17)
+    for n in edges:
+        assert partial_sum(series, n) == frozen_partial_sum(series, n), n
+
+
+def test_published_constants_are_pinned():
+    assert intensity_fourth_sum().value == 4.555111825892943
+    assert intensity_cross_sum().value == 11.522103391966755
+
+
+@pytest.mark.parametrize("series", list(Series))
+def test_partial_sum_memory_is_two_chunk_buffers(series):
+    # numpy reports its data buffers to tracemalloc; a fresh array per chunk
+    # would show as a peak of three or more chunk-sized buffers
+    tracemalloc.start()
+    try:
+        partial_sum(series, 4 * _CHUNK + 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _CHUNK * 8 + 2**20
 
 
 def test_partial_sum_examples():
