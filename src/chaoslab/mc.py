@@ -25,13 +25,21 @@ gives the tail diagnostic as one count per grid point; and per window the
 count of trajectories with an event in it.  run_range and merge join
 contiguous parts with the same _assemble; across blocks the per-n sums are
 combined by an exactly rounded compensated sum, and counts add.
+
+run_range walks the blocks in forked worker processes, at most
+CHAOSLAB_THREADS of them (by default as many as the CPUs this process may
+run on), or one after another in this process when there is one worker or
+the platform cannot fork.  A worker gets only the SimConfig and its block's
+range, rebuilds the tables, and returns the block's partials.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -329,17 +337,52 @@ def _walk_block(
     windows: tuple[tuple[int, int], ...],
     lo: int,
     hi: int,
-) -> TrajectoryStats:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One block's partials: its per-n sums, per-trajectory suprema, suffix and window hits."""
     acc = _Block(config, tables, windows, hi - lo)
     for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo):
         acc.add(j0, j1, even, odd)
         del even, odd  # free this chunk's draws before the next is drawn
     suffix_hits = [(acc.last_big >= g - config.start_n).sum() for g in grid]
-    return TrajectoryStats(
-        config=config, lo=lo, hi=hi, n_values=tables.n_values, grid=grid,
-        windows=windows, tables=tables, block_sums=[acc.sums], window_max=acc.run_max,
-        suffix_hits=np.array(suffix_hits, dtype=np.int64), win_hits=acc.ev_or.sum(axis=1),
-    )
+    return acc.sums, acc.run_max, np.array(suffix_hits, dtype=np.int64), acc.ev_or.sum(axis=1)
+
+
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it accepts.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX = -1, -3, 32 << 20
+
+
+def _init_worker(parent: int) -> None:
+    """Set up a forked worker: keep freed heap memory, and exit with the parent.
+
+    glibc hands the free top of its heap back to the system once it exceeds
+    the trim threshold, so every chunk of a block would fault its temporaries
+    in afresh: about 200k page faults, a third of a Poisson block's time at
+    n_max = 10^4.  The worker runs nothing but blocks, so raising the
+    thresholds there changes no one else's allocator.  A worker whose parent
+    is killed would otherwise wait for tasks forever.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not glibc
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 4 * _MMAP_THRESHOLD_MAX)
+
+    def exit_with_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _block_task(config: SimConfig, bounds: tuple[int, int]):
+    """_walk_block in a worker process, which rebuilds the plan from the config."""
+    # Only the config is pickled: an unpickled float64 array carries its own copy of
+    # the dtype, which takes np.maximum.at in _Block.add off its fast path (~25x slower).
+    return _walk_block(config, *_plan(config), *bounds)
 
 
 @dataclass
@@ -403,9 +446,22 @@ def _worker_count(n_blocks: int) -> int:
             workers = int(env)
         except ValueError:
             raise BadIndexError(f"CHAOSLAB_THREADS must be an integer, got {env!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_blocks))
+
+
+def _plan(config: SimConfig):
+    """The pair tables, the diagnostic grid and the windows of a run."""
+    tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
+    grid = config.diagnostic_grid or default_diagnostic_grid(config.start_n, config.n_max)
+    grid = tuple(sorted(set(grid)))
+    for g in grid:
+        if not config.start_n <= g <= config.n_max:
+            raise BadIndexError(f"diagnostic grid point {g} outside range")
+    return tables, grid, dyadic_windows(config.n_max)
 
 
 def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
@@ -413,6 +469,8 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
 
     The cost guard, the streams, and the aggregates all see absolute
     trajectory indices, so disjoint ranges combine exactly via merge().
+    With more than one worker the blocks run in forked processes; where
+    fork is not available they run one after another in this process.
     """
     if not 0 <= lo < hi:
         raise BadIndexError(f"need 0 <= lo < hi, got [{lo}, {hi})")
@@ -422,23 +480,36 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
         raise ResourceLimitError(
             f"{hi - lo} trajectories x n_max={config.n_max} exceeds budget {config.budget}"
         )
-    tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
-    grid = config.diagnostic_grid or default_diagnostic_grid(config.start_n, config.n_max)
-    grid = tuple(sorted(set(grid)))
-    for g in grid:
-        if not config.start_n <= g <= config.n_max:
-            raise BadIndexError(f"diagnostic grid point {g} outside range")
-    windows = dyadic_windows(config.n_max)
+    tables, grid, windows = _plan(config)
     bounds = block_bounds(lo, hi)
     workers = _worker_count(len(bounds))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda b: _walk_block(config, tables, grid, windows, *b), bounds)
-            )
+        # Imported only here, so that a serial run and every command without an
+        # engine skip the cost.
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker would import numpy and the package
+        # afresh, and with fork the pool starts every worker before its own thread.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_init_worker, initargs=(os.getpid(),)
+        ) as pool:
+            partials = list(pool.map(_block_task, [config] * len(bounds), bounds))
     else:
-        parts = [_walk_block(config, tables, grid, windows, *b) for b in bounds]
-    return _assemble(parts)
+        partials = [_walk_block(config, tables, grid, windows, *b) for b in bounds]
+    return _assemble([
+        TrajectoryStats(
+            config=config, lo=b_lo, hi=b_hi, n_values=tables.n_values, grid=grid,
+            windows=windows, tables=tables, block_sums=[sums], window_max=run_max,
+            suffix_hits=suffix_hits, win_hits=win_hits,
+        )
+        for (b_lo, b_hi), (sums, run_max, suffix_hits, win_hits) in zip(bounds, partials)
+    ])
 
 
 def _assemble(parts: list[TrajectoryStats]) -> TrajectoryStats:

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -197,23 +199,95 @@ def test_unknown_flags_and_commands(capsys):
         assert code == 1 and err.startswith("usage error:"), argv
 
 
+def _env(**env_vars):
+    """The environment with this checkout's package on the path and env_vars set."""
+    src = str(Path(chaoslab.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(args, **env_vars):
+    return subprocess.run(
+        [sys.executable, *args], env=_env(**env_vars), capture_output=True, timeout=300
+    )
+
+
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
     # one full block: vectors this long are split across BLAS threads by a dot product
-    src = str(Path(chaoslab.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         csv_path = tmp_path / f"blas{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "chaoslab.cli", "simulate", "--example", "twopoint",
-             "--n-max", "20", "--reps", "16384", "--seed", "7", "--format", "json",
-             "--out", str(csv_path)],
-            env=env, capture_output=True, timeout=300,
+        proc = _python(
+            ["-m", "chaoslab.cli", "simulate", "--example", "twopoint", "--n-max", "20",
+             "--reps", "16384", "--seed", "7", "--format", "json", "--out", str(csv_path)],
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((proc.stdout, csv_path.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_bytes_do_not_depend_on_worker_processes(tmp_path):
+    # two full blocks and a partial one: two forked workers against the serial loop
+    outputs = []
+    for workers in ("1", "2"):
+        csv_path = tmp_path / f"workers{workers}.csv"
+        proc = _python(
+            ["-m", "chaoslab.cli", "simulate", "--example", "poisson", "--n-max", "50",
+             "--reps", str(2 * streams.BLOCK_SIZE + 999), "--seed", "5",
+             "--out", str(csv_path)],
+            CHAOSLAB_THREADS=workers,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        outputs.append((proc.returncode, proc.stdout, proc.stderr, csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _running(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(") ", 1)[1][0] != "Z"  # an unreaped zombie has exited
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    # the parent is killed while its two workers walk their blocks (about a second each)
+    script = (
+        "import multiprocessing, os, signal, threading, time\n"
+        "from chaoslab import mc\n"
+        f"cfg = mc.SimConfig(example='poisson', n_max=10_000, replications={2 * streams.BLOCK_SIZE})\n"
+        "threading.Thread(target=mc.run, args=(cfg,), daemon=True).start()\n"
+        "while len(kids := multiprocessing.active_children()) < 2:\n"
+        "    time.sleep(0.01)\n"
+        "print(*(k.pid for k in kids), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    # not _python: a worker that outlives the parent would hold its output open
+    proc = subprocess.Popen([sys.executable, "-c", script], env=_env(CHAOSLAB_THREADS="2"),
+                            stdout=subprocess.PIPE)
+    with proc.stdout:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+    assert proc.wait(timeout=60) == -signal.SIGKILL
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_importing_the_cli_starts_no_process_pool():
+    # the pool modules are imported only by a run with more than one worker
+    proc = _python(["-c", "import sys, chaoslab.cli; print(sorted(set(sys.modules) & "
+                    "{'multiprocessing', 'concurrent.futures.process'}))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"[]"
 
 
 def test_exit_code_two_on_failed_row():

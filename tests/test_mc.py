@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,69 @@ def test_thread_count_invariance(monkeypatch, example):
     s8 = mc.run(cfg)
     assert stats_equal(s1, s8)
     assert np.array_equal(s1.sums("f_sq"), s8.sums("f_sq"))
+
+
+def test_worker_count_follows_usable_cpus(monkeypatch):
+    monkeypatch.delenv("CHAOSLAB_THREADS", raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert mc._worker_count(10) == 3
+    assert mc._worker_count(2) == 2
+    monkeypatch.setenv("CHAOSLAB_THREADS", "5")
+    assert mc._worker_count(10) == 5
+    assert mc._worker_count(4) == 4
+    monkeypatch.delenv("CHAOSLAB_THREADS")
+    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+    assert mc._worker_count(10) == 10
+
+
+def test_without_fork_the_blocks_run_in_process(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    cfg = mc.SimConfig(example="poisson", n_max=30, replications=BLOCK_SIZE + 77, master_seed=8)
+    monkeypatch.setenv("CHAOSLAB_THREADS", "1")
+    serial = mc.run(cfg)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    assert stats_equal(mc.run(cfg), serial)
+
+
+def test_worker_tasks_carry_no_arrays(monkeypatch):
+    # unpickled float64 arrays take np.maximum.at off its fast path; the task
+    # sent to a worker must be the config and a range, not the pair tables
+    import concurrent.futures
+
+    sizes = []
+
+    class Sent(Exception):
+        pass
+
+    class RecordingPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            sizes.extend(len(pickle.dumps((fn, *args))) for args in zip(*iterables))
+            raise Sent
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    cfg = mc.SimConfig(example="poisson", n_max=10_000, replications=2 * BLOCK_SIZE)
+    with pytest.raises(Sent):
+        mc.run(cfg)
+    assert len(sizes) == 2 and max(sizes) < 1024
 
 
 def test_merge_equals_single_run():
