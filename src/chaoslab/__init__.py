@@ -29,7 +29,6 @@ from .poisson_moments import (
     tail_factorial_bound,
 )
 from .variables import (
-    PoissonSpec,
     TwoPointSpec,
     poisson_from_uniform,
     poisson_normalize,

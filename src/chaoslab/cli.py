@@ -46,6 +46,16 @@ def _emit(report: Report, fmt: str) -> int:
     return report.exit_code()
 
 
+def _at_most(report: Report, label: str, c: poisson_moments.CertifiedValue, bound: float) -> None:
+    """Row: a certified value against an upper bound, up to its remainder and _SLACK."""
+    report.add(label, c.value, bound, c.value <= bound + c.remainder_bound + _SLACK)
+
+
+def _matches(report: Report, label: str, c: poisson_moments.CertifiedValue, closed: float) -> None:
+    """Row: a certified series value against its closed form, to 1e-12 relative."""
+    report.add(label, c.value, closed, abs(c.value - closed) <= 1e-12 * max(1.0, closed))
+
+
 def cmd_moments(args) -> int:
     lam_grid = (
         [i / 100.0 for i in range(1, 101)]
@@ -68,34 +78,14 @@ def cmd_moments(args) -> int:
         for j in range(args.j_max + 1):
             tail = poisson_moments.poisson_tail(lam, j)
             bound = poisson_moments.tail_factorial_bound(lam, j)
-            report.add(
-                f"tail lam={lam:g} j={j}",
-                tail.value,
-                bound,
-                tail.value <= bound + tail.remainder_bound + _SLACK,
-            )
+            _at_most(report, f"tail lam={lam:g} j={j}", tail, bound)
         if lam <= 1.0:
             abs52 = poisson_moments.abs_central_moment(lam, 2.5)
-            report.add(
-                f"abs_central_52 lam={lam:g}",
-                abs52.value,
-                math.sqrt(8.0) * lam,
-                abs52.value <= math.sqrt(8.0) * lam + abs52.remainder_bound + _SLACK,
-            )
+            _at_most(report, f"abs_central_52 lam={lam:g}", abs52, math.sqrt(8.0) * lam)
             raw52 = poisson_moments.raw_abs_moment(lam, 2.5)
-            report.add(
-                f"raw_52 lam={lam:g}",
-                raw52.value,
-                math.sqrt(15.0) * lam,
-                raw52.value <= math.sqrt(15.0) * lam + raw52.remainder_bound + _SLACK,
-            )
+            _at_most(report, f"raw_52 lam={lam:g}", raw52, math.sqrt(15.0) * lam)
             abs1 = poisson_moments.abs_central_moment(lam, 1.0)
-            report.add(
-                f"abs_central_1 lam={lam:g}",
-                abs1.value,
-                2.0 * lam,
-                abs1.value <= 2.0 * lam + abs1.remainder_bound + _SLACK,
-            )
+            _at_most(report, f"abs_central_1 lam={lam:g}", abs1, 2.0 * lam)
             cs_rhs = poisson_moments.central_moment_4(lam) * abs1.value
             report.add(
                 f"cauchy_schwarz lam={lam:g}",
@@ -105,28 +95,14 @@ def cmd_moments(args) -> int:
             )
             central4 = poisson_moments.abs_central_moment(lam, 4.0)
             closed_c4 = poisson_moments.central_moment_4(lam)
-            report.add(
-                f"central4_series lam={lam:g}",
-                central4.value,
-                closed_c4,
-                abs(central4.value - closed_c4) <= 1e-12 * max(1.0, closed_c4),
-            )
+            _matches(report, f"central4_series lam={lam:g}", central4, closed_c4)
             raw4 = poisson_moments.raw_abs_moment(lam, 4.0)
-            closed_r4 = poisson_moments.raw_moment_4(lam)
-            report.add(
-                f"raw4_series lam={lam:g}",
-                raw4.value,
-                closed_r4,
-                abs(raw4.value - closed_r4) <= 1e-12 * max(1.0, closed_r4),
-            )
+            _matches(report, f"raw4_series lam={lam:g}", raw4, poisson_moments.raw_moment_4(lam))
     return _emit(report, args.format)
 
 
-_SERIES_BY_NAME = {s.value: s for s in series.Series}
-
-
 def cmd_series(args) -> int:
-    chosen = list(series.Series) if args.series == "all" else [_SERIES_BY_NAME[args.series]]
+    chosen = list(series.Series) if args.series == "all" else [series.Series(args.series)]
     report = Report("series", {"series": args.series, "n": args.n}, seed=None)
     for s in chosen:
         start = series.START[s]
@@ -144,22 +120,19 @@ def cmd_series(args) -> int:
                 p_exceed > 5.0,
             )
             continue
-        n1 = max(start, 3, args.n // 1000)
-        tail1 = series.tail_bound(s, n1)
-        p1 = series.partial_sum(s, n1)
         report.add(f"{s.value} tail_bound N={args.n}", series.tail_bound(s, max(args.n, 3)))
-        report.add(
-            f"{s.value} bracket: partial({n1}) <= partial({args.n}) <= partial({n1})+tail({n1})",
-            partial,
-            p1 + tail1,
-            p1 <= partial <= p1 + tail1,
-        )
-        if s is series.Series.INTENSITY_FOURTH:
-            c = series.intensity_fourth_sum()
-            report.add("a_const limit bracket [value, value+error]", c.value, c.upper, None)
-        elif s is series.Series.INTENSITY_CROSS:
-            c = series.intensity_cross_sum()
-            report.add("b_const limit bracket [value, value+error]", c.value, c.upper, None)
+        n1 = max(start, 3, args.n // 1000)
+        if n1 <= args.n:  # tail_bound needs n1 >= 3, so N < 3 has no bracket
+            tail1 = series.tail_bound(s, n1)
+            p1 = series.partial_sum(s, n1)
+            report.add(
+                f"{s.value} bracket: partial({n1}) <= partial({args.n}) "
+                f"<= partial({n1})+tail({n1})",
+                partial, p1 + tail1, p1 <= partial <= p1 + tail1,
+            )
+        if s in (series.Series.INTENSITY_FOURTH, series.Series.INTENSITY_CROSS):
+            c = series.limit_constant(s)
+            report.add(f"{s.value} limit bracket [value, value+error]", c.value, c.upper, None)
     return _emit(report, args.format)
 
 
@@ -298,6 +271,8 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     if args.n < poisson_pair.START_N:
         raise UsageError(f"--n must be >= {poisson_pair.START_N}")
+    if args.n >= 2**62:  # the interval indices 2n, 2n + 1 are int64
+        raise UsageError(f"--n must be < 2**62, got {args.n}")
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     layout = point_process.build_layout(
@@ -311,6 +286,8 @@ def cmd_decompose(args) -> int:
             raise UsageError(f"bad counts {args.counts!r}") from exc
         if len(counts) != 2 or any(c < 0 for c in counts):
             raise UsageError("--counts needs two nonnegative integers, e.g. 2,1")
+        if max(counts) >= 2**63:
+            raise UsageError(f"--counts must be < 2**63, got {args.counts}")
         realization = point_process.PpRealization(
             np.array(counts, dtype=np.int64), layout, None
         )
@@ -353,10 +330,9 @@ def cmd_tail(args) -> int:
          "stream_layout": streams.LAYOUT_VERSION},
         seed=args.seed,
     )
-    a = series.intensity_fourth_sum()
-    b = series.intensity_cross_sum()
-    report.add("a_const bracket [value, value+error]", a.value, a.upper, None)
-    report.add("b_const bracket [value, value+error]", b.value, b.upper, None)
+    for s in (series.Series.INTENSITY_FOURTH, series.Series.INTENSITY_CROSS):
+        c = series.limit_constant(s)
+        report.add(f"{s.value} bracket [value, value+error]", c.value, c.upper, None)
     moment = poisson_pair.sup_moment_bound(1.0 / 48.0)
     report.add(
         "E(sup|F|^(1/48)) certified finite bound",
@@ -397,7 +373,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("series", help="partial sums, tail bounds, limit constants")
     p.add_argument(
         "--series",
-        choices=tuple(_SERIES_BY_NAME) + ("all",),
+        choices=tuple(s.value for s in series.Series) + ("all",),
         default="all",
     )
     p.add_argument("--n", type=int, default=10**6)
@@ -437,15 +413,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BadIndexError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (BadIndexError, DomainError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except ChaosLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

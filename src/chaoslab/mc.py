@@ -57,6 +57,7 @@ EXAMPLES = tuple(MODELS)
 # Per-n trajectory sums kept by the engine, in storage order.
 STAT_NAMES = ("x_even", "x_even_sq", "f", "f_sq", "f_quad", "f_abs52", "f_abs5", "events")
 _SQ_OF = {"x_even": "x_even_sq", "f": "f_sq", "f_sq": "f_quad", "f_abs52": "f_abs5"}
+WORK_BUDGET = 2_000_000_000  # largest trajectories x n_max that run_range simulates
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,6 @@ class SimConfig:
     replications: int = 100_000
     master_seed: int = 42
     epsilon: float = 1.0
-    budget: int = 2_000_000_000
-    diagnostic_grid: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.example not in EXAMPLES:
@@ -108,10 +107,10 @@ def default_diagnostic_grid(start_n: int, n_max: int) -> tuple[int, ...]:
     return tuple(sorted(grid))
 
 
-def dyadic_windows(n_max: int, base: int = 10) -> tuple[tuple[int, int], ...]:
-    """Full windows [N, 2N) with N = base, 2*base, ... inside the range."""
+def dyadic_windows(n_max: int) -> tuple[tuple[int, int], ...]:
+    """Full windows [N, 2N) with N = 10, 20, 40, ... inside the range."""
     windows = []
-    lo = base
+    lo = 10
     while 2 * lo - 1 <= n_max:
         windows.append((lo, 2 * lo))
         lo *= 2
@@ -456,11 +455,7 @@ def _worker_count(n_blocks: int) -> int:
 def _plan(config: SimConfig):
     """The pair tables, the diagnostic grid and the windows of a run."""
     tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
-    grid = config.diagnostic_grid or default_diagnostic_grid(config.start_n, config.n_max)
-    grid = tuple(sorted(set(grid)))
-    for g in grid:
-        if not config.start_n <= g <= config.n_max:
-            raise BadIndexError(f"diagnostic grid point {g} outside range")
+    grid = default_diagnostic_grid(config.start_n, config.n_max)
     return tables, grid, dyadic_windows(config.n_max)
 
 
@@ -476,9 +471,9 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
         raise BadIndexError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     if lo % BLOCK_SIZE != 0:
         raise BadIndexError(f"range start must be a multiple of {BLOCK_SIZE}")
-    if (hi - lo) * config.n_max > config.budget:
+    if (hi - lo) * config.n_max > WORK_BUDGET:
         raise ResourceLimitError(
-            f"{hi - lo} trajectories x n_max={config.n_max} exceeds budget {config.budget}"
+            f"{hi - lo} trajectories x n_max={config.n_max} exceeds budget {WORK_BUDGET}"
         )
     tables, grid, windows = _plan(config)
     bounds = block_bounds(lo, hi)
@@ -564,22 +559,14 @@ def sup_exceedance(stats: TrajectoryStats, t: float) -> McEstimate:
     return _binomial_estimate(stats, int((stats.window_max > t).sum()))
 
 
-def tail_diagnostic(
-    stats: TrajectoryStats, grid: tuple[int, ...] | None = None
-) -> list[tuple[int, McEstimate]]:
-    """P(sup_{n0 <= n <= n_max} |F_n| > epsilon) for each requested n0.
+def tail_diagnostic(stats: TrajectoryStats) -> list[tuple[int, McEstimate]]:
+    """P(sup_{n0 <= n <= n_max} |F_n| > epsilon) for each n0 of the run's grid.
 
-    epsilon is the run's SimConfig.epsilon.  Almost-sure convergence to 0
-    is equivalent to these probabilities vanishing as n0 grows, for every
-    epsilon.
+    The grid is default_diagnostic_grid; epsilon is the run's
+    SimConfig.epsilon.  Almost-sure convergence to 0 is equivalent to these
+    probabilities vanishing as n0 grows, for every epsilon.
     """
-    chosen = stats.grid if grid is None else tuple(grid)
-    out = []
-    for n0 in chosen:
-        if n0 not in stats.grid:
-            raise BadIndexError(f"n0={n0} not in the stored diagnostic grid {stats.grid}")
-        out.append((n0, _binomial_estimate(stats, int(stats.suffix_hits[stats.grid.index(n0)]))))
-    return out
+    return [(n0, _binomial_estimate(stats, int(h))) for n0, h in zip(stats.grid, stats.suffix_hits)]
 
 
 @dataclass(frozen=True)

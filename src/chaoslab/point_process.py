@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,23 +40,12 @@ class IntervalLayout:
         return float(self.lengths[self.position(k)])
 
 
-def build_layout(
-    lengths: Iterable[float], count: int | None = None, start_index: int = 1
-) -> IntervalLayout:
+def build_layout(lengths: Sequence[float] | np.ndarray, start_index: int = 1) -> IntervalLayout:
     """Lay out consecutive intervals with the given lengths.
 
-    `count`, when given, takes that many lengths from the iterable.
     Boundaries are the running prefix sums starting at 0.
     """
-    it = iter(lengths)
-    vals = []
-    for x in it:
-        if count is not None and len(vals) == count:
-            break
-        vals.append(float(x))
-    if count is not None and len(vals) < count:
-        raise NonPositiveLengthError(f"needed {count} lengths, got {len(vals)}")
-    arr = np.asarray(vals, dtype=np.float64)
+    arr = np.array(lengths, dtype=np.float64)
     if arr.size == 0:
         raise NonPositiveLengthError("layout needs at least one interval")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -65,10 +54,10 @@ def build_layout(
     return IntervalLayout(lengths=arr, boundaries=boundaries, start_index=start_index)
 
 
-def example_layout(n_max: int, start_index: int = 2) -> IntervalLayout:
+def example_layout(n_max: int) -> IntervalLayout:
     """Layout carrying the paired-Poisson intensities for indices 2..2*n_max+1."""
-    ks = np.arange(start_index, 2 * n_max + 2)
-    return build_layout(intensity(ks), start_index=start_index)
+    ks = np.arange(2, 2 * n_max + 2)
+    return build_layout(intensity(ks), start_index=2)
 
 
 @dataclass(frozen=True)
@@ -139,29 +128,16 @@ def product_integral(
     return 2.0 * coeff * centered_m * centered_n
 
 
-class ChaosParts(tuple):
+class ChaosParts(NamedTuple):
     """Chaos projections (order0, order1, order2) of one study-sequence term."""
 
-    __slots__ = ()
-
-    def __new__(cls, order0: float, order1: float, order2: float):
-        return super().__new__(cls, (order0, order1, order2))
-
-    @property
-    def order0(self) -> float:
-        return self[0]
-
-    @property
-    def order1(self) -> float:
-        return self[1]
-
-    @property
-    def order2(self) -> float:
-        return self[2]
+    order0: float
+    order1: float
+    order2: float
 
     @property
     def total(self) -> float:
-        return self[0] + self[1] + self[2]
+        return self.order0 + self.order1 + self.order2
 
 
 def decompose_term(n: int, realization: PpRealization) -> ChaosParts:

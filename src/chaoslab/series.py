@@ -144,6 +144,11 @@ def intensity_cross_sum(depth: int = CONSTANT_DEPTH) -> ConstantEstimate:
     return _constant(Series.INTENSITY_CROSS, depth)
 
 
+def limit_constant(series: Series) -> ConstantEstimate:
+    """The limit of a convergent series, bracketed at depth CONSTANT_DEPTH."""
+    return _constant(series, CONSTANT_DEPTH)
+
+
 def scan_partial_exceeds(series: Series, threshold: float, n_cap: int = 2**40) -> int:
     """Smallest doubling depth whose partial sum exceeds the threshold."""
     n = max(START[series], 2)

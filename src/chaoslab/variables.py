@@ -55,17 +55,6 @@ def sample_two_point(spec: TwoPointSpec, rng: np.random.Generator) -> tuple[int,
     return -1, spec.value_minus
 
 
-@dataclass(frozen=True)
-class PoissonSpec:
-    """Intensity of a Poisson count Y; X = (Y - rate)/sqrt(rate)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise OutOfRangeError(f"Poisson intensity must be positive, got {self.rate}")
-
-
 # Cumulative pmf values are cached per intensity; the table ends where the
 # remaining tail mass is far below 2^-53, so one uniform always lands.
 _TAIL_CUTOFF = 1e-25

@@ -72,14 +72,14 @@ def aggregate(config: mc.SimConfig, tables, y_even: np.ndarray, c_odd: np.ndarra
         "f_abs52": a52.sum(axis=1), "f_abs5": (a52 * a52).sum(axis=1),
         "events": (y_even == 1).sum(axis=1).astype(np.float64),
     }
-    grid = config.diagnostic_grid or mc.default_diagnostic_grid(start, config.n_max)
+    grid = mc.default_diagnostic_grid(start, config.n_max)
     windows = mc.dyadic_windows(config.n_max)
     event = y_even == 1
     return {
         "sums": per_n,
         "window_max": np.abs(f).max(axis=0),
         "suffix_hits": np.array([
-            (np.abs(f[g - start :]).max(axis=0) > config.epsilon).sum() for g in sorted(set(grid))
+            (np.abs(f[g - start :]).max(axis=0) > config.epsilon).sum() for g in grid
         ]),
         "win_hits": np.array([
             event[lo - start : hi - start].any(axis=0).sum() for lo, hi in windows

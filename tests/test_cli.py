@@ -11,8 +11,9 @@ import pytest
 
 import chaoslab
 from chaoslab.cli import build_csv, main
+from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
-from chaoslab import mc, streams
+from chaoslab import mc, poisson_moments, streams
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +53,36 @@ def test_moments_default_grid_passes(capsys):
     assert all(r["pass"] for r in rows)
 
 
+@pytest.mark.parametrize("p, label, offset, passed", [
+    (2.5, "raw_52 lam=1", -1e-9, True),  # above sqrt(15), inside the certified remainder
+    (2.5, "raw_52 lam=1", 1e-9, False),
+    (4.0, "raw4_series lam=1", 0.5e-12, True),
+    (4.0, "raw4_series lam=1", -0.5e-12, True),
+    (4.0, "raw4_series lam=1", 2e-12, False),
+    (4.0, "raw4_series lam=1", -2e-12, False),
+])
+def test_moments_rows_fail_outside_their_tolerance(capsys, monkeypatch, p, label, offset, passed):
+    # E Y^(5/2) is checked against sqrt(15) lam plus its remainder bound, and
+    # E Y^4 against its closed form to 1e-12 relative, whatever its remainder
+    rem = 1e-6
+    if p == 2.5:
+        value = math.sqrt(15.0) + rem + offset
+    else:
+        value = poisson_moments.raw_moment_4(1.0) * (1.0 + offset)
+    real = poisson_moments.raw_abs_moment
+    monkeypatch.setattr(
+        poisson_moments, "raw_abs_moment",
+        lambda lam, q: CertifiedValue(value, rem) if q == p else real(lam, q),
+    )
+    code, out, _ = run_cli(
+        capsys, "moments", "--lambda-grid", "1.0", "--j-max", "0", "--format", "json"
+    )
+    rows = {r["label"]: r for r in json.loads(out)["rows"]}
+    assert rows[label]["value"] == value
+    assert rows[label]["pass"] is passed
+    assert code == (0 if passed else 2)
+
+
 def test_series_command(capsys):
     code, out, _ = run_cli(
         capsys, "series", "--series", "bc_twopoint", "--n", "10000", "--format", "json"
@@ -66,6 +97,15 @@ def test_series_command(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert any("divergence" in r["label"] and r["pass"] for r in rows)
+
+
+def test_series_below_three_terms_has_no_bracket(capsys):
+    for argv in (("--n", "2"), ("--series", "a_const", "--n", "1")):
+        code, out, _ = run_cli(capsys, "series", *argv, "--format", "json")
+        assert code == 0, argv
+        rows = json.loads(out)["rows"]
+        assert not any("bracket:" in r["label"] for r in rows), argv
+        assert all(r["pass"] is not False for r in rows), argv
 
 
 def test_series_usage_error(capsys):
@@ -194,6 +234,8 @@ def test_unknown_flags_and_commands(capsys):
         ("tail", "--n-max", "5", "--reps", "3", "--seed", "-1"),
         ("decompose", "--n", "4", "--seed", "-1"),
         ("moments", "--lambda-grid", "1e300", "--j-max", "1"),
+        ("decompose", "--n", str(2**62), "--counts", "1,1"),
+        ("decompose", "--n", "5", "--counts", f"{2**63},1"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("usage error:"), argv

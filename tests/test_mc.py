@@ -199,17 +199,15 @@ def test_tail_diagnostic_two_point_separation():
         example="twopoint", n_max=1000, replications=20_000, master_seed=29, epsilon=0.1
     )
     stats = mc.run(cfg)
-    diag = dict(mc.tail_diagnostic(stats, grid=(10, 200)))
+    diag = dict(mc.tail_diagnostic(stats))
     lo, hi = diag[200], diag[10]
     assert lo.mean + 3 * (lo.stderr + hi.stderr) < hi.mean
-    with pytest.raises(BadIndexError):
-        mc.tail_diagnostic(stats, grid=(137,))
 
 
 def test_tail_diagnostic_poisson_trend():
     cfg = mc.SimConfig(example="poisson", n_max=1000, replications=20_000, master_seed=31)
     stats = mc.run(cfg)
-    diag = dict(mc.tail_diagnostic(stats, grid=(10, 100, 1000)))
+    diag = dict(mc.tail_diagnostic(stats))
     assert diag[1000].mean <= diag[10].mean + 3 * (diag[1000].stderr + diag[10].stderr)
     assert diag[100].mean <= diag[10].mean + 3 * (diag[100].stderr + diag[10].stderr)
 
@@ -223,7 +221,8 @@ def sparse_counts(cfg):
 def test_tail_diagnostic_last_point_is_single_term():
     cfg = mc.SimConfig(example="poisson", n_max=50, replications=8192, master_seed=37)
     stats = mc.run(cfg)
-    (n0, est) = mc.tail_diagnostic(stats, grid=(50,))[0]
+    (n0, est) = mc.tail_diagnostic(stats)[-1]
+    assert n0 == 50
     # recompute |F_50| directly from the same draws
     ye, yo = (c[-1] for c in sparse_counts(cfg))
     lam_e = poisson_pair.intensity(100)
@@ -470,15 +469,12 @@ def test_sparse_engine_matches_dense_oracle_in_distribution(example):
     assert holm_rejections(p_values, alpha=1e-3) == []
 
 
-def test_custom_grid_normalized_and_env_validated(monkeypatch):
-    cfg = mc.SimConfig(
-        example="poisson", n_max=60, replications=4000, master_seed=7,
-        diagnostic_grid=(50, 10, 50),
-    )
+def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):
+    cfg = mc.SimConfig(example="poisson", n_max=60, replications=4000, master_seed=7)
     stats = mc.run(cfg)
-    assert stats.grid == (10, 50)
-    d = dict(mc.tail_diagnostic(stats))
-    assert d[10].mean >= d[50].mean  # suffix sup shrinks with n0
+    assert stats.grid == (2, 5, 10, 20, 50, 60)
+    means = [est.mean for _, est in mc.tail_diagnostic(stats)]
+    assert means == sorted(means, reverse=True)  # suffix sup shrinks with n0
     monkeypatch.setenv("CHAOSLAB_THREADS", "many")
     with pytest.raises(BadIndexError):
         mc.run(cfg)

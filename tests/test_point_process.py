@@ -43,9 +43,6 @@ def test_build_layout_examples():
         build_layout([1.0, 0.0])
     with pytest.raises(NonPositiveLengthError):
         build_layout([])
-    with pytest.raises(NonPositiveLengthError):
-        build_layout([1.0], count=3)
-    assert len(build_layout(iter([1.0, 2.0, 3.0, 4.0]), count=2).lengths) == 2
 
 
 def test_layout_lengths_match_boundaries():

@@ -10,7 +10,6 @@ from chaoslab import streams
 from chaoslab.errors import OutOfRangeError
 from chaoslab.poisson_moments import abs_central_moment
 from chaoslab.variables import (
-    PoissonSpec,
     poisson_from_uniform,
     poisson_normalize,
     sample_poisson,
@@ -81,9 +80,6 @@ def test_two_point_empirical_mean():
 
 
 def test_poisson_spec_validation():
-    PoissonSpec(0.5)
-    with pytest.raises(OutOfRangeError):
-        PoissonSpec(0.0)
     with pytest.raises(OutOfRangeError):
         sample_poisson(-1.0, streams.generator(0, 0))
     with pytest.raises(OutOfRangeError):
