@@ -120,7 +120,9 @@ def cmd_series(args) -> int:
                 p_exceed > 5.0,
             )
             continue
-        report.add(f"{s.value} tail_bound N={args.n}", series.tail_bound(s, max(args.n, 3)))
+        # the joint-sign bound needs N >= 3; the label names the N it is taken at
+        n_tail = max(args.n, 3) if s is series.Series.TWO_POINT_JOINT else args.n
+        report.add(f"{s.value} tail_bound N={n_tail}", series.tail_bound(s, n_tail))
         n1 = max(start, 3, args.n // 1000)
         if n1 <= args.n:  # tail_bound needs n1 >= 3, so N < 3 has no bracket
             tail1 = series.tail_bound(s, n1)

@@ -26,11 +26,12 @@ count of trajectories with an event in it.  run_range and merge join
 contiguous parts with the same _assemble; across blocks the per-n sums are
 combined by an exactly rounded compensated sum, and counts add.
 
-run_range walks the blocks in forked worker processes, at most
-CHAOSLAB_THREADS of them (by default as many as the CPUs this process may
-run on), or one after another in this process when there is one worker or
-the platform cannot fork.  A worker gets only the SimConfig and its block's
-range, rebuilds the tables, and returns the block's partials.
+run_range walks the blocks in forked worker processes, as many as
+workers.worker_count allows (CHAOSLAB_THREADS, by default the CPUs this
+process may run on; series uses the same count), or one after another in
+this process when there is one worker or the platform cannot fork.  A
+worker gets only the SimConfig and its block's range, rebuilds the tables,
+and returns the block's partials.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .errors import BadIndexError, ResourceLimitError
 from .pair_model import PairModel, PairTables
 from .streams import BLOCK_SIZE, block_bounds, block_stream, uniform_block
 from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
+from .workers import worker_count as _worker_count  # perfbench/spans.py hooks this name
 
 MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_pair.MODEL}
 EXAMPLES = tuple(MODELS)
@@ -436,20 +438,6 @@ class TrajectoryStats:
     def j1_mean(self):
         mean, se = self.mean_with_stderr("x_even")
         return self.tables.coef * mean, self.tables.coef * se
-
-
-def _worker_count(n_blocks: int) -> int:
-    env = os.environ.get("CHAOSLAB_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise BadIndexError(f"CHAOSLAB_THREADS must be an integer, got {env!r}")
-    elif hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_blocks))
 
 
 def _plan(config: SimConfig):

@@ -5,6 +5,13 @@ series sum n^(-1-1/sqrt(log n)), the fourth-power intensity series
 sum n^(-5/4), the cross-intensity series sum n^(-17/16), and the divergent
 even-index harmonic series sum 1/n.  Tails of the convergent ones are
 certified by the integral test.
+
+A partial sum is taken in fixed chunks of _CHUNK terms, each reduced by
+numpy's pairwise sum, and the chunk sums are joined by math.fsum, which is
+exactly rounded: the chunk width alone fixes the bits of the result.  The
+chunks are therefore split across worker threads (as many as
+workers.worker_count allows; numpy's loops release the interpreter lock),
+each evaluating its share into one chunk buffer of its own.
 """
 
 from __future__ import annotations
@@ -17,8 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadIndexError, DivergentSeriesError
+from .workers import worker_count
 
 _CHUNK = 1 << 20
+# Indices are generated _TILE at a time from a ramp: a whole chunk of them
+# would be a second chunk buffer per worker.
+_TILE = 1 << 14
 
 
 class Series(Enum):
@@ -72,28 +83,51 @@ def term(series: Series, n) -> np.ndarray | float:
     return out
 
 
+def _chunk_sums(series: Series, starts: range, n_terms: int, ramp: np.ndarray,
+                terms: np.ndarray, tile: np.ndarray) -> list[float]:
+    """Pairwise sums of the chunks beginning at starts, evaluated into terms."""
+    sums = []
+    for lo in starts:
+        size = min(_CHUNK, n_terms - lo + 1)
+        for off in range(0, size, _TILE):
+            width = min(_TILE, size - off)
+            x = np.add(ramp[:width], lo + off, out=tile[:width])
+            _evaluate(series, x, terms[off:off + width])
+        sums.append(float(terms[:size].sum()))
+    return sums
+
+
 def partial_sum(series: Series, n_terms: int) -> float:
     """Sum of terms from the series start through n_terms inclusive.
 
     The terms are taken in fixed chunks of 2^20 indices (the last one
     shorter); each chunk is reduced by numpy's pairwise summation and the
     chunk sums are combined by math.fsum, an exactly rounded sum.  The
-    chunk width therefore fixes the bits of the result.  The chunks are
-    evaluated in place in two buffers allocated once per call: the indices
-    are float64 and advance by the chunk width, which is exact below 2^53.
+    chunk width therefore fixes the bits of the result, whatever the number
+    of worker threads and the order in which their chunks finish.  Worker w
+    takes chunks w, w + W, w + 2W, ... and evaluates each in place in its
+    own chunk buffer; the buffers have one fixed size and are allocated in
+    the calling thread.  The float64 indices are a ramp plus an integer
+    offset, which is exact below 2^53.
     """
     start = START[series]
     if n_terms < start:
         raise BadIndexError(f"{series.value} starts at n={start}, got N={n_terms}")
-    width = min(_CHUNK, n_terms - start + 1)
-    idx = np.arange(start, start + width, dtype=np.float64)
-    buf = np.empty(width)
-    partials = []
-    for lo in range(start, n_terms + 1, _CHUNK):
-        size = min(_CHUNK, n_terms - lo + 1)
-        partials.append(float(_evaluate(series, idx[:size], buf[:size]).sum()))
-        idx += _CHUNK
-    return math.fsum(partials)
+    starts = range(start, n_terms + 1, _CHUNK)
+    workers = worker_count(len(starts))
+    ramp = np.arange(_TILE, dtype=np.float64)
+    buffers = [(np.empty(_CHUNK), np.empty(_TILE)) for _ in range(workers)]
+    if workers == 1:
+        return math.fsum(_chunk_sums(series, starts, n_terms, ramp, *buffers[0]))
+    # Imported only here, so that a one-worker process skips the cost.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        shares = [
+            pool.submit(_chunk_sums, series, starts[w::workers], n_terms, ramp, *buffers[w])
+            for w in range(workers)
+        ]
+        return math.fsum(x for share in shares for x in share.result())
 
 
 def tail_bound(series: Series, n_terms: int) -> float:

@@ -13,6 +13,7 @@ import chaoslab
 from chaoslab.cli import build_csv, main
 from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
+from chaoslab.series import Series, tail_bound
 from chaoslab import mc, poisson_moments, streams
 
 
@@ -100,18 +101,29 @@ def test_series_command(capsys):
 
 
 def test_series_below_three_terms_has_no_bracket(capsys):
-    for argv in (("--n", "2"), ("--series", "a_const", "--n", "1")):
+    # each tail row is the bound beyond the N its label names; the joint-sign
+    # bound exists from N = 3 on, the power-series bounds from N = 1
+    for argv, tails in (
+        (("--n", "2"), {"bc_twopoint tail_bound N=3": tail_bound(Series.TWO_POINT_JOINT, 3),
+                        "a_const tail_bound N=2": tail_bound(Series.INTENSITY_FOURTH, 2),
+                        "b_const tail_bound N=2": tail_bound(Series.INTENSITY_CROSS, 2)}),
+        (("--series", "a_const", "--n", "1"), {"a_const tail_bound N=1": 4.0}),
+    ):
         code, out, _ = run_cli(capsys, "series", *argv, "--format", "json")
         assert code == 0, argv
         rows = json.loads(out)["rows"]
         assert not any("bracket:" in r["label"] for r in rows), argv
         assert all(r["pass"] is not False for r in rows), argv
+        assert {r["label"]: r["value"] for r in rows if "tail_bound" in r["label"]} == tails
 
 
-def test_series_usage_error(capsys):
+def test_series_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "series", "--series", "bc_twopoint", "--n", "1")
     assert code == 1
     assert "usage error" in err
+    monkeypatch.setenv("CHAOSLAB_THREADS", "many")
+    code, _, err = run_cli(capsys, "series")
+    assert code == 1 and err.startswith("usage error: CHAOSLAB_THREADS")
 
 
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):
@@ -286,6 +298,20 @@ def test_simulate_bytes_do_not_depend_on_worker_processes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_series_and_tail_bytes_do_not_depend_on_worker_threads():
+    # the depth-10^8 constants on one thread and split across two; tail's two
+    # blocks also run forked at two workers
+    commands = (["series", "--series", "all"],
+                ["tail", "--n-max", "300", "--reps", str(2 * streams.BLOCK_SIZE)])
+    for argv in commands:
+        outputs = []
+        for workers in ("1", "2"):
+            proc = _python(["-m", "chaoslab.cli", *argv], CHAOSLAB_THREADS=workers)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
+
+
 def _running(pid):
     try:
         stat = Path(f"/proc/{pid}/stat").read_text()
@@ -327,7 +353,7 @@ def test_workers_exit_when_their_parent_is_killed():
 def test_importing_the_cli_starts_no_process_pool():
     # the pool modules are imported only by a run with more than one worker
     proc = _python(["-c", "import sys, chaoslab.cli; print(sorted(set(sys.modules) & "
-                    "{'multiprocessing', 'concurrent.futures.process'}))"])
+                    "{'multiprocessing', 'concurrent.futures'}))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == b"[]"
 

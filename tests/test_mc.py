@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from chaoslab import mc, poisson_pair, two_point
+from chaoslab import mc, poisson_pair, series, two_point, workers
 from chaoslab.errors import BadIndexError, ResourceLimitError
 from chaoslab.streams import BLOCK_SIZE
 
@@ -62,17 +62,19 @@ def test_thread_count_invariance(monkeypatch, example):
 
 
 def test_worker_count_follows_usable_cpus(monkeypatch):
+    # one definition serves the engine and the series partial sums
+    assert mc._worker_count is series.worker_count is workers.worker_count
     monkeypatch.delenv("CHAOSLAB_THREADS", raising=False)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert mc._worker_count(10) == 3
-    assert mc._worker_count(2) == 2
+    monkeypatch.setattr(workers.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert workers.worker_count(10) == 3
+    assert workers.worker_count(2) == 2
     monkeypatch.setenv("CHAOSLAB_THREADS", "5")
-    assert mc._worker_count(10) == 5
-    assert mc._worker_count(4) == 4
+    assert workers.worker_count(10) == 5
+    assert workers.worker_count(4) == 4
     monkeypatch.delenv("CHAOSLAB_THREADS")
-    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
-    assert mc._worker_count(10) == 10
+    monkeypatch.delattr(workers.os, "sched_getaffinity", raising=False)
+    assert workers.worker_count(10) == 10
 
 
 def test_without_fork_the_blocks_run_in_process(monkeypatch):

@@ -57,12 +57,16 @@ def frozen_partial_sum(series: Series, n_terms: int) -> float:
 
 
 @pytest.mark.parametrize("series", list(Series))
-def test_partial_sum_is_bitwise_the_frozen_reference(series):
+def test_partial_sum_is_bitwise_the_frozen_reference(series, monkeypatch):
     start = START[series]
     edges = (start, 3, 1000, 10**6, FROZEN_CHUNK + start - 1, FROZEN_CHUNK + start,
              3 * FROZEN_CHUNK + 17)
-    for n in edges:
-        assert partial_sum(series, n) == frozen_partial_sum(series, n), n
+    expected = {n: frozen_partial_sum(series, n) for n in edges}
+    # 3 * FROZEN_CHUNK + 17 has four chunks: three workers share them unevenly
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("CHAOSLAB_THREADS", workers)
+        for n in edges:
+            assert partial_sum(series, n) == expected[n], (workers, n)
 
 
 def test_published_constants_are_pinned():
@@ -71,16 +75,18 @@ def test_published_constants_are_pinned():
 
 
 @pytest.mark.parametrize("series", list(Series))
-def test_partial_sum_memory_is_two_chunk_buffers(series):
-    # numpy reports its data buffers to tracemalloc; a fresh array per chunk
-    # would show as a peak of three or more chunk-sized buffers
-    tracemalloc.start()
-    try:
-        partial_sum(series, 4 * _CHUNK + 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * _CHUNK * 8 + 2**20
+def test_partial_sum_memory_is_two_chunk_buffers(series, monkeypatch):
+    # numpy reports its data buffers to tracemalloc; each worker owns one
+    # chunk buffer, and a fresh array per chunk would show as one more
+    for workers in (1, 2):
+        monkeypatch.setenv("CHAOSLAB_THREADS", str(workers))
+        tracemalloc.start()
+        try:
+            partial_sum(series, 4 * _CHUNK + 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * _CHUNK * 8 + 2**20, workers
 
 
 def test_partial_sum_examples():
