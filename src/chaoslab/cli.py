@@ -150,12 +150,12 @@ def build_csv(stats: mc.TrajectoryStats) -> str:
         return "" if math.isnan(se) else _format_cell(se)
 
     columns = [
-        ("f_mean", *stats.f_mean()),
-        ("f_sq_mean", *stats.f_sq_mean()),
-        ("f_abs52_mean", *stats.f_abs52_mean()),
+        ("f_mean", *stats.mean_with_stderr("f")),
+        ("f_sq_mean", *stats.mean_with_stderr("f_sq")),
+        ("f_abs52_mean", *stats.mean_with_stderr("f_abs52")),
         ("j1_mean", *stats.j1_mean()),
     ]
-    for i, n in enumerate(stats.n_values):
+    for i, n in enumerate(stats.tables.n_values):
         for name, vals, ses in columns:
             lines.append(f"{n},{name},{_format_cell(vals[i])},{se_cell(ses[i])}")
     for n0, est in mc.tail_diagnostic(stats):
@@ -240,9 +240,9 @@ def cmd_simulate(args) -> int:
         },
         seed=args.seed,
     )
-    f_mean, _ = stats.f_mean()
-    fsq_mean, _ = stats.f_sq_mean()
-    a52_mean, a52_se = stats.f_abs52_mean()
+    f_mean, _ = stats.mean_with_stderr("f")
+    fsq_mean, _ = stats.mean_with_stderr("f_sq")
+    a52_mean, a52_se = stats.mean_with_stderr("f_abs52")
     model = mc.MODELS[config.example]
     start = config.start_n
     probes = [n for n in (1, 4, 16, 100, 256) if start <= n <= config.n_max]
@@ -319,6 +319,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_tail(args) -> int:
     t_grid = _parse_floats(args.t_grid)
+    if min(t_grid) <= 0.0:  # before the run, not after it
+        raise UsageError(f"thresholds must be positive, got {args.t_grid!r}")
     config = mc.SimConfig(
         example="poisson",
         n_max=args.n_max,

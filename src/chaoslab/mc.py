@@ -30,8 +30,9 @@ run_range walks the blocks in forked worker processes, as many as
 workers.worker_count allows (CHAOSLAB_THREADS, by default the CPUs this
 process may run on; series uses the same count), or one after another in
 this process when there is one worker or the platform cannot fork.  A
-worker gets only the SimConfig and its block's range, rebuilds the tables,
-and returns the block's partials.
+worker gets only the SimConfig and its block's range, rebuilds the plan
+(_plan: the per-n tables, the diagnostic grid and the windows) and returns
+the block's TrajectoryStats, which holds only what the draws determine.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -60,6 +62,7 @@ EXAMPLES = tuple(MODELS)
 STAT_NAMES = ("x_even", "x_even_sq", "f", "f_sq", "f_quad", "f_abs52", "f_abs5", "events")
 _SQ_OF = {"x_even": "x_even_sq", "f": "f_sq", "f_sq": "f_quad", "f_abs52": "f_abs5"}
 WORK_BUDGET = 2_000_000_000  # largest trajectories x n_max that run_range simulates
+MAX_N = 10**6  # largest n_max: the per-n tables and the CSV grow with n_max alone
 
 
 @dataclass(frozen=True)
@@ -331,21 +334,16 @@ class _Block:
         self.ev_or[w[w >= 0], even.pos[event][w >= 0]] = True
 
 
-def _walk_block(
-    config: SimConfig,
-    tables: PairTables,
-    grid: tuple[int, ...],
-    windows: tuple[tuple[int, int], ...],
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One block's partials: its per-n sums, per-trajectory suprema, suffix and window hits."""
+def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
+    """One block's per-n sums, per-trajectory suprema, suffix and window hits."""
+    tables, grid, windows = _plan(config)
     acc = _Block(config, tables, windows, hi - lo)
     for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo):
         acc.add(j0, j1, even, odd)
         del even, odd  # free this chunk's draws before the next is drawn
     suffix_hits = [(acc.last_big >= g - config.start_n).sum() for g in grid]
-    return acc.sums, acc.run_max, np.array(suffix_hits, dtype=np.int64), acc.ev_or.sum(axis=1)
+    return TrajectoryStats(config, lo, hi, [acc.sums], acc.run_max,
+                           np.array(suffix_hits, dtype=np.int64), acc.ev_or.sum(axis=1))
 
 
 # glibc's mallopt parameters (malloc.h) and the largest mmap threshold it accepts.
@@ -379,43 +377,69 @@ def _init_worker(parent: int) -> None:
     threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
-def _block_task(config: SimConfig, bounds: tuple[int, int]):
-    """_walk_block in a worker process, which rebuilds the plan from the config."""
-    # Only the config is pickled: an unpickled float64 array carries its own copy of
-    # the dtype, which takes np.maximum.at in _Block.add off its fast path (~25x slower).
-    return _walk_block(config, *_plan(config), *bounds)
+def _block_task(config: SimConfig, bounds: tuple[int, int]) -> TrajectoryStats:
+    """_walk_block in a worker process, looked up there by name when called."""
+    # The pool pickles this function by name; _walk_block itself may be replaced by
+    # a wrapper that cannot be pickled.  Only the config is sent: an unpickled
+    # float64 array carries its own copy of the dtype, which takes np.maximum.at
+    # in _Block.add off its fast path (~25x slower).
+    return _walk_block(config, *bounds)
+
+
+class Plan(NamedTuple):
+    """What a run derives from its config alone, all O(n_max)."""
+
+    tables: PairTables
+    grid: tuple[int, ...]                # default_diagnostic_grid
+    windows: tuple[tuple[int, int], ...]  # dyadic_windows
+
+
+def _plan(config: SimConfig) -> Plan:
+    """The pair tables, the diagnostic grid and the windows of a run."""
+    tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
+    grid = default_diagnostic_grid(config.start_n, config.n_max)
+    return Plan(tables, grid, dyadic_windows(config.n_max))
 
 
 @dataclass
 class TrajectoryStats:
-    """Streaming aggregates of one replication range, combinable by blocks."""
+    """What the draws of one replication range determine, combinable by blocks.
+
+    The per-n tables, the grid and the windows follow from the config and are
+    derived when first read.
+    """
 
     config: SimConfig
     lo: int
     hi: int
-    n_values: np.ndarray
-    grid: tuple[int, ...]
-    windows: tuple[tuple[int, int], ...]
-    tables: PairTables
     block_sums: list[np.ndarray]   # per block: [n_rows, n_stats]
     window_max: np.ndarray         # [hi - lo]: sup over all n of |F_n|
     suffix_hits: np.ndarray        # [n_grid]: count of sup_(n >= g) |F_n| > epsilon
     win_hits: np.ndarray           # [n_windows]: count of the event somewhere in the window
-    _sum_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def plan(self) -> Plan:
+        return _plan(self.config)
+
+    tables = property(lambda self: self.plan.tables)
+    grid = property(lambda self: self.plan.grid)
+    windows = property(lambda self: self.plan.windows)
 
     @property
     def replications(self) -> int:
         return self.hi - self.lo
 
+    @cached_property
+    def _totals(self) -> np.ndarray:
+        """[n_stats, n_rows]: each cell the exactly rounded sum over the blocks, in order."""
+        return np.array([
+            [math.fsum(vals) for vals in zip(*(b[:, j].tolist() for b in self.block_sums))]
+            for j in range(len(STAT_NAMES))
+        ])
+
     def sums(self, stat: str) -> np.ndarray:
-        """Exact-order combination of the per-block partial sums."""
-        if stat not in self._sum_cache:
-            j = STAT_NAMES.index(stat)
-            cols = [b[:, j] for b in self.block_sums]
-            self._sum_cache[stat] = np.array(
-                [math.fsum(vals) for vals in zip(*cols)]
-            )
-        return self._sum_cache[stat]
+        """Per-n sums of one statistic over the whole range."""
+        return self._totals[STAT_NAMES.index(stat)]
 
     def mean_with_stderr(self, stat: str) -> tuple[np.ndarray, np.ndarray]:
         r = self.replications
@@ -426,25 +450,9 @@ class TrajectoryStats:
         var = np.maximum(sq - r * mean * mean, 0.0) / (r - 1)
         return mean, np.sqrt(var / r)
 
-    def f_mean(self):
-        return self.mean_with_stderr("f")
-
-    def f_sq_mean(self):
-        return self.mean_with_stderr("f_sq")
-
-    def f_abs52_mean(self):
-        return self.mean_with_stderr("f_abs52")
-
     def j1_mean(self):
         mean, se = self.mean_with_stderr("x_even")
         return self.tables.coef * mean, self.tables.coef * se
-
-
-def _plan(config: SimConfig):
-    """The pair tables, the diagnostic grid and the windows of a run."""
-    tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
-    grid = default_diagnostic_grid(config.start_n, config.n_max)
-    return tables, grid, dyadic_windows(config.n_max)
 
 
 def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
@@ -463,7 +471,8 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
         raise ResourceLimitError(
             f"{hi - lo} trajectories x n_max={config.n_max} exceeds budget {WORK_BUDGET}"
         )
-    tables, grid, windows = _plan(config)
+    if config.n_max > MAX_N:
+        raise ResourceLimitError(f"n_max={config.n_max} exceeds MAX_N={MAX_N}")
     bounds = block_bounds(lo, hi)
     workers = _worker_count(len(bounds))
     if workers > 1:
@@ -482,30 +491,19 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
         with ProcessPoolExecutor(
             workers, mp_context=context, initializer=_init_worker, initargs=(os.getpid(),)
         ) as pool:
-            partials = list(pool.map(_block_task, [config] * len(bounds), bounds))
+            blocks = list(pool.map(_block_task, [config] * len(bounds), bounds))
     else:
-        partials = [_walk_block(config, tables, grid, windows, *b) for b in bounds]
-    return _assemble([
-        TrajectoryStats(
-            config=config, lo=b_lo, hi=b_hi, n_values=tables.n_values, grid=grid,
-            windows=windows, tables=tables, block_sums=[sums], window_max=run_max,
-            suffix_hits=suffix_hits, win_hits=win_hits,
-        )
-        for (b_lo, b_hi), (sums, run_max, suffix_hits, win_hits) in zip(bounds, partials)
-    ])
+        blocks = [_walk_block(config, *b) for b in bounds]
+    return _assemble(blocks)
 
 
 def _assemble(parts: list[TrajectoryStats]) -> TrajectoryStats:
-    """Join contiguous parts, in order; the per-block partials are kept as they are."""
+    """Join contiguous parts, in order; the per-block sums are kept as they are."""
     first = parts[0]
     return TrajectoryStats(
         config=first.config,
         lo=first.lo,
         hi=parts[-1].hi,
-        n_values=first.n_values,
-        grid=first.grid,
-        windows=first.windows,
-        tables=first.tables,
         block_sums=[s for p in parts for s in p.block_sums],
         window_max=np.concatenate([p.window_max for p in parts]),
         suffix_hits=sum(p.suffix_hits for p in parts),
@@ -522,8 +520,8 @@ def merge(a: TrajectoryStats, b: TrajectoryStats) -> TrajectoryStats:
     """Combine two contiguous, block-aligned replication ranges exactly.
 
     The replication ranges of the parts must meet at a block boundary;
-    then the per-block partials of the union are literally the union of
-    the parts' partials, and every derived quantity matches a single run
+    then the per-block sums of the union are literally the union of the
+    parts' sums, and every derived quantity matches a single run
     over the full range bit for bit.
     """
     if a.config != b.config:

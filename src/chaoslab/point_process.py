@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import BadIndexError, DiagonalPairError, NonPositiveLengthError
 from .poisson_pair import intensity
-from .variables import poisson_from_uniform, sample_poisson
+from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
+from .variables import sample_poisson
 
 
 @dataclass(frozen=True)
@@ -84,20 +85,6 @@ def realize(layout: IntervalLayout, rng: np.random.Generator | int) -> PpRealiza
         [sample_poisson(lam, rng) for lam in layout.lengths], dtype=np.int64
     )
     return PpRealization(counts=counts, layout=layout, seed=seed)
-
-
-def realize_batch(
-    layout: IntervalLayout, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Counts for many independent realizations, shape (size, n_intervals).
-
-    Column i consumes one uniform per realization, the same inversion as
-    realize(); columns are filled in interval order.
-    """
-    out = np.empty((size, len(layout.lengths)), dtype=np.int64)
-    for i, lam in enumerate(layout.lengths):
-        out[:, i] = poisson_from_uniform(rng.random(size), lam)
-    return out
 
 
 def linear_integral(

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BadIndexError, DomainError
 from .pair_model import PairModel, PairTables
 from .poisson_moments import abs_central_moment, raw_abs_moment, raw_moment_4
-from .series import intensity_cross_sum, intensity_fourth_sum
+from .series import Series, limit_constant
 from .variables import poisson_normalize
 
 START_N = 1
@@ -104,8 +104,8 @@ def sup_tail_bound(t: float) -> float:
     """
     if t < 9.0:
         raise DomainError(f"sup tail bound is stated for t >= 9, got {t}")
-    a = intensity_fourth_sum().upper
-    b = intensity_cross_sum().upper
+    a = limit_constant(Series.INTENSITY_FOURTH).upper
+    b = limit_constant(Series.INTENSITY_CROSS).upper
     return (
         b * t**-0.25
         + 16.0 * (t ** (2.0 / 3.0) - 1.0) ** (-1.0 / 16.0)
@@ -125,8 +125,8 @@ def sup_moment_bound(delta: float = 1.0 / 48.0) -> float:
     """
     if not 0.0 < delta < 1.0 / 24.0:
         raise DomainError(f"moment order must lie in (0, 1/24), got {delta}")
-    a = intensity_fourth_sum().upper
-    b = intensity_cross_sum().upper
+    a = limit_constant(Series.INTENSITY_FOURTH).upper
+    b = limit_constant(Series.INTENSITY_CROSS).upper
     first = b * 9.0 ** (delta - 0.25) / (0.25 - delta)
     c2 = (1.0 - 9.0 ** (-2.0 / 3.0)) ** (-1.0 / 16.0)
     middle = 16.0 * c2 * 9.0 ** (delta - 1.0 / 24.0) / (1.0 / 24.0 - delta)

@@ -164,23 +164,10 @@ class ConstantEstimate(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _constant(series: Series, depth: int) -> ConstantEstimate:
-    return ConstantEstimate(partial_sum(series, depth), tail_bound(series, depth))
-
-
-def intensity_fourth_sum(depth: int = CONSTANT_DEPTH) -> ConstantEstimate:
-    """The limit of sum n^(-5/4), bracketed by partial sum plus tail bound."""
-    return _constant(Series.INTENSITY_FOURTH, depth)
-
-
-def intensity_cross_sum(depth: int = CONSTANT_DEPTH) -> ConstantEstimate:
-    """The limit of sum n^(-17/16), bracketed by partial sum plus tail bound."""
-    return _constant(Series.INTENSITY_CROSS, depth)
-
-
 def limit_constant(series: Series) -> ConstantEstimate:
-    """The limit of a convergent series, bracketed at depth CONSTANT_DEPTH."""
-    return _constant(series, CONSTANT_DEPTH)
+    """The limit of a convergent series, bracketed by its partial sum at depth
+    CONSTANT_DEPTH plus the tail bound there."""
+    return ConstantEstimate(partial_sum(series, CONSTANT_DEPTH), tail_bound(series, CONSTANT_DEPTH))
 
 
 def scan_partial_exceeds(series: Series, threshold: float, n_cap: int = 2**40) -> int:

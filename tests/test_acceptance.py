@@ -139,7 +139,7 @@ def test_l52_decay_bound(l52_run):
     with criterion("5/2-moment decay bound"):
         for n in range(1, 1001):
             assert poisson_pair.moment52_exact(n) <= poisson_pair.moment52_bound(n)
-        mean, se = l52_run.f_abs52_mean()
+        mean, se = l52_run.mean_with_stderr("f_abs52")
         for n in (16, 256):
             i = n - 1
             assert mean[i] <= poisson_pair.moment52_bound(n) + 3 * se[i]

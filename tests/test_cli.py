@@ -165,6 +165,15 @@ def test_simulate_budget_exceeded(capsys):
     assert "resource limit" in err
 
 
+def test_simulate_beyond_max_n_is_a_resource_limit(capsys):
+    # the per-n tables and the CSV grow with n_max alone, whatever the budget
+    code, out, err = run_cli(
+        capsys, "simulate", "--example", "poisson", "--n-max", str(mc.MAX_N + 1), "--reps", "1"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:") and "Traceback" not in err
+
+
 def test_decompose_manual_counts(capsys):
     code, out, _ = run_cli(
         capsys, "decompose", "--n", "16", "--counts", "2,1", "--format", "json"
@@ -231,6 +240,16 @@ def test_tail_command(capsys):
 
 def test_tail_empty_grid_is_usage_error(capsys):
     assert run_cli(capsys, "tail", "--t-grid", "")[0] == 1
+
+
+def test_tail_rejects_thresholds_before_simulating(capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("simulated before the thresholds were checked")
+
+    monkeypatch.setattr(mc, "run", no_run)
+    for t_grid in ("0,9", "9,-1"):
+        code, _, err = run_cli(capsys, "tail", "--t-grid", t_grid)
+        assert code == 1 and err.startswith("usage error:"), t_grid
 
 
 def test_unknown_flags_and_commands(capsys):

@@ -126,6 +126,37 @@ def test_worker_tasks_carry_no_arrays(monkeypatch):
     assert len(sizes) == 2 and max(sizes) < 1024
 
 
+def test_worker_results_carry_no_plan():
+    # a block's result holds what its draws determine; the per-n tables are
+    # rebuilt from the config where they are read, not sent back from a worker
+    cfg = mc.SimConfig(example="poisson", n_max=2000, replications=100)
+    block = mc._block_task(cfg, (0, 100))
+    (sums,) = block.block_sums
+    assert len(pickle.dumps(block)) <= sums.nbytes + block.window_max.nbytes + 16 * 1024
+
+
+def test_a_wrapped_walk_block_runs_in_the_workers(monkeypatch, tmp_path):
+    # a tracer replaces _walk_block with a closure, which cannot be pickled;
+    # the pool pickles _block_task, which finds the wrapper in the forked worker
+    import os
+
+    cfg = mc.SimConfig(example="poisson", n_max=40, replications=2 * BLOCK_SIZE, master_seed=13)
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    plain = mc.run_range(cfg, 0, cfg.replications)
+    walk = mc._walk_block
+
+    def wrapped(config, lo, hi):
+        (tmp_path / str(lo)).write_text(str(os.getpid()))
+        return walk(config, lo, hi)
+
+    monkeypatch.setattr(mc, "_walk_block", wrapped)
+    wrapped_run = mc.run_range(cfg, 0, cfg.replications)
+    assert stats_equal(wrapped_run, plain)
+    assert np.array_equal(wrapped_run.sums("f"), plain.sums("f"))
+    pids = {int((tmp_path / str(lo)).read_text()) for lo in (0, BLOCK_SIZE)}
+    assert os.getpid() not in pids
+
+
 def test_merge_equals_single_run():
     cfg = mc.SimConfig(
         example="twopoint", n_max=30, replications=2 * BLOCK_SIZE + 123, master_seed=17
@@ -155,7 +186,7 @@ def test_replication_count_and_estimates():
     cfg = mc.SimConfig(example="poisson", n_max=5, replications=1, master_seed=1)
     stats = mc.run(cfg)
     assert stats.replications == 1
-    _, se = stats.f_sq_mean()
+    _, se = stats.mean_with_stderr("f_sq")
     assert np.all(np.isnan(se))
     est = mc.sup_exceedance(stats, 1.0)
     assert math.isnan(est.stderr)
@@ -165,22 +196,22 @@ def test_replication_count_and_estimates():
 def test_two_point_moment_estimates():
     cfg = mc.SimConfig(example="twopoint", n_max=20, replications=30_000, master_seed=97)
     stats = mc.run(cfg)
-    mean, se = stats.f_sq_mean()
+    mean, se = stats.mean_with_stderr("f_sq")
     for n in (2, 4, 10):
         i = n - 2
         assert abs(mean[i] - two_point.second_moment(n)) <= 3 * se[i]
-    fmean, fse = stats.f_mean()
+    fmean, fse = stats.mean_with_stderr("f")
     assert np.all(np.abs(fmean) <= 4 * fse)
 
 
 def test_poisson_moment_estimates():
     cfg = mc.SimConfig(example="poisson", n_max=16, replications=30_000, master_seed=19)
     stats = mc.run(cfg)
-    mean, se = stats.f_sq_mean()
+    mean, se = stats.mean_with_stderr("f_sq")
     for n in (1, 4, 16):
         i = n - 1
         assert abs(mean[i] - poisson_pair.second_moment(n)) <= 3 * se[i]
-    a52, a52_se = stats.f_abs52_mean()
+    a52, a52_se = stats.mean_with_stderr("f_abs52")
     assert a52[15] <= poisson_pair.moment52_bound(16) + 3 * a52_se[15]
     j1, j1_se = stats.j1_mean()
     assert abs(j1[15]) <= 4 * j1_se[15]
@@ -459,9 +490,9 @@ def test_sparse_engine_matches_dense_oracle_in_distribution(example):
         m_a, m_b = stats.sums(stat) / r, dense["sums"][stat] / r
         v_a = stats.sums(sq) / r - m_a**2
         v_b = dense["sums"][sq] / r - m_b**2
-        for i, n in enumerate(stats.n_values):
+        for i, n in enumerate(stats.tables.n_values):
             p_values[f"{stat}[{n}]"] = two_sample_p(m_a[i], v_a[i], m_b[i], v_b[i], r)
-    for i, n in enumerate(stats.n_values):
+    for i, n in enumerate(stats.tables.n_values):
         p_values[f"events[{n}]"] = count_p(stats.sums("events")[i], dense["sums"]["events"][i], r)
     for g, a, b in zip(stats.grid, stats.suffix_hits, dense["suffix_hits"]):
         p_values[f"suffix_hits[{g}]"] = count_p(a, b, r)

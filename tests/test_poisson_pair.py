@@ -23,7 +23,7 @@ from chaoslab.poisson_pair import (
     term,
     term_components,
 )
-from chaoslab.series import intensity_cross_sum, intensity_fourth_sum
+from chaoslab.series import Series, limit_constant
 
 
 def collapsed_oracle(n: int, ye: int, yo: int) -> float:
@@ -127,8 +127,8 @@ def test_moment52_exact_against_scipy_oracle():
 
 
 def test_sup_tail_bound():
-    a = intensity_fourth_sum()
-    b = intensity_cross_sum()
+    a = limit_constant(Series.INTENSITY_FOURTH)
+    b = limit_constant(Series.INTENSITY_CROSS)
     oracle = (
         b.upper * 9.0**-0.25
         + 16.0 * (9.0 ** (2.0 / 3.0) - 1.0) ** (-1.0 / 16.0)

@@ -13,8 +13,7 @@ from chaoslab.series import (
     START,
     ConstantEstimate,
     Series,
-    intensity_cross_sum,
-    intensity_fourth_sum,
+    limit_constant,
     partial_sum,
     scan_partial_exceeds,
     tail_bound,
@@ -70,8 +69,8 @@ def test_partial_sum_is_bitwise_the_frozen_reference(series, monkeypatch):
 
 
 def test_published_constants_are_pinned():
-    assert intensity_fourth_sum().value == 4.555111825892943
-    assert intensity_cross_sum().value == 11.522103391966755
+    assert limit_constant(Series.INTENSITY_FOURTH).value == 4.555111825892943
+    assert limit_constant(Series.INTENSITY_CROSS).value == 11.522103391966755
 
 
 @pytest.mark.parametrize("series", list(Series))
@@ -165,8 +164,8 @@ def test_even_harmonic_divergence_scan():
 
 
 def test_constants_bracket_and_order():
-    a = intensity_fourth_sum(depth=10**6)
-    b = intensity_cross_sum(depth=10**6)
+    a, b = (ConstantEstimate(partial_sum(s, 10**6), tail_bound(s, 10**6))
+            for s in (Series.INTENSITY_FOURTH, Series.INTENSITY_CROSS))
     assert isinstance(a, ConstantEstimate)
     assert a.upper == a.value + a.error
     assert float(scipy.special.zeta(1.25)) == pytest.approx(4.5951, abs=1e-4)
