@@ -26,24 +26,21 @@ count of trajectories with an event in it.  run_range and merge join
 contiguous parts with the same _assemble; across blocks the per-n sums are
 combined by an exactly rounded compensated sum, and counts add.
 
-run_range walks the blocks in forked worker processes, as many as
-workers.worker_count allows (CHAOSLAB_THREADS, by default the CPUs this
-process may run on; series uses the same count), or one after another in
-this process when there is one worker or the platform cannot fork.  A
-worker gets only the SimConfig and its block's range, rebuilds the plan
-(_plan: the per-n tables, the diagnostic grid and the windows) and returns
-the block's TrajectoryStats, which holds only what the draws determine.
+run_range walks the blocks with workers.run_tasks, the pool series uses
+too: in forked worker processes, as many as workers.worker_count allows
+(CHAOSLAB_THREADS, by default the CPUs this process may run on), or one
+after another in this process when there is one worker or the platform
+cannot fork.  The plan (_plan: the per-n tables, the diagnostic grid and
+the windows) is built once per config and inherited by the workers; a
+worker gets only the SimConfig and its block's range and returns the
+block's TrajectoryStats, which holds only what the draws determine.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import threading
-import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -53,6 +50,7 @@ from .errors import BadIndexError, ResourceLimitError
 from .pair_model import PairModel, PairTables
 from .streams import BLOCK_SIZE, block_bounds, block_stream, uniform_block
 from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
+from .workers import run_tasks
 from .workers import worker_count as _worker_count  # perfbench/spans.py hooks this name
 
 MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_pair.MODEL}
@@ -346,37 +344,6 @@ def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
                            np.array(suffix_hits, dtype=np.int64), acc.ev_or.sum(axis=1))
 
 
-# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it accepts.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX = -1, -3, 32 << 20
-
-
-def _init_worker(parent: int) -> None:
-    """Set up a forked worker: keep freed heap memory, and exit with the parent.
-
-    glibc hands the free top of its heap back to the system once it exceeds
-    the trim threshold, so every chunk of a block would fault its temporaries
-    in afresh: about 200k page faults, a third of a Poisson block's time at
-    n_max = 10^4.  The worker runs nothing but blocks, so raising the
-    thresholds there changes no one else's allocator.  A worker whose parent
-    is killed would otherwise wait for tasks forever.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):  # not glibc
-        pass
-    else:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 4 * _MMAP_THRESHOLD_MAX)
-
-    def exit_with_parent() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-
-
 def _block_task(config: SimConfig, bounds: tuple[int, int]) -> TrajectoryStats:
     """_walk_block in a worker process, looked up there by name when called."""
     # The pool pickles this function by name; _walk_block itself may be replaced by
@@ -394,8 +361,10 @@ class Plan(NamedTuple):
     windows: tuple[tuple[int, int], ...]  # dyadic_windows
 
 
+@lru_cache(maxsize=1)
 def _plan(config: SimConfig) -> Plan:
-    """The pair tables, the diagnostic grid and the windows of a run."""
+    """The pair tables, the diagnostic grid and the windows of a run; cached,
+    so a run's blocks and result share one plan, which no caller writes to."""
     tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
     grid = default_diagnostic_grid(config.start_n, config.n_max)
     return Plan(tables, grid, dyadic_windows(config.n_max))
@@ -405,8 +374,8 @@ def _plan(config: SimConfig) -> Plan:
 class TrajectoryStats:
     """What the draws of one replication range determine, combinable by blocks.
 
-    The per-n tables, the grid and the windows follow from the config and are
-    derived when first read.
+    The per-n tables, the grid and the windows follow from the config; they
+    are read from _plan.
     """
 
     config: SimConfig
@@ -417,10 +386,7 @@ class TrajectoryStats:
     suffix_hits: np.ndarray        # [n_grid]: count of sup_(n >= g) |F_n| > epsilon
     win_hits: np.ndarray           # [n_windows]: count of the event somewhere in the window
 
-    @cached_property
-    def plan(self) -> Plan:
-        return _plan(self.config)
-
+    plan = property(lambda self: _plan(self.config))
     tables = property(lambda self: self.plan.tables)
     grid = property(lambda self: self.plan.grid)
     windows = property(lambda self: self.plan.windows)
@@ -460,8 +426,9 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
 
     The cost guard, the streams, and the aggregates all see absolute
     trajectory indices, so disjoint ranges combine exactly via merge().
-    With more than one worker the blocks run in forked processes; where
-    fork is not available they run one after another in this process.
+    The blocks run through workers.run_tasks: in forked processes, or one
+    after another in this process with one worker or where fork is not
+    available.
     """
     if not 0 <= lo < hi:
         raise BadIndexError(f"need 0 <= lo < hi, got [{lo}, {hi})")
@@ -474,26 +441,8 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     if config.n_max > MAX_N:
         raise ResourceLimitError(f"n_max={config.n_max} exceeds MAX_N={MAX_N}")
     bounds = block_bounds(lo, hi)
-    workers = _worker_count(len(bounds))
-    if workers > 1:
-        # Imported only here, so that a serial run and every command without an
-        # engine skip the cost.
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker would import numpy and the package
-        # afresh, and with fork the pool starts every worker before its own thread.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            workers, mp_context=context, initializer=_init_worker, initargs=(os.getpid(),)
-        ) as pool:
-            blocks = list(pool.map(_block_task, [config] * len(bounds), bounds))
-    else:
-        blocks = [_walk_block(config, *b) for b in bounds]
+    _plan(config)  # built once, before the workers fork, so that they inherit it
+    blocks = run_tasks(_block_task, [(config, b) for b in bounds], _worker_count(len(bounds)))
     return _assemble(blocks)
 
 

@@ -14,6 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import streams
 from .errors import BadIndexError, DiagonalPairError, NonPositiveLengthError
 from .poisson_pair import intensity
 from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
@@ -80,7 +81,7 @@ def realize(layout: IntervalLayout, rng: np.random.Generator | int) -> PpRealiza
     seed = None
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = streams.generator(seed)
     counts = np.array(
         [sample_poisson(lam, rng) for lam in layout.lengths], dtype=np.int64
     )

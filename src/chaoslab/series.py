@@ -9,9 +9,9 @@ certified by the integral test.
 A partial sum is taken in fixed chunks of _CHUNK terms, each reduced by
 numpy's pairwise sum, and the chunk sums are joined by math.fsum, which is
 exactly rounded: the chunk width alone fixes the bits of the result.  The
-chunks are therefore split across worker threads (as many as
-workers.worker_count allows; numpy's loops release the interpreter lock),
-each evaluating its share into one chunk buffer of its own.
+chunks are therefore split across the worker processes the Monte Carlo
+engine uses too (workers.run_tasks, as many as workers.worker_count
+allows), each evaluating its share into one chunk buffer of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadIndexError, DivergentSeriesError
-from .workers import worker_count
+from .workers import run_tasks, worker_count
 
 _CHUNK = 1 << 20
 # Indices are generated _TILE at a time from a ramp: a whole chunk of them
@@ -83,9 +83,10 @@ def term(series: Series, n) -> np.ndarray | float:
     return out
 
 
-def _chunk_sums(series: Series, starts: range, n_terms: int, ramp: np.ndarray,
-                terms: np.ndarray, tile: np.ndarray) -> list[float]:
-    """Pairwise sums of the chunks beginning at starts, evaluated into terms."""
+def _chunk_sums(series: Series, starts: range, n_terms: int) -> list[float]:
+    """Pairwise sums of the chunks beginning at starts, evaluated into one buffer."""
+    ramp = np.arange(_TILE, dtype=np.float64)
+    terms, tile = np.empty(_CHUNK), np.empty(_TILE)
     sums = []
     for lo in starts:
         size = min(_CHUNK, n_terms - lo + 1)
@@ -104,30 +105,18 @@ def partial_sum(series: Series, n_terms: int) -> float:
     shorter); each chunk is reduced by numpy's pairwise summation and the
     chunk sums are combined by math.fsum, an exactly rounded sum.  The
     chunk width therefore fixes the bits of the result, whatever the number
-    of worker threads and the order in which their chunks finish.  Worker w
-    takes chunks w, w + W, w + 2W, ... and evaluates each in place in its
-    own chunk buffer; the buffers have one fixed size and are allocated in
-    the calling thread.  The float64 indices are a ramp plus an integer
-    offset, which is exact below 2^53.
+    of workers.  Worker w takes chunks w, w + W, w + 2W, ... and evaluates
+    each in place in one chunk buffer of its own.  The float64 indices are
+    a ramp plus an integer offset, which is exact below 2^53.
     """
     start = START[series]
     if n_terms < start:
         raise BadIndexError(f"{series.value} starts at n={start}, got N={n_terms}")
     starts = range(start, n_terms + 1, _CHUNK)
     workers = worker_count(len(starts))
-    ramp = np.arange(_TILE, dtype=np.float64)
-    buffers = [(np.empty(_CHUNK), np.empty(_TILE)) for _ in range(workers)]
-    if workers == 1:
-        return math.fsum(_chunk_sums(series, starts, n_terms, ramp, *buffers[0]))
-    # Imported only here, so that a one-worker process skips the cost.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        shares = [
-            pool.submit(_chunk_sums, series, starts[w::workers], n_terms, ramp, *buffers[w])
-            for w in range(workers)
-        ]
-        return math.fsum(x for share in shares for x in share.result())
+    shares = run_tasks(_chunk_sums, [(series, starts[w::workers], n_terms)
+                                     for w in range(workers)], workers)
+    return math.fsum(x for share in shares for x in share)
 
 
 def tail_bound(series: Series, n_terms: int) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -88,10 +89,34 @@ def test_without_fork_the_blocks_run_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
+    n_terms = 3 * series._CHUNK + 5  # four chunks
+    one_worker_sum = series.partial_sum(series.Series.INTENSITY_CROSS, n_terms)
+
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
     assert stats_equal(mc.run(cfg), serial)
+    assert series.partial_sum(series.Series.INTENSITY_CROSS, n_terms) == one_worker_sum
+
+
+def test_a_run_builds_its_plan_once(monkeypatch):
+    # the blocks of an in-process run and its result share one cached plan
+    model = mc.MODELS["poisson"]
+    calls = []
+
+    def tables(n_values):
+        calls.append(len(n_values))
+        return model.tables(n_values)
+
+    monkeypatch.setitem(mc.MODELS, "poisson", dataclasses.replace(model, tables=tables))
+    monkeypatch.setenv("CHAOSLAB_THREADS", "1")
+    mc._plan.cache_clear()
+    cfg = mc.SimConfig(example="poisson", n_max=30, replications=2 * BLOCK_SIZE + 1, master_seed=2)
+    stats = mc.run(cfg)
+    mc.first_chaos_report(stats)
+    mc.tail_diagnostic(stats)
+    mc._plan.cache_clear()  # no later test reads the plan of the wrapped tables
+    assert calls == [30]
 
 
 def test_worker_tasks_carry_no_arrays(monkeypatch):

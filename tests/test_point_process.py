@@ -74,6 +74,10 @@ def test_realize_provenance_and_reproducibility():
     assert r1.counts.shape == (10,)
     gen = streams.generator(9, 0)
     assert realize(layout, gen).seed is None
+    # an integer seed draws what a SeedSequence of it always drew
+    for seed in (0, 5, 2**31 - 1, 2**40):
+        legacy = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        assert np.array_equal(realize(layout, seed).counts, realize(layout, legacy).counts)
 
 
 def test_realize_batch_moments():

@@ -13,6 +13,7 @@ from chaoslab.series import (
     START,
     ConstantEstimate,
     Series,
+    _chunk_sums,
     limit_constant,
     partial_sum,
     scan_partial_exceeds,
@@ -73,19 +74,28 @@ def test_published_constants_are_pinned():
     assert limit_constant(Series.INTENSITY_CROSS).value == 11.522103391966755
 
 
+def _peak_bytes(fn, *args) -> int:
+    """Peak of the memory tracemalloc sees in this process while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("series", list(Series))
 def test_partial_sum_memory_is_two_chunk_buffers(series, monkeypatch):
-    # numpy reports its data buffers to tracemalloc; each worker owns one
-    # chunk buffer, and a fresh array per chunk would show as one more
+    # numpy reports its data buffers to tracemalloc; each worker evaluates its
+    # chunks into one chunk buffer of its own, so two workers hold two between
+    # them, and a fresh array per chunk would show as one more.  One worker runs
+    # in this process; forked workers leave the parent no buffer at all.
+    n_terms = 4 * _CHUNK + 5
     for workers in (1, 2):
         monkeypatch.setenv("CHAOSLAB_THREADS", str(workers))
-        tracemalloc.start()
-        try:
-            partial_sum(series, 4 * _CHUNK + 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= workers * _CHUNK * 8 + 2**20, workers
+        assert _peak_bytes(partial_sum, series, n_terms) <= _CHUNK * 8 + 2**20, workers
+    starts = range(START[series], n_terms + 1, _CHUNK)
+    assert _peak_bytes(_chunk_sums, series, starts, n_terms) <= _CHUNK * 8 + 2**20
 
 
 def test_partial_sum_examples():
