@@ -26,14 +26,14 @@ count of trajectories with an event in it.  run_range and merge join
 contiguous parts with the same _assemble; across blocks the per-n sums are
 combined by an exactly rounded compensated sum, and counts add.
 
-run_range walks the blocks with workers.run_tasks, the pool series uses
-too: in forked worker processes, as many as workers.worker_count allows
-(CHAOSLAB_THREADS, by default the CPUs this process may run on), or one
-after another in this process when there is one worker or the platform
-cannot fork.  The plan (_plan: the per-n tables, the diagnostic grid and
-the windows) is built once per config and inherited by the workers; a
-worker gets only the SimConfig and its block's range and returns the
-block's TrajectoryStats, which holds only what the draws determine.
+run_range walks the blocks with workers.run_tasks: in forked worker
+processes, as many as workers.worker_count allows (CHAOSLAB_THREADS, by
+default the CPUs this process may run on), or one after another in this
+process when there is one worker or the platform cannot fork.  The plan
+(_plan: the per-n tables, the diagnostic grid and the windows) is built
+once per config and inherited by the workers; a worker gets only the
+SimConfig and its block's range and returns the block's TrajectoryStats,
+which holds only what the draws determine.
 """
 
 from __future__ import annotations

@@ -40,11 +40,11 @@ def intensity(k) -> np.ndarray | float:
 
 
 def term(n: int, y_even: int, y_odd: int) -> float:
-    """F_n in collapsed form X_2n * Y_2n+1."""
+    """F_n in collapsed form X_2n * Y_2n+1; a zero F_n is 0.0, never -0.0."""
     if n < START_N:
         raise BadIndexError(f"pair index must be >= {START_N}")
     x_even = poisson_normalize(intensity(2 * n), y_even)
-    return x_even * y_odd
+    return x_even * y_odd if y_odd else 0.0
 
 
 def term_components(n: int, y_even: int, y_odd: int) -> tuple[float, float]:

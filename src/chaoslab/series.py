@@ -3,32 +3,26 @@
 Four number series drive the almost-sure arguments: the joint-sign event
 series sum n^(-1-1/sqrt(log n)), the fourth-power intensity series
 sum n^(-5/4), the cross-intensity series sum n^(-17/16), and the divergent
-even-index harmonic series sum 1/n.  Tails of the convergent ones are
-certified by the integral test.
+even-index harmonic series sum 1/n.  The integral test certifies the tails
+of the convergent ones; Euler-Maclaurin, the limits zeta(5/4) and zeta(17/16).
 
 A partial sum is taken in fixed chunks of _CHUNK terms, each reduced by
 numpy's pairwise sum, and the chunk sums are joined by math.fsum, which is
-exactly rounded: the chunk width alone fixes the bits of the result.  The
-chunks are therefore split across the worker processes the Monte Carlo
-engine uses too (workers.run_tasks, as many as workers.worker_count
-allows), each evaluating its share into one chunk buffer of its own.
+exactly rounded: the chunk width alone fixes the bits of the result.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadIndexError, DivergentSeriesError
-from .workers import run_tasks, worker_count
 
 _CHUNK = 1 << 20
-# Indices are generated _TILE at a time from a ramp: a whole chunk of them
-# would be a second chunk buffer per worker.
+# Indices come _TILE at a time from a ramp: a chunk of them would be a second buffer.
 _TILE = 1 << 14
 
 
@@ -51,9 +45,9 @@ _POWER = {
     Series.INTENSITY_CROSS: 17.0 / 16.0,
 }
 
-# Depth cap for the limit constants; the integral-test tail at this depth
-# is the certified error.
-CONSTANT_DEPTH = 10**8
+# The Euler-Maclaurin cut of limit_constant, and B_2, ..., B_14 (DLMF Table 24.2.1).
+_EM_CUT = 10
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
 
 
 def _evaluate(series: Series, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -83,40 +77,28 @@ def term(series: Series, n) -> np.ndarray | float:
     return out
 
 
-def _chunk_sums(series: Series, starts: range, n_terms: int) -> list[float]:
-    """Pairwise sums of the chunks beginning at starts, evaluated into one buffer."""
+def partial_sum(series: Series, n_terms: int) -> float:
+    """Sum of terms from the series start through n_terms inclusive.
+
+    Chunks of 2^20 indices (the last one shorter) are evaluated in place in
+    one buffer and reduced by numpy's pairwise sum; math.fsum, exactly
+    rounded, adds the chunk sums, so the chunk width fixes the bits.  The
+    float64 indices are a ramp plus an integer offset, exact below 2^53.
+    """
+    start = START[series]
+    if n_terms < start:
+        raise BadIndexError(f"{series.value} starts at n={start}, got N={n_terms}")
     ramp = np.arange(_TILE, dtype=np.float64)
     terms, tile = np.empty(_CHUNK), np.empty(_TILE)
     sums = []
-    for lo in starts:
+    for lo in range(start, n_terms + 1, _CHUNK):
         size = min(_CHUNK, n_terms - lo + 1)
         for off in range(0, size, _TILE):
             width = min(_TILE, size - off)
             x = np.add(ramp[:width], lo + off, out=tile[:width])
             _evaluate(series, x, terms[off:off + width])
         sums.append(float(terms[:size].sum()))
-    return sums
-
-
-def partial_sum(series: Series, n_terms: int) -> float:
-    """Sum of terms from the series start through n_terms inclusive.
-
-    The terms are taken in fixed chunks of 2^20 indices (the last one
-    shorter); each chunk is reduced by numpy's pairwise summation and the
-    chunk sums are combined by math.fsum, an exactly rounded sum.  The
-    chunk width therefore fixes the bits of the result, whatever the number
-    of workers.  Worker w takes chunks w, w + W, w + 2W, ... and evaluates
-    each in place in one chunk buffer of its own.  The float64 indices are
-    a ramp plus an integer offset, which is exact below 2^53.
-    """
-    start = START[series]
-    if n_terms < start:
-        raise BadIndexError(f"{series.value} starts at n={start}, got N={n_terms}")
-    starts = range(start, n_terms + 1, _CHUNK)
-    workers = worker_count(len(starts))
-    shares = run_tasks(_chunk_sums, [(series, starts[w::workers], n_terms)
-                                     for w in range(workers)], workers)
-    return math.fsum(x for share in shares for x in share)
+    return math.fsum(sums)
 
 
 def tail_bound(series: Series, n_terms: int) -> float:
@@ -152,11 +134,29 @@ class ConstantEstimate(NamedTuple):
         return self.value + self.error
 
 
-@lru_cache(maxsize=None)
 def limit_constant(series: Series) -> ConstantEstimate:
-    """The limit of a convergent series, bracketed by its partial sum at depth
-    CONSTANT_DEPTH plus the tail bound there."""
-    return ConstantEstimate(partial_sum(series, CONSTANT_DEPTH), tail_bound(series, CONSTANT_DEPTH))
+    """zeta(s) for the power series sum n^(-s), in a bracket that contains it.
+
+    Euler-Maclaurin at N = _EM_CUT (DLMF §2.10(i); for zeta, §25.2): math.fsum
+    adds n^(-s) for n < N, N^(1-s)/(s-1), N^(-s)/2 and, for k = 1..6, the
+    corrections B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k).  Every derivative of
+    x^(-s) has constant sign, so the remainder lies between 0 and the k = 7
+    correction.  A term takes one pow (glibc: within 1 ulp), one correctly
+    rounded integer division and a product; 2^-46 of the terms' absolute sum,
+    on both ends, covers these roundings.
+    """
+    s = _POWER[series]
+    p, q = s.as_integer_ratio()  # s = p/q exactly
+    scale = _EM_CUT ** -s
+    terms = [n ** -s for n in range(1, _EM_CUT)]
+    terms += [scale * (_EM_CUT * q / (p - q)), scale / 2.0]
+    for k, (num, den) in enumerate(_BERNOULLI, 1):
+        rising = math.prod(p + j * q for j in range(2 * k - 1))  # q^(2k-1) s(s+1)...(s+2k-2)
+        coef = num * rising / (den * math.factorial(2 * k) * (q * _EM_CUT) ** (2 * k - 1))
+        terms.append(scale * coef)
+    omitted = terms.pop()  # B_14 > 0, so the remainder lies in [0, omitted]
+    total, rounding = math.fsum(terms), 2.0**-46 * math.fsum(map(abs, terms))
+    return ConstantEstimate(total - rounding, omitted + 2.0 * rounding)
 
 
 def scan_partial_exceeds(series: Series, threshold: float, n_cap: int = 2**40) -> int:

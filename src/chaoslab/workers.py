@@ -1,8 +1,6 @@
-"""How many workers a parallel step may use, and how its tasks run on them.
+"""How many workers the Monte Carlo engine may use, and how its tasks run on them.
 
-Both parallel steps, the Monte Carlo blocks (mc) and the chunks of a series
-partial sum (series), size and run their tasks here.  This lives apart from
-both because mc imports series, through poisson_pair.
+Only mc runs tasks here: the blocks of a Monte Carlo run are the one parallel step.
 """
 
 from __future__ import annotations

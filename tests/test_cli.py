@@ -14,7 +14,7 @@ from chaoslab.cli import build_csv, main
 from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
 from chaoslab.series import Series, tail_bound
-from chaoslab import mc, poisson_moments, streams
+from chaoslab import mc, poisson_moments, poisson_pair, streams
 
 
 def run_cli(capsys, *argv):
@@ -117,13 +117,10 @@ def test_series_below_three_terms_has_no_bracket(capsys):
         assert {r["label"]: r["value"] for r in rows if "tail_bound" in r["label"]} == tails
 
 
-def test_series_usage_error(capsys, monkeypatch):
+def test_series_usage_error(capsys):
     code, _, err = run_cli(capsys, "series", "--series", "bc_twopoint", "--n", "1")
     assert code == 1
     assert "usage error" in err
-    monkeypatch.setenv("CHAOSLAB_THREADS", "many")
-    code, _, err = run_cli(capsys, "series")
-    assert code == 1 and err.startswith("usage error: CHAOSLAB_THREADS")
 
 
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):
@@ -204,7 +201,8 @@ def test_decompose_degenerate_cases(capsys):
         )
         assert code == 0
         rows = {r["label"]: r for r in json.loads(out)["rows"]}
-        assert rows["collapsed value"]["value"] == 0.0
+        # X_2n < 0 at counts 0,0: the zero F_n must not print as -0
+        assert math.copysign(1.0, rows["collapsed value"]["value"]) == 1.0, counts
         assert rows["order-2 projection"]["value"] == pytest.approx(
             -rows["order-1 projection"]["value"], rel=1e-12
         )
@@ -236,6 +234,24 @@ def test_tail_command(capsys):
     assert len(not_applicable) == 1 and not_applicable[0]["pass"] is None
     checked = [r for r in rows if "vs sup tail bound" in r["label"]]
     assert len(checked) == 2 and all(r["pass"] for r in checked)
+
+
+def test_tail_rows_say_when_the_sup_bound_is_vacuous(capsys, monkeypatch):
+    argv = ("tail", "--t-grid", "9,16", "--n-max", "50", "--reps", "4000", "--format", "json")
+    checked, vacuous = "3se vs sup tail bound", " (bound >= 1: vacuous)"
+    # the real bound is above 1 at every t; the stand-in crosses 1 between 9 and 16
+    for bound, suffixes in (
+        (poisson_pair.sup_tail_bound, {9.0: vacuous, 16.0: vacuous}),
+        (lambda t: 1.0 if t == 9.0 else 0.999, {9.0: vacuous, 16.0: ""}),
+    ):
+        monkeypatch.setattr(poisson_pair, "sup_tail_bound", bound)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = [r for r in json.loads(out)["rows"] if checked in r["label"]]
+        assert [r["label"] for r in rows] == [
+            f"P(window sup > {t:g}) - {checked}{suffix}" for t, suffix in suffixes.items()
+        ]
+        assert all(r["pass"] for r in rows)
 
 
 def test_tail_empty_grid_is_usage_error(capsys):
@@ -318,8 +334,7 @@ def test_simulate_bytes_do_not_depend_on_worker_processes(tmp_path):
 
 
 def test_series_and_tail_bytes_do_not_depend_on_worker_threads():
-    # the depth-10^8 constants on one thread and split across two; tail's two
-    # blocks also run forked at two workers
+    # tail's two blocks run forked at two workers; series runs in this process
     commands = (["series", "--series", "all"],
                 ["tail", "--n-max", "300", "--reps", str(2 * streams.BLOCK_SIZE)])
     for argv in commands:

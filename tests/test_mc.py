@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from chaoslab import mc, poisson_pair, series, two_point, workers
+from chaoslab import mc, poisson_pair, two_point, workers
 from chaoslab.errors import BadIndexError, ResourceLimitError
 from chaoslab.streams import BLOCK_SIZE
 
@@ -63,8 +63,7 @@ def test_thread_count_invariance(monkeypatch, example):
 
 
 def test_worker_count_follows_usable_cpus(monkeypatch):
-    # one definition serves the engine and the series partial sums
-    assert mc._worker_count is series.worker_count is workers.worker_count
+    assert mc._worker_count is workers.worker_count
     monkeypatch.delenv("CHAOSLAB_THREADS", raising=False)
     monkeypatch.setattr(workers.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -89,14 +88,10 @@ def test_without_fork_the_blocks_run_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    n_terms = 3 * series._CHUNK + 5  # four chunks
-    one_worker_sum = series.partial_sum(series.Series.INTENSITY_CROSS, n_terms)
-
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
     assert stats_equal(mc.run(cfg), serial)
-    assert series.partial_sum(series.Series.INTENSITY_CROSS, n_terms) == one_worker_sum
 
 
 def test_a_run_builds_its_plan_once(monkeypatch):

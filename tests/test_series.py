@@ -13,7 +13,6 @@ from chaoslab.series import (
     START,
     ConstantEstimate,
     Series,
-    _chunk_sums,
     limit_constant,
     partial_sum,
     scan_partial_exceeds,
@@ -57,21 +56,23 @@ def frozen_partial_sum(series: Series, n_terms: int) -> float:
 
 
 @pytest.mark.parametrize("series", list(Series))
-def test_partial_sum_is_bitwise_the_frozen_reference(series, monkeypatch):
+def test_partial_sum_is_bitwise_the_frozen_reference(series):
     start = START[series]
-    edges = (start, 3, 1000, 10**6, FROZEN_CHUNK + start - 1, FROZEN_CHUNK + start,
-             3 * FROZEN_CHUNK + 17)
-    expected = {n: frozen_partial_sum(series, n) for n in edges}
-    # 3 * FROZEN_CHUNK + 17 has four chunks: three workers share them unevenly
-    for workers in ("1", "2", "3"):
-        monkeypatch.setenv("CHAOSLAB_THREADS", workers)
-        for n in edges:
-            assert partial_sum(series, n) == expected[n], (workers, n)
+    for n in (start, 3, 1000, 10**6, FROZEN_CHUNK + start - 1, FROZEN_CHUNK + start,
+              3 * FROZEN_CHUNK + 17):
+        assert partial_sum(series, n) == frozen_partial_sum(series, n), n
 
 
-def test_published_constants_are_pinned():
-    assert limit_constant(Series.INTENSITY_FOURTH).value == 4.555111825892943
-    assert limit_constant(Series.INTENSITY_CROSS).value == 11.522103391966755
+def test_limit_constants_are_certified():
+    for series, s, value in ((Series.INTENSITY_FOURTH, 5.0 / 4.0, 4.595111825842877),
+                             (Series.INTENSITY_CROSS, 17.0 / 16.0, 16.581747646654787)):
+        c = limit_constant(series)
+        assert c.value <= float(scipy.special.zeta(s)) <= c.upper, series
+        assert c.error <= 1e-12, series
+        # inside the integral-test bracket at depth 10^6
+        lo = partial_sum(series, 10**6)
+        assert lo <= c.value and c.upper <= lo + tail_bound(series, 10**6), series
+        assert c.value == value, series
 
 
 def _peak_bytes(fn, *args) -> int:
@@ -85,17 +86,10 @@ def _peak_bytes(fn, *args) -> int:
 
 
 @pytest.mark.parametrize("series", list(Series))
-def test_partial_sum_memory_is_two_chunk_buffers(series, monkeypatch):
-    # numpy reports its data buffers to tracemalloc; each worker evaluates its
-    # chunks into one chunk buffer of its own, so two workers hold two between
-    # them, and a fresh array per chunk would show as one more.  One worker runs
-    # in this process; forked workers leave the parent no buffer at all.
-    n_terms = 4 * _CHUNK + 5
-    for workers in (1, 2):
-        monkeypatch.setenv("CHAOSLAB_THREADS", str(workers))
-        assert _peak_bytes(partial_sum, series, n_terms) <= _CHUNK * 8 + 2**20, workers
-    starts = range(START[series], n_terms + 1, _CHUNK)
-    assert _peak_bytes(_chunk_sums, series, starts, n_terms) <= _CHUNK * 8 + 2**20
+def test_partial_sum_memory_is_two_chunk_buffers(series):
+    # numpy reports its data buffers to tracemalloc; the chunks are evaluated
+    # into one chunk buffer, and a fresh array per chunk would show as one more
+    assert _peak_bytes(partial_sum, series, 4 * _CHUNK + 5) <= _CHUNK * 8 + 2**20
 
 
 def test_partial_sum_examples():
