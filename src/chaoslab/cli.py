@@ -138,33 +138,35 @@ def cmd_series(args) -> int:
     return _emit(report, args.format)
 
 
-def _format_cell(x: float) -> str:
-    return repr(float(x))
+def _cells(values: list[float], stderrs: list[float]) -> list[str]:
+    """The value and stderr cells of CSV rows; a nan stderr gives an empty cell."""
+    se_cells = ("" if se == "nan" else se for se in map(repr, stderrs))
+    return [f"{v},{se}" for v, se in zip(map(repr, values), se_cells)]
 
 
 def build_csv(stats: mc.TrajectoryStats) -> str:
     """Fixed 4-column per-n series; stderr is empty on degenerate runs."""
-    lines = ["n,stat,value,stderr"]
-
-    def se_cell(se: float) -> str:
-        return "" if math.isnan(se) else _format_cell(se)
-
     columns = [
         ("f_mean", *stats.mean_with_stderr("f")),
         ("f_sq_mean", *stats.mean_with_stderr("f_sq")),
         ("f_abs52_mean", *stats.mean_with_stderr("f_abs52")),
         ("j1_mean", *stats.j1_mean()),
     ]
-    for i, n in enumerate(stats.tables.n_values):
-        for name, vals, ses in columns:
-            lines.append(f"{n},{name},{_format_cell(vals[i])},{se_cell(ses[i])}")
-    for n0, est in mc.tail_diagnostic(stats):
-        lines.append(f"{n0},sup_exceed_prob,{_format_cell(est.mean)},{se_cell(est.stderr)}")
-    for w in mc.first_chaos_report(stats):
-        lines.append(
-            f"{w.n_lo},window_event_prob,{_format_cell(w.estimate.mean)},"
-            f"{se_cell(w.estimate.stderr)}"
-        )
+    n_values = stats.tables.n_values
+    lines = ["n,stat,value,stderr"]
+    # Each column is formatted at once from Python floats, faster than from
+    # numpy scalars; 256 rows at a time, so that no second copy of the
+    # output is held.
+    for lo in range(0, n_values.size, 256):
+        part = slice(lo, lo + 256)
+        cells = [[f"{name},{cell}" for cell in _cells(vals[part].tolist(), ses[part].tolist())]
+                 for name, vals, ses in columns]
+        lines += [f"{n},{cell}" for n, *row in zip(n_values[part].tolist(), *cells)
+                  for cell in row]
+    diag = [(n0, "sup_exceed_prob", est) for n0, est in mc.tail_diagnostic(stats)]
+    diag += [(w.n_lo, "window_event_prob", w.estimate) for w in mc.first_chaos_report(stats)]
+    cells = _cells([est.mean for *_, est in diag], [est.stderr for *_, est in diag])
+    lines += [f"{n},{name},{cell}" for (n, name, _), cell in zip(diag, cells)]
     return "\n".join(lines) + "\n"
 
 

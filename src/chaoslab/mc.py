@@ -9,20 +9,24 @@ kept statistic follows from the nonzero counts alone.
 
 Trajectories are simulated in fixed blocks of BLOCK_SIZE.  A block walks
 the pair indices upward in chunks of rows holding about _CHUNK_DRAWS
-expected nonzero counts; in each chunk and for each parity it draws the
-positions of the nonzero counts by geometric skipping, then their values,
-from the parity's stream of that block (see streams).  Results are
-therefore bitwise identical for any worker count and any replication split
-along block boundaries.
+expected nonzero counts; in each chunk and for each parity it draws, from
+the parity's stream of that block (see streams), the positions of the
+nonzero counts by geometric skipping, then which of them exceed 1 by
+geometric skipping over the nonzero counts with the thinning probability
+P(C >= 2 | C >= 1), then the value of each count above 1.  A nonzero
+count is 1 unless drawn otherwise, so the two-point signs draw only their
+positions.  Results are therefore bitwise identical for any worker count
+and any replication split along block boundaries.
 
 Per chunk the draws reduce to per-n sums (STAT_NAMES): X_2n sums from the
 integer sums of the even counts, F_n sums over the odd draws row by row,
 with X_2n taken from the even count where both counts of a trajectory are
-nonzero, and the recurrence events {Y_2n = 1}.  A block also keeps, per
-trajectory, the supremum of |F_n| over the whole range (sup_exceedance
-takes any threshold) and the last n with |F_n| > SimConfig.epsilon, which
-gives the tail diagnostic as one count per grid point; and per window the
-count of trajectories with an event in it.  run_range and merge join
+nonzero and multiplied by the odd count only where it exceeds 1, and the
+recurrence events {Y_2n = 1}.  A block also keeps, per trajectory, the
+supremum of |F_n| over the whole range (sup_exceedance takes any
+threshold) and the last n with |F_n| > SimConfig.epsilon, which gives the
+tail diagnostic as one count per grid point; and per window the count of
+trajectories with an event in it.  run_range and merge join
 contiguous parts with the same _assemble; across blocks the per-n sums are
 combined by an exactly rounded compensated sum, and counts add.
 
@@ -124,7 +128,7 @@ def dyadic_windows(n_max: int) -> tuple[tuple[int, int], ...]:
 # nonzero counts plus the spare gaps.  It bounds the size of a chunk's
 # arrays; smaller chunks cost more numpy calls per count, larger ones more
 # peak memory.
-_CHUNK_DRAWS = 1 << 15
+_CHUNK_DRAWS = 1 << 16
 # Gaps drawn per row beyond the expected count of nonzero slots, in
 # standard deviations; a row whose gaps end short of its last slot draws
 # more (_top_up).
@@ -134,17 +138,24 @@ _SPARE_SD = 4.0
 class Draws(NamedTuple):
     """The nonzero counts of one parity in one chunk, in ascending (row, pos)."""
 
-    rows: np.ndarray     # row within the chunk
-    pos: np.ndarray      # trajectory offset within the block
-    counts: np.ndarray   # the counts, all >= 1
-    per_row: np.ndarray  # number of nonzero counts in each row of the chunk
+    rows: np.ndarray      # row within the chunk
+    pos: np.ndarray       # trajectory offset within the block
+    per_row: np.ndarray   # number of nonzero counts in each row of the chunk
+    multi: np.ndarray     # ascending indices into pos of the counts >= 2; the rest are 1
+    multi_counts: np.ndarray  # those counts
+
+    def counts(self) -> np.ndarray:
+        """Every nonzero count, in the order of pos."""
+        counts = np.ones(self.pos.size, dtype=np.int64)
+        counts[self.multi] = self.multi_counts
+        return counts
 
 
 def _gaps(u: np.ndarray, inv_log: np.ndarray, width: int) -> np.ndarray:
     """Geometric trial counts by inversion: P(gap > k) = (1 - q)^k, k >= 0.
 
-    inv_log is 1 / log(1 - q); gaps beyond the row width are cut to it.
-    The uniforms u are overwritten.
+    inv_log is 1 / log(1 - q); gaps beyond `width`, the widest row, are cut
+    to it.  The uniforms u are overwritten.
     """
     np.negative(u, out=u)
     np.log1p(u, out=u)
@@ -172,55 +183,73 @@ def _gap_counts(q: np.ndarray, width: int) -> np.ndarray:
     return (np.ceil(expected + _SPARE_SD * np.sqrt(expected)) + 1).astype(np.int64)
 
 
-def _nonzero_slots(stream, inv_log: np.ndarray, n_gaps: np.ndarray, width: int):
+def _nonzero_slots(stream, inv_log: np.ndarray, n_gaps: np.ndarray, width: int | np.ndarray):
     """Positions of the nonzero slots, row-major, and their count per row.
 
-    Slot (j, r), r < width, is nonzero with probability q[j], independently
-    of every other slot; inv_log[j] is 1 / log(1 - q[j]).  Row j draws
-    n_gaps[j] geometric gaps; the gaps past the row's end are dropped, which
-    the memoryless gaps allow, and a row whose gaps end short of it draws
-    more.
+    Slot (j, r), r < width[j], is nonzero with probability q[j],
+    independently of every other slot; inv_log[j] is 1 / log(1 - q[j]), and
+    an int width is the width of every row.  Row j draws n_gaps[j] >= 1
+    geometric gaps; the gaps past the row's end are dropped, which the
+    memoryless gaps allow, and a row whose gaps end short of it draws more.
     """
     ends = np.cumsum(n_gaps)
-    pos = _gaps(uniform_block(stream, int(ends[-1])), np.repeat(inv_log, n_gaps), width)
+    widest = int(np.max(width))
+    pos = _gaps(uniform_block(stream, int(ends[-1])), np.repeat(inv_log, n_gaps), widest)
     np.cumsum(pos, out=pos)
     before = np.concatenate(([0], pos[ends[:-1] - 1]))  # trials before each row
     pos -= np.repeat(before + 1, n_gaps)
     first = ends - n_gaps
     last = pos[ends - 1]
-    keep = pos < width
+    keep = pos < (np.repeat(width, n_gaps) if np.ndim(width) else width)
     per_row = np.add.reduceat(keep, first, dtype=np.int64)
     pos = np.compress(keep, pos)
     short = np.flatnonzero(last < width)
     if short.size:
-        extra = [_top_up(stream, inv_log[j], last[j], width, n_gaps[j]) for j in short]
+        widths = np.broadcast_to(width, n_gaps.shape)
+        extra = [_top_up(stream, inv_log[j], last[j], widths[j], n_gaps[j]) for j in short]
         rows = np.repeat(np.arange(n_gaps.size), per_row)
         rows = np.concatenate([rows, *(np.full(e.size, j) for j, e in zip(short, extra))])
         pos = np.concatenate([pos, *extra])
-        order = np.argsort(rows * width + pos)
+        order = np.argsort(rows * widest + pos)
         pos = pos[order]
         per_row = np.bincount(rows, minlength=n_gaps.size)
     return pos, per_row
 
 
-def _truncated_counts(stream, rate: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Zero-truncated Poisson(rate[row]) counts by inversion, one uniform each.
+# Terms of g(x) = 2 sum_k x^k / (k + 2)!, highest first: for x <= 1 the
+# omitted terms are below 2^-53 of g.
+_G_TERMS = tuple(2.0 / math.factorial(k + 2) for k in reversed(range(18)))
 
-    Rate 0 is the point mass at 1; a chunk whose rates are all 0 draws nothing.
+
+def _count_law(rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) for C ~ Poisson(rate), rate > 0.
+
+    Both rest on e^rate - 1 - rate = rate^2 g(rate) / 2, where g is summed
+    term by term for rate <= 1, so that no digits cancel at small rates.
     """
-    counts = np.ones(rows.size, dtype=np.int64)
-    if not rate.any():
-        return counts
-    u = uniform_block(stream, rows.size)
-    p_one = np.divide(rate, np.expm1(rate), out=np.ones_like(rate), where=rate > 0)
-    live = (u >= p_one[rows]).nonzero()[0]  # the counts above 1
-    lam = rate[rows[live]]
-    term = cdf = p_one[rows[live]]
-    k = 1
+    g = np.zeros_like(rate)
+    for c in _G_TERMS:
+        g = g * rate + c
+    large = rate > 1.0
+    g[large] = 2.0 * (np.expm1(rate[large]) - rate[large]) / (rate[large] * rate[large])
+    return 0.5 * rate * rate * g / np.expm1(rate), 1.0 / g
+
+
+def _counts_above_one(stream, rate: np.ndarray, p_two: np.ndarray) -> np.ndarray:
+    """Counts of C ~ Poisson(rate[j]) given C >= 2, by inversion, one uniform each.
+
+    p_two[j] is P(C = 2 | C >= 2) for the row j of each count.
+    """
+    u = uniform_block(stream, rate.size)
+    counts = np.full(rate.size, 2, dtype=np.int64)
+    live = (u >= p_two).nonzero()[0]  # the counts above 2
+    lam = rate[live]
+    term = cdf = p_two[live]
+    k = 2
     while live.size:
         k += 1
         counts[live] = k
-        term = term * lam / k  # P(count = k | count > 0)
+        term = term * lam / k  # P(C = k | C >= 2)
         if not term.any():  # the rest of the tail is below the smallest double
             break
         cdf = cdf + term
@@ -249,19 +278,33 @@ def sparse_draws(
 
     Yields (j0, j1, even, odd): the chunk's rows [j0, j1) and the Draws of
     Y_2n and C_2n+1 there, for the first `width` trajectories of the block.
-    Each parity's stream gives, per chunk, the positions, then the counts.
+    Per chunk, each parity's stream gives the positions of the nonzero
+    counts; then, where the rates are positive, which of them are >= 2, by
+    geometric skipping over each row's nonzero slots with the thinning
+    probability P(C >= 2 | C >= 1); then one uniform for each count >= 2.
     """
-    laws = [
-        (block_stream(master_seed, parity, block), 1.0 / np.log1p(-q), _gap_counts(q, width), rate)
-        for parity, q, rate in ((0, tables.q_even, tables.rate_even),
-                                (1, tables.q_odd, tables.rate_odd))
-    ]
+    laws = []
+    for parity, q, rate in ((0, tables.q_even, tables.rate_even),
+                            (1, tables.q_odd, tables.rate_odd)):
+        if rate.any() and not rate.all():
+            raise ValueError("a parity's truncated-Poisson rates must be all 0 or all positive")
+        r, p_two = _count_law(rate) if rate.any() else (None, None)
+        laws.append((block_stream(master_seed, parity, block), 1.0 / np.log1p(-q),
+                     _gap_counts(q, width), rate, r, p_two))
     for j0, j1 in _chunk_bounds(laws[0][2] + laws[1][2]):
         parts = []
-        for stream, inv_log, n_gaps, rate in laws:
+        for stream, inv_log, n_gaps, rate, r, p_two in laws:
             pos, per_row = _nonzero_slots(stream, inv_log[j0:j1], n_gaps[j0:j1], width)
             rows = np.repeat(np.arange(j1 - j0), per_row)
-            parts.append(Draws(rows, pos, _truncated_counts(stream, rate[j0:j1], rows), per_row))
+            multi = multi_counts = np.zeros(0, dtype=np.int64)  # every count is 1
+            if r is not None:
+                r_rows = r[j0:j1]
+                k, per_row_multi = _nonzero_slots(
+                    stream, 1.0 / np.log1p(-r_rows), _gap_counts(r_rows, per_row), per_row)
+                multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
+                multi_rows = rows[multi] + j0
+                multi_counts = _counts_above_one(stream, rate[multi_rows], p_two[multi_rows])
+            parts.append(Draws(rows, pos, per_row, multi, multi_counts))
         yield j0, j1, *parts
 
 
@@ -303,14 +346,14 @@ class _Block:
         """Reduce the draws of rows [j0, j1)."""
         width = self.width
         loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
-        y = even.counts
+        y = even.counts()
         sum_y, sum_y2 = _row_sums(np.stack([y, y * y]), even.per_row).astype(np.float64)
         # X_2n where F_n may be nonzero: its zero-count value unless Y_2n != 0 too
         f = np.repeat(-loc / scale, odd.per_row)
         at, both = _both_nonzero(even, odd, width)
         rows = even.rows[both]
         f[at] = (y[both] - loc[rows]) / scale[rows]
-        f *= odd.counts
+        f[odd.multi] *= odd.multi_counts
         abs_f = np.abs(f)
         f_sq = f * f
         block = self.sums[j0:j1]

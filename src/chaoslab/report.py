@@ -61,11 +61,12 @@ def render_text(report: Report) -> str:
         )
     if report.seed is not None:
         lines.append(f"seed: {report.seed}")
-    lines.append(f"{'label':<52} {'value':>20} {'bound':>20} {'status':>6} {'stderr':>12}")
+    width = max([52, *(len(r.label) for r in report.rows)])  # the label column
+    lines.append(f"{'label':<{width}} {'value':>20} {'bound':>20} {'status':>6} {'stderr':>12}")
     for r in report.rows:
         status = "" if r.passed is None else ("PASS" if r.passed else "FAIL")
         lines.append(
-            f"{r.label:<52} {_fmt(r.value):>20} {_fmt(r.bound):>20} "
+            f"{r.label:<{width}} {_fmt(r.value):>20} {_fmt(r.bound):>20} "
             f"{status:>6} {_fmt(r.stderr):>12}"
         )
     n_checked = sum(r.passed is not None for r in report.rows)

@@ -6,23 +6,27 @@ counter-based Philox streams, one for the even variables Y_2n (parity 0)
 and one for the odd variables Y_2n+1 (parity 1), keyed directly by
 ``(master seed, 2 * block + parity)`` without a SeedSequence.  Each stream
 is consumed in ascending n, chunk by chunk, and only where a count is
-nonzero: the positions of the nonzero counts by geometric skipping, then
-their values (see mc.sparse_draws).  The draws of a block are therefore a
-function of the seed, the construction, n_max, the block and its width,
-never of the worker count or of how the replications are split along
-block boundaries; a full block's draws do not depend on the total
-replication count.
+nonzero.  Per chunk it gives, in this order: the positions of the nonzero
+counts, by geometric skipping over the trajectories of each row; where the
+counts are Poisson, which of those counts are at least 2, by geometric
+skipping over each row's nonzero counts; and one uniform for each count
+of at least 2, inverted on the law of the count given that it is at least
+2 (see mc.sparse_draws).  The draws of a block are therefore a function of
+the seed, the construction, n_max, the block and its width, never of the
+worker count or of how the replications are split along block boundaries;
+a full block's draws do not depend on the total replication count.
 
 LAYOUT_VERSION names this layout and changes whenever the same seed would
 give different draws.  Version 1 gave every (variable index, block) pair
-its own stream and one uniform per trajectory.
+its own stream and one uniform per trajectory; version 2 drew the
+positions, then one uniform for every nonzero Poisson count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-LAYOUT_VERSION = 2
+LAYOUT_VERSION = 3
 BLOCK_SIZE = 1 << 14
 
 

@@ -55,8 +55,8 @@ def sparse_counts(config: mc.SimConfig, tables, block: int, width: int):
     y_even = np.zeros((rows, width), dtype=np.int64)
     c_odd = np.zeros((rows, width), dtype=np.int64)
     for j0, _, even, odd in mc.sparse_draws(tables, config.master_seed, block, width):
-        y_even[j0 + even.rows, even.pos] = even.counts
-        c_odd[j0 + odd.rows, odd.pos] = odd.counts
+        y_even[j0 + even.rows, even.pos] = even.counts()
+        c_odd[j0 + odd.rows, odd.pos] = odd.counts()
     return y_even, c_odd
 
 

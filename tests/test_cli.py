@@ -254,6 +254,32 @@ def test_tail_rows_say_when_the_sup_bound_is_vacuous(capsys, monkeypatch):
         assert all(r["pass"] for r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ("tail", "--t-grid", "9,100", "--n-max", "50", "--reps", "4000", "--seed", "3"),
+    ("series", "--series", "all", "--n", "10000"),
+])
+def test_text_columns_line_up_with_the_header(capsys, argv):
+    # labels longer than the default 52 columns widen the label column, so
+    # every value, bound and status cell stays under its heading
+    _, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    top = next(i for i, line in enumerate(lines) if line.startswith("label "))
+    header, rows = lines[top], lines[top + 1 : -1]
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    expected = json.loads(out)["rows"]
+    assert len(rows) == len(expected) and max(len(r["label"]) for r in expected) > 52
+    value_end, bound_end, status_end = (
+        header.index(h) + len(h) for h in ("value", "bound", "status"))
+    for line, row in zip(rows, expected):
+        assert line[: value_end - 20].rstrip() == row["label"]
+        assert line[value_end - 20 : value_end].strip() == f"{row['value']:.12g}"
+        bound = "" if row["bound"] is None else f"{row['bound']:.12g}"
+        assert line[value_end : bound_end].strip() == bound
+        status = {None: "", True: "PASS", False: "FAIL"}[row["pass"]]
+        assert line[bound_end : status_end].strip() == status
+    assert lines[-1].startswith("checks: ")
+
+
 def test_tail_empty_grid_is_usage_error(capsys):
     assert run_cli(capsys, "tail", "--t-grid", "")[0] == 1
 
@@ -409,7 +435,7 @@ def test_reports_carry_stream_layout_and_exact_stderr(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["params"]["stream_layout"] == streams.LAYOUT_VERSION == 2
+    assert payload["params"]["stream_layout"] == streams.LAYOUT_VERSION == 3
     rows = {r["label"]: r for r in payload["rows"]}
     model = mc.MODELS["poisson"]
     var4 = model.fourth_moment(4) - model.second_moment(4) ** 2
@@ -422,7 +448,7 @@ def test_reports_carry_stream_layout_and_exact_stderr(capsys):
         math.sqrt(p * (1 - p) / 3000), rel=1e-12)
     code, out, _ = run_cli(
         capsys, "tail", "--n-max", "5", "--reps", "3", "--seed", "1", "--format", "json")
-    assert json.loads(out)["params"]["stream_layout"] == 2
+    assert json.loads(out)["params"]["stream_layout"] == 3
 
 
 def test_csv_layout():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import dense_oracle
 from chaoslab import mc, poisson_pair, two_point, workers
@@ -427,7 +428,7 @@ def test_gap_top_up_keeps_draws_exact(monkeypatch):
         for name, d in (("even", even), ("odd", odd)):
             key = d.rows * 4096 + d.pos
             assert np.all(np.diff(key) > 0) and d.pos.min(initial=0) >= 0
-            assert d.pos.max(initial=0) < 4096 and d.counts.min(initial=1) >= 1
+            assert d.pos.max(initial=0) < 4096 and d.counts().min(initial=1) >= 1
             assert np.array_equal(np.bincount(d.rows, minlength=j1 - j0), d.per_row)
             per_row[name][j0:j1] = d.per_row
     assert len(top_ups) > 100
@@ -467,6 +468,43 @@ def test_poisson_block_draws_only_the_nonzero_counts(monkeypatch):
     rows = 2 * len(tables.n_values)
     assert expected <= sum(drawn) <= 3 * expected + 8 * rows
     assert sum(drawn) < BLOCK_SIZE * rows / 5  # one uniform per count would be BLOCK_SIZE * rows
+
+
+def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
+    # a count's value is drawn only when it exceeds one, and the counts above
+    # one are found by skipping, so a Poisson block spends well under two
+    # uniforms per nonzero count (one for its gap, one for its value)
+    drawn, slot_draws = [], []
+    real_uniform_block, real_slots = mc.uniform_block, mc._nonzero_slots
+
+    def counting_uniform_block(stream, size):
+        drawn.append(size)
+        return real_uniform_block(stream, size)
+
+    def counting_slots(*args):
+        before = sum(drawn)
+        out = real_slots(*args)
+        slot_draws.append(sum(drawn) - before)
+        return out
+
+    monkeypatch.setattr(mc, "uniform_block", counting_uniform_block)
+    monkeypatch.setattr(mc, "_nonzero_slots", counting_slots)
+    tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
+    nonzero = above_one = 0
+    for _, _, *parts in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE):
+        nonzero += sum(d.pos.size for d in parts)
+        above_one += sum(d.multi.size for d in parts)
+    assert above_one > 0
+    assert sum(drawn) <= 1.5 * nonzero
+    # a two-point chunk draws its gaps and nothing else: one skip per parity
+    drawn.clear(), slot_draws.clear()
+    tables = mc.MODELS["twopoint"].tables(np.arange(2, 2001))
+    chunks = 0
+    for _, _, even, odd in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE):
+        chunks += 1
+        assert even.multi.size == odd.multi.size == 0
+    assert len(slot_draws) == 2 * chunks
+    assert sum(drawn) == sum(slot_draws) > 0
 
 
 def holm_rejections(p_values: dict, alpha: float) -> list:
@@ -519,6 +557,72 @@ def test_sparse_engine_matches_dense_oracle_in_distribution(example):
     for (lo, _), a, b in zip(stats.windows, stats.win_hits, dense["win_hits"]):
         p_values[f"win_hits[{lo}]"] = count_p(a, b, r)
     assert len(p_values) > 250
+    assert holm_rejections(p_values, alpha=1e-3) == []
+
+
+def exact_count_law(lam: float, terms: int = 12) -> tuple[Fraction, Fraction]:
+    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) of C ~ Poisson(lam), lam <= 1e-3,
+    from exact partial sums of e^lam - 1 - lam and e^lam - 1."""
+    x = Fraction(lam)
+    powers = [x**k / math.factorial(k) for k in range(2, terms)]
+    excess = sum(powers)
+    return excess / (x + excess), powers[0] / excess
+
+
+def test_count_law_has_no_cancellation():
+    # relative error of P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) at small
+    # rates, where expm1(lam) - lam loses digits; the omitted terms of the
+    # exact sums are below 1e-30 of the kept ones
+    lams = np.array([1e-3, 1e-6])
+    r, p_two = mc._count_law(lams)
+    for lam, r_j, p_j in zip(lams, r, p_two):
+        exact_r, exact_p = exact_count_law(float(lam))
+        assert abs(Fraction(float(r_j)) / exact_r - 1) <= 1e-14
+        assert abs(Fraction(float(p_j)) / exact_p - 1) <= 1e-14
+    # the same law where it is evaluated from expm1 directly, and at the switch
+    lams = np.array([0.5, 1.0, 2.0, 9.0])
+    r, p_two = mc._count_law(lams)
+    for lam, r_j, p_j in zip(lams, r, p_two):
+        pmf = scipy.stats.poisson.pmf(np.arange(3), lam)
+        above_one = 1 - pmf[:2].sum()
+        assert r_j == pytest.approx(above_one / (1 - pmf[0]), rel=1e-13)
+        assert p_j == pytest.approx(pmf[2] / above_one, rel=1e-13)
+
+
+def binomial_p(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Two-sided p-values of Binomial(n, p) at k: twice the smaller tail, at most 1."""
+    tails = np.minimum(scipy.stats.binom.cdf(k, n, p), scipy.stats.binom.sf(k - 1, n, p))
+    return np.minimum(1.0, 2.0 * tails)
+
+
+def test_thinned_counts_follow_the_truncated_law():
+    # At a fixed seed, one Poisson block.  Given m_j nonzero counts in row j,
+    # the number of counts >= 2 there is Binomial(m_j, r_j), r_j =
+    # P(C >= 2 | C >= 1); pooled over the rows, the frequencies of C = 2, 3
+    # and >= 4 match the exact zero-truncated pmf.  Holm's step-down keeps the
+    # family-wise false-failure rate at 1e-3.
+    tables = mc.MODELS["poisson"].tables(np.arange(1, 501))
+    totals = {"even": [], "odd": []}
+    for j0, j1, even, odd in mc.sparse_draws(tables, 131, 0, BLOCK_SIZE):
+        for name, d in (("even", even), ("odd", odd)):
+            assert np.all(np.diff(d.multi) > 0) and np.all(d.multi_counts >= 2)
+            counts = d.counts()
+            multi_rows = np.bincount(d.rows[d.multi], minlength=j1 - j0)
+            cells = [np.bincount(d.rows, weights=(counts == k) if k < 4 else (counts >= 4),
+                                 minlength=j1 - j0) for k in (2, 3, 4)]
+            totals[name].append(np.column_stack([d.per_row, multi_rows, *cells]))
+    p_values = {}
+    for name, rate in (("even", tables.rate_even), ("odd", tables.rate_odd)):
+        m, multi, *cells = np.concatenate(totals[name]).T
+        r, _ = mc._count_law(rate)
+        for n, p in zip(tables.n_values, binomial_p(multi, m, r)):
+            p_values[f"{name} multi[{n}]"] = p
+        pmf = scipy.stats.poisson.pmf(np.arange(4)[:, None], rate) / -np.expm1(-rate)
+        cell_probs = [pmf[2], pmf[3], 1.0 - pmf[1:].sum(axis=0)]
+        for k, seen, prob in zip(("2", "3", ">=4"), cells, cell_probs):
+            mean, var = (m * prob).sum(), (m * prob * (1 - prob)).sum()
+            p_values[f"{name} C={k}"] = math.erfc(abs(seen.sum() - mean) / math.sqrt(2 * var))
+    assert len(p_values) == 2 * 500 + 6
     assert holm_rejections(p_values, alpha=1e-3) == []
 
 
