@@ -163,10 +163,10 @@ def build_csv(stats: mc.TrajectoryStats) -> str:
                  for name, vals, ses in columns]
         lines += [f"{n},{cell}" for n, *row in zip(n_values[part].tolist(), *cells)
                   for cell in row]
-    diag = [(n0, "sup_exceed_prob", est) for n0, est in mc.tail_diagnostic(stats)]
-    diag += [(w.n_lo, "window_event_prob", w.estimate) for w in mc.first_chaos_report(stats)]
-    cells = _cells([est.mean for *_, est in diag], [est.stderr for *_, est in diag])
-    lines += [f"{n},{name},{cell}" for (n, name, _), cell in zip(diag, cells)]
+    diag = [(f"{n0},sup_exceed_prob", est) for n0, est in mc.tail_diagnostic(stats)]
+    diag += [(f"{w.n_lo},window_event_prob", w.estimate) for w in mc.first_chaos_report(stats)]
+    cells = _cells([est.mean for _, est in diag], [est.stderr for _, est in diag])
+    lines += [f"{head},{cell}" for (head, _), cell in zip(diag, cells)]
     return "\n".join(lines) + "\n"
 
 
