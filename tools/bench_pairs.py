@@ -5,16 +5,17 @@
 
 Both revisions are exported with ``git archive`` into fresh temporary
 directories, so each side runs the committed files only, from a tree of the
-same shape.  For every workload, pair i runs ``perfbench/run.py --workload W
---seed S+i --seconds T --trace 0`` once on each side, the parent first in
-even pairs; both sides of a pair use the same seed.  The file records, per
+same shape.  For every workload of ``BENCHMARK.json``, pair i of ten runs
+``perfbench/run.py --workload W --seed S+i --seconds T --trace 0`` once on
+each side, T being the benchmark's ``run_seconds``, the parent first in even
+pairs; both sides of a pair use the same seed.  The file records, per
 workload and end-to-end metric, the median and inclusive quartiles of each
 side, every sample and the pairs in which the change reads lower; then the
-Tier-1 wall time and pass count of each side (alternated runs), the
+Tier-1 wall time and pass count of each side (two alternated runs each), the
 ``src/chaoslab/*.py`` line counts, and the core count with the Python and
-numpy versions.  A claim ``workload:metric`` holds when the change reads
-lower in at least 9 of 10 pairs and its median is below the parent's by
-more than the parent's interquartile range.
+numpy versions.  A claim ``workload:metric`` holds when there are at least
+ten pairs, the change reads lower in at least 9 of 10 of them and its median
+is below the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("poisson-deep", "twopoint-wide", "exact-certify")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
+TIER1_RUNS = 2  # per side
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -49,11 +54,11 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seed: int) -> dict:
     """One perfbench run; its last output line is the JSON summary."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -80,19 +85,20 @@ def compare(parent: list[float], change: list[float]) -> dict:
 
 
 def claim_holds(row: dict) -> bool:
-    """Lower in at least 9 of 10 pairs, by more than the parent's IQR in the median."""
+    """At least PAIRS pairs, lower in 9 of 10 of them, and by more than the
+    parent's IQR in the median."""
     pairs = len(row["parent_samples"])
     gap = row["parent"]["median"] - row["change"]["median"]
-    return 10 * row["change_lower_in_pairs"] >= 9 * pairs and gap > row["parent"]["iqr"]
+    return (pairs >= PAIRS and 10 * row["change_lower_in_pairs"] >= 9 * pairs
+            and gap > row["parent"]["iqr"])
 
 
-def bench_pairs(trees: dict[str, Path], workload: str, pairs: int, seed: int,
-                seconds: float) -> dict:
+def bench_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int = PAIRS) -> dict:
     runs = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(trees[side], workload, seed + i, seconds))
+            runs[side].append(run_bench(trees[side], workload, seed + i))
             wall = runs[side][-1]["metrics"]["wall_s"]["value"]
             print(f"{workload} pair {i} {side}: wall_s {wall:.4g}", file=sys.stderr)
     first = runs["parent"][0]["metrics"]
@@ -110,10 +116,10 @@ def bench_pairs(trees: dict[str, Path], workload: str, pairs: int, seed: int,
     }
 
 
-def tier1(trees: dict[str, Path], runs: int) -> dict:
+def tier1(trees: dict[str, Path]) -> dict:
     """Alternated Tier-1 runs: wall time from outside, and the pass count."""
     out = {side: {"passed": None, "failed": 0, "wall_s": []} for side in trees}
-    for i in range(runs):
+    for i in range(TIER1_RUNS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             env = dict(os.environ, PYTHONPATH="src")
             t = time.perf_counter()
@@ -138,25 +144,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; all workloads by default")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--tier1-runs", type=int, default=2, help="per side")
     parser.add_argument("--claim", help="workload:metric the change claims to improve")
     parser.add_argument("--note", default="", help="what the change is, in one line")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("need at least 2 pairs for quartiles")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export(getattr(args, side), trees[side]) for side in trees}
         bench = {
             "description": (
-                f"Alternated parent/change pairs of perfbench/run.py --seconds {args.seconds:g} "
-                f"--trace 0 ({args.pairs} pairs per workload, parent first in even pairs, both "
+                f"Alternated parent/change pairs of perfbench/run.py --seconds {SECONDS:g} "
+                f"--trace 0 ({PAIRS} pairs per workload, parent first in even pairs, both "
                 "sides exported by git archive); median and inclusive quartiles of each "
                 "end-to-end metric; change_lower_in_pairs counts pairs where the change reads "
                 "lower."),
@@ -166,11 +165,10 @@ def main(argv=None) -> int:
             "machine": {"nproc": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": np.__version__},
             "workloads": {
-                w: bench_pairs(trees, w, args.pairs, args.seed + 100 * k, args.seconds)
-                for k, w in enumerate(args.workload or WORKLOADS)
+                w: bench_pairs(trees, w, args.seed + 100 * k) for k, w in enumerate(WORKLOADS)
             },
             "tier1": {"command": "PYTHONPATH=src python " + " ".join(TIER1),
-                      **tier1(trees, args.tier1_runs)},
+                      **tier1(trees)},
             "src_lines": {"command": "wc -l src/chaoslab/*.py",
                           **{side: src_lines(tree) for side, tree in trees.items()}},
         }
