@@ -12,10 +12,8 @@ stochastic claims by reproducible Monte Carlo.
 from .errors import (
     BadIndexError,
     ChaosLabError,
-    DiagonalPairError,
     DivergentSeriesError,
     DomainError,
-    NonPositiveLengthError,
     OutOfRangeError,
     ResourceLimitError,
 )
@@ -33,7 +31,6 @@ from .variables import (
     poisson_from_uniform,
     poisson_normalize,
     sample_poisson,
-    sample_two_point,
     two_point_from_p,
     two_point_value,
 )

@@ -11,8 +11,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import mc, point_process, poisson_moments, poisson_pair, series, streams
 from .errors import BadIndexError, ChaosLabError, DomainError, ResourceLimitError
 from .report import Report, render_json, render_text
@@ -279,10 +277,6 @@ def cmd_decompose(args) -> int:
         raise UsageError(f"--n must be < 2**62, got {args.n}")
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    layout = point_process.build_layout(
-        [poisson_pair.intensity(2 * args.n), poisson_pair.intensity(2 * args.n + 1)],
-        start_index=2 * args.n,
-    )
     if args.counts is not None:
         try:
             counts = [int(x) for x in args.counts.split(",")]
@@ -292,19 +286,16 @@ def cmd_decompose(args) -> int:
             raise UsageError("--counts needs two nonnegative integers, e.g. 2,1")
         if max(counts) >= 2**63:
             raise UsageError(f"--counts must be < 2**63, got {args.counts}")
-        realization = point_process.PpRealization(
-            np.array(counts, dtype=np.int64), layout, None
-        )
+        y_even, y_odd = counts
     else:
-        realization = point_process.realize(layout, args.seed)
-    y_even, y_odd = (int(c) for c in realization.counts)
-    parts = point_process.decompose_term(args.n, realization)
+        y_even, y_odd = point_process.realize(args.n, args.seed)
+    parts = point_process.decompose_term(args.n, y_even, y_odd)
     collapsed = poisson_pair.term(args.n, y_even, y_odd)
     residual = abs(parts.total - collapsed)
     report = Report(
         "decompose",
         {"n": args.n, "counts": f"{y_even},{y_odd}"},
-        seed=realization.seed,
+        seed=args.seed,
     )
     report.add("order-0 projection", parts.order0)
     report.add("order-1 projection", parts.order1)

@@ -17,14 +17,6 @@ class DivergentSeriesError(ChaosLabError):
     """Tail bound requested for a series with no finite tail."""
 
 
-class NonPositiveLengthError(ChaosLabError):
-    """Interval lengths must be strictly positive and finite."""
-
-
-class DiagonalPairError(ChaosLabError):
-    """Product-kernel integral needs two distinct intervals."""
-
-
 class DomainError(ChaosLabError):
     """Argument outside the domain where a bound is valid."""
 

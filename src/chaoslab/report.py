@@ -62,12 +62,15 @@ def render_text(report: Report) -> str:
     if report.seed is not None:
         lines.append(f"seed: {report.seed}")
     width = max([52, *(len(r.label) for r in report.rows)])  # the label column
-    lines.append(f"{'label':<{width}} {'value':>20} {'bound':>20} {'status':>6} {'stderr':>12}")
+    se_width = max([12, *(len(_fmt(r.stderr)) for r in report.rows)])  # the stderr column
+    lines.append(
+        f"{'label':<{width}} {'value':>20} {'bound':>20} {'status':>6} {'stderr':>{se_width}}"
+    )
     for r in report.rows:
         status = "" if r.passed is None else ("PASS" if r.passed else "FAIL")
         lines.append(
             f"{r.label:<{width}} {_fmt(r.value):>20} {_fmt(r.bound):>20} "
-            f"{status:>6} {_fmt(r.stderr):>12}"
+            f"{status:>6} {_fmt(r.stderr):>{se_width}}"
         )
     n_checked = sum(r.passed is not None for r in report.rows)
     n_failed = sum(r.passed is False for r in report.rows)

@@ -46,7 +46,8 @@ def block_bounds(lo: int, hi: int) -> list[tuple[int, int]]:
 def generator(master_seed: int, *key: int) -> np.random.Generator:
     """Philox generator for an arbitrary spawn key under the master seed.
 
-    For seeded draws outside the engine, such as point-process batches.
+    For seeded draws outside the engine, such as the two counts of
+    ``decompose --seed`` and the tests' reference samples.
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))

@@ -47,14 +47,6 @@ def two_point_value(spec: TwoPointSpec, y: int) -> float:
     return spec.value_plus if y == 1 else spec.value_minus
 
 
-def sample_two_point(spec: TwoPointSpec, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw (y, x) consuming exactly one uniform: y = 1 iff u < p."""
-    u = rng.random()
-    if u < spec.p:
-        return 1, spec.value_plus
-    return -1, spec.value_minus
-
-
 # Cumulative pmf values are cached per intensity; the table ends where the
 # remaining tail mass is far below 2^-53, so one uniform always lands.
 _TAIL_CUTOFF = 1e-25

@@ -15,7 +15,7 @@ import pytest
 
 from chaoslab import mc, poisson_moments, poisson_pair, series, two_point
 from chaoslab.cli import main
-from chaoslab.point_process import PpRealization, build_layout, decompose_term
+from chaoslab.point_process import decompose_term
 from chaoslab.poisson_pair import intensity
 from chaoslab.variables import two_point_value
 
@@ -117,12 +117,7 @@ def test_poisson_collapse_and_decomposition():
             assert abs(sum(poisson_pair.term_components(n, ye, yo)) - collapsed) <= (
                 1e-10 * max(1.0, abs(collapsed))
             )
-            layout = build_layout(
-                [intensity(2 * n), intensity(2 * n + 1)], start_index=2 * n
-            )
-            parts = decompose_term(
-                n, PpRealization(np.array([ye, yo], dtype=np.int64), layout)
-            )
+            parts = decompose_term(n, ye, yo)
             assert parts.order0 == 0.0
             assert abs(parts.total - collapsed) <= 1e-10 * max(1.0, abs(collapsed))
 

@@ -37,6 +37,8 @@ def test_intensity_examples():
     assert intensity(33) == pytest.approx(0.42045, abs=1e-5)
     assert intensity(2) == 1.0
     assert intensity(3) == 1.0
+    oracle = [1.0, 1.0, 2.0**-0.75, 2.0 ** (-5.0 / 16.0)]
+    assert list(intensity(np.arange(2, 6))) == pytest.approx(oracle, rel=1e-14)
     with pytest.raises(BadIndexError):
         intensity(1)
 

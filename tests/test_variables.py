@@ -13,7 +13,6 @@ from chaoslab.variables import (
     poisson_from_uniform,
     poisson_normalize,
     sample_poisson,
-    sample_two_point,
     two_point_from_p,
     two_point_value,
 )
@@ -53,15 +52,8 @@ def test_two_point_moments(p):
     assert abs(var - 1.0) <= 1e-12
 
 
-def test_sample_two_point_branches():
-    spec = two_point_from_p(0.5)
-    rng = QueuedRng([0.0])
-    assert sample_two_point(spec, rng) == (1, spec.value_plus)
-    assert rng.calls == 1  # one uniform per draw
-    assert sample_two_point(spec, QueuedRng([0.999])) == (-1, -1.0)
+def test_two_point_value_branches():
     spec3 = two_point_from_p(0.3)
-    assert sample_two_point(spec3, QueuedRng([0.299999])) == (1, spec3.value_plus)
-    assert sample_two_point(spec3, QueuedRng([0.3])) == (-1, spec3.value_minus)
     assert two_point_value(spec3, 1) == spec3.value_plus
     assert two_point_value(spec3, -1) == spec3.value_minus
 
@@ -72,9 +64,6 @@ def test_two_point_empirical_mean():
     reps = 10**6
     u = streams.generator(2024, 1).random(reps)
     x = np.where(u < p, spec.value_plus, spec.value_minus)
-    # scalar sampler agrees with the vector mapping on the same uniforms
-    for i in range(200):
-        assert sample_two_point(spec, QueuedRng([u[i]]))[1] == x[i]
     stderr = 1.0 / math.sqrt(reps)  # exact variance is 1
     assert abs(x.mean()) <= 3 * stderr
 
