@@ -22,10 +22,11 @@ Per chunk the draws reduce to per-n sums (STAT_NAMES): X_2n sums from the
 integer sums of the even counts, F_n sums over the odd draws row by row,
 with X_2n taken from the even count where both counts of a trajectory are
 nonzero and multiplied by the odd count only where it exceeds 1, and the
-recurrence events {Y_2n = 1}.  A block also keeps, per trajectory, the
-supremum of |F_n| over the whole range (sup_exceedance takes any
-threshold) and the last n with |F_n| > SimConfig.epsilon, which gives the
-tail diagnostic as one count per grid point; and per window the count of
+recurrence events {Y_2n = 1}.  A block also keeps, per threshold t of
+SimConfig.thresholds and per trajectory, the last n with |F_n| > t, which
+gives P(sup_(n >= n0) |F_n| > t) as one count per n0 of the diagnostic
+grid and per t (sup_exceedance is the n0 = start_n count, tail_diagnostic
+the grid counts of the first threshold); and per window the count of
 trajectories with an event in it.  run_range and merge join
 contiguous parts with the same _assemble; across blocks the per-n sums are
 combined by an exactly rounded compensated sum, and counts add.
@@ -73,7 +74,7 @@ class SimConfig:
     n_max: int = 10_000
     replications: int = 100_000
     master_seed: int = 42
-    epsilon: float = 1.0
+    thresholds: tuple[float, ...] = (1.0,)  # the t of the sup-exceedance counts
 
     def __post_init__(self) -> None:
         if self.example not in EXAMPLES:
@@ -82,8 +83,9 @@ class SimConfig:
             raise BadIndexError(f"n_max must be >= {self.start_n}")
         if self.replications < 1:
             raise BadIndexError("need at least one replication")
-        if not 0.0 < self.epsilon < math.inf:
-            raise BadIndexError("epsilon must be positive and finite")
+        object.__setattr__(self, "thresholds", tuple(map(float, self.thresholds)))
+        if not self.thresholds or not all(0.0 < t < math.inf for t in self.thresholds):
+            raise BadIndexError(f"thresholds must be positive and finite, got {self.thresholds}")
         if not 0 <= self.master_seed < 2**64:
             raise BadIndexError(f"seed must lie in [0, 2**64), got {self.master_seed}")
 
@@ -330,14 +332,14 @@ def _both_nonzero(even: Draws, odd: Draws, width: int) -> tuple[np.ndarray, np.n
 
 
 class _Block:
-    """One block's accumulators: per-n sums, per-trajectory suprema, window hits."""
+    """One block's accumulators: per-n sums, last exceedances, window hits."""
 
     def __init__(self, config: SimConfig, tables: PairTables, windows, width: int) -> None:
         self.config, self.tables, self.width = config, tables, width
         rows = len(tables.n_values)
         self.sums = np.zeros((rows, len(STAT_NAMES)))
-        self.run_max = np.zeros(width)
-        self.last_big = np.full(width, -1)  # last row with |F_n| > epsilon
+        # [threshold, trajectory]: last row with |F_n| > thresholds[k], -1 if none
+        self.last_above = np.full((len(config.thresholds), width), -1)
         self.window_of = np.full(rows, -1)
         for w, (w_lo, w_hi) in enumerate(windows):
             self.window_of[w_lo - config.start_n : w_hi - config.start_n] = w
@@ -369,23 +371,24 @@ class _Block:
         block[:, 6] = _row_sums(np.square(a52, out=a52), odd.per_row)
         event = (y == 1).nonzero()[0]
         block[:, 7] = np.bincount(even.rows[event], minlength=j1 - j0)
-        np.maximum.at(self.run_max, odd.pos, abs_f)
-        big = (abs_f > self.config.epsilon).nonzero()[0]
-        np.maximum.at(self.last_big, odd.pos[big], odd.rows[big] + j0)
+        for last, t in zip(self.last_above, self.config.thresholds):
+            big = (abs_f > t).nonzero()[0]
+            np.maximum.at(last, odd.pos[big], odd.rows[big] + j0)
         w = self.window_of[even.rows[event] + j0]
         self.ev_or[w[w >= 0], even.pos[event][w >= 0]] = True
 
 
 def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
-    """One block's per-n sums, per-trajectory suprema, suffix and window hits."""
+    """One block's per-n sums, sup-exceedance and window hits."""
     tables, grid, windows = _plan(config)
     acc = _Block(config, tables, windows, hi - lo)
     for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo):
         acc.add(j0, j1, even, odd)
         del even, odd  # free this chunk's draws before the next is drawn
-    suffix_hits = [(acc.last_big >= g - config.start_n).sum() for g in grid]
-    return TrajectoryStats(config, lo, hi, [acc.sums], acc.run_max,
-                           np.array(suffix_hits, dtype=np.int64), acc.ev_or.sum(axis=1))
+    sup_hits = [[(last >= n0 - config.start_n).sum() for n0 in (config.start_n, *grid)]
+                for last in acc.last_above]
+    return TrajectoryStats(config, lo, hi, [acc.sums], np.array(sup_hits, dtype=np.int64),
+                           acc.ev_or.sum(axis=1))
 
 
 def _block_task(config: SimConfig, bounds: tuple[int, int]) -> TrajectoryStats:
@@ -426,8 +429,8 @@ class TrajectoryStats:
     lo: int
     hi: int
     block_sums: list[np.ndarray]   # per block: [n_rows, n_stats]
-    window_max: np.ndarray         # [hi - lo]: sup over all n of |F_n|
-    suffix_hits: np.ndarray        # [n_grid]: count of sup_(n >= g) |F_n| > epsilon
+    # [threshold, n0 in (start_n, *grid)]: count of sup_(n >= n0) |F_n| > threshold
+    sup_hits: np.ndarray
     win_hits: np.ndarray           # [n_windows]: count of the event somewhere in the window
 
     plan = property(lambda self: _plan(self.config))
@@ -498,8 +501,7 @@ def _assemble(parts: list[TrajectoryStats]) -> TrajectoryStats:
         lo=first.lo,
         hi=parts[-1].hi,
         block_sums=[s for p in parts for s in p.block_sums],
-        window_max=np.concatenate([p.window_max for p in parts]),
-        suffix_hits=sum(p.suffix_hits for p in parts),
+        sup_hits=sum(p.sup_hits for p in parts),
         win_hits=sum(p.win_hits for p in parts),
     )
 
@@ -531,21 +533,27 @@ def _binomial_estimate(stats: TrajectoryStats, count: int) -> McEstimate:
     return McEstimate(p, se, r, stats.config.master_seed)
 
 
+def _sup_estimates(stats: TrajectoryStats, t: float) -> list[McEstimate]:
+    """P(sup_(n >= n0) |F_n| > t) for n0 in (start_n, *grid); t one of the run's thresholds."""
+    if t not in stats.config.thresholds:
+        raise BadIndexError(f"threshold {t:g} is not one of the run's {stats.config.thresholds}")
+    hits = stats.sup_hits[stats.config.thresholds.index(t)]
+    return [_binomial_estimate(stats, int(h)) for h in hits]
+
+
 def sup_exceedance(stats: TrajectoryStats, t: float) -> McEstimate:
     """P(max over the simulated range of |F_n| > t), with binomial stderr."""
-    if not t > 0.0:
-        raise BadIndexError("threshold must be positive")
-    return _binomial_estimate(stats, int((stats.window_max > t).sum()))
+    return _sup_estimates(stats, t)[0]
 
 
 def tail_diagnostic(stats: TrajectoryStats) -> list[tuple[int, McEstimate]]:
-    """P(sup_{n0 <= n <= n_max} |F_n| > epsilon) for each n0 of the run's grid.
+    """P(sup_{n0 <= n <= n_max} |F_n| > t) for each n0 of the run's grid.
 
-    The grid is default_diagnostic_grid; epsilon is the run's
-    SimConfig.epsilon.  Almost-sure convergence to 0 is equivalent to these
-    probabilities vanishing as n0 grows, for every epsilon.
+    The grid is default_diagnostic_grid; t is the run's first threshold.
+    Almost-sure convergence to 0 is equivalent to these probabilities
+    vanishing as n0 grows, for every t.
     """
-    return [(n0, _binomial_estimate(stats, int(h))) for n0, h in zip(stats.grid, stats.suffix_hits)]
+    return list(zip(stats.grid, _sup_estimates(stats, stats.config.thresholds[0])[1:]))
 
 
 @dataclass(frozen=True)
@@ -556,10 +564,7 @@ class WindowReport:
     n_hi: int
     estimate: McEstimate       # empirical P(event occurs somewhere in window)
     exact_prob: float          # 1 - prod (1 - P(event at n))
-    event_count: int
-    closed_form_max: float     # max closed form over the window
-    max_event_value: float | None
-    max_event_deviation: float | None
+    max_event_deviation: float | None  # of the degree-one part from its closed form
 
 
 def first_chaos_report(stats: TrajectoryStats) -> list[WindowReport]:
@@ -573,17 +578,13 @@ def first_chaos_report(stats: TrajectoryStats) -> list[WindowReport]:
         rows = slice(w_lo - start, w_hi - start)
         exact = 1.0 - float(np.prod(1.0 - p_event[rows]))
         seen = events[rows] > 0  # rows n where some trajectory has the event
-        has_event = seen.any()
         reports.append(
             WindowReport(
                 n_lo=w_lo,
                 n_hi=w_hi,
                 estimate=_binomial_estimate(stats, int(stats.win_hits[w])),
                 exact_prob=exact,
-                event_count=int(events[rows].sum()),
-                closed_form_max=float(tables.closed_form[rows].max()),
-                max_event_value=float(tables.cond_obs[rows][seen].max()) if has_event else None,
-                max_event_deviation=float(tables.rel_dev[rows][seen].max()) if has_event else None,
+                max_event_deviation=float(tables.rel_dev[rows][seen].max()) if seen.any() else None,
             )
         )
     return reports

@@ -29,9 +29,7 @@ class PairTables:
 
     n_values: np.ndarray
     coef: np.ndarray          # degree-one coefficient: p_(2n+1) or lambda_(2n+1)
-    cond_obs: np.ndarray      # engine value of |degree-one part| on the event
-    closed_form: np.ndarray   # analytic closed form of the same quantity
-    rel_dev: np.ndarray       # |cond_obs - closed_form| / closed_form
+    rel_dev: np.ndarray       # |degree-one part on the event - closed form| / closed form
     event_prob: np.ndarray    # exact probability of the recurrence event
     q_even: np.ndarray        # P(even count != 0)
     q_odd: np.ndarray         # P(odd count != 0)

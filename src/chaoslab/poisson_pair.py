@@ -47,16 +47,6 @@ def term(n: int, y_even: int, y_odd: int) -> float:
     return x_even * y_odd if y_odd else 0.0
 
 
-def term_components(n: int, y_even: int, y_odd: int) -> tuple[float, float]:
-    """The two chaos components of F_n; their sum is the defining expression."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
-    lam_odd = intensity(2 * n + 1)
-    x_even = poisson_normalize(intensity(2 * n), y_even)
-    x_odd = poisson_normalize(lam_odd, y_odd)
-    return lam_odd * x_even, math.sqrt(lam_odd) * x_even * x_odd
-
-
 def second_moment(n: int) -> float:
     """E(F_n^2) = lambda_(2n+1)(1 + lambda_(2n+1)), by independence."""
     lam_odd = intensity(2 * n + 1)
@@ -134,13 +124,6 @@ def sup_moment_bound(delta: float = 1.0 / 48.0) -> float:
     return 9.0**delta + delta * (first + middle + last)
 
 
-def first_chaos(n: int, y_even: int) -> float:
-    """Degree-one chaos component lambda_(2n+1) X_2n of F_n."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
-    return intensity(2 * n + 1) * poisson_normalize(intensity(2 * n), y_even)
-
-
 def first_chaos_at_one(n) -> np.ndarray | float:
     """Closed form of the degree-one component on {Y_2n = 1}.
 
@@ -198,8 +181,7 @@ def pair_tables(n: np.ndarray) -> PairTables:
     closed = np.asarray(first_chaos_at_one(n))
     safe = np.where(closed == 0.0, 1.0, closed)  # the closed form vanishes at n = 1
     return PairTables(
-        n_values=n, coef=lam_odd, cond_obs=np.abs(cond_obs), closed_form=closed,
-        rel_dev=np.abs(np.abs(cond_obs) - closed) / np.abs(safe),
+        n_values=n, coef=lam_odd, rel_dev=np.abs(np.abs(cond_obs) - closed) / np.abs(safe),
         event_prob=np.exp(-lam_even) * lam_even,
         q_even=-np.expm1(-lam_even), q_odd=-np.expm1(-lam_odd),
         rate_even=lam_even, rate_odd=lam_odd, x_loc=lam_even, x_scale=sqrt_lam_even,

@@ -91,15 +91,6 @@ def first_chaos_on_plus(n) -> np.ndarray | float:
     return out
 
 
-def both_plus_prob(n) -> np.ndarray | float:
-    """P(Y_2n = Y_2n+1 = 1) = p_2n p_(2n+1) = n^(-1-1/sqrt(log n))."""
-    k = np.asarray(n, dtype=np.int64)
-    out = np.asarray(prob(2 * k)) * np.asarray(prob(2 * k + 1))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def scan_first_chaos_exceeds(threshold: float, n_cap: int = 2**62) -> tuple[int, float]:
     """First doubling index where the on-plus closed form exceeds the threshold."""
     n = START_N
@@ -120,8 +111,7 @@ def pair_tables(n: np.ndarray) -> PairTables:
     closed = np.asarray(first_chaos_on_plus(n))
     one = np.zeros_like(p_even)  # truncated-Poisson rate 0: a nonzero count is 1
     return PairTables(
-        n_values=n, coef=p_odd, cond_obs=cond_obs, closed_form=closed,
-        rel_dev=np.abs(cond_obs - closed) / closed, event_prob=p_even,
+        n_values=n, coef=p_odd, rel_dev=np.abs(cond_obs - closed) / closed, event_prob=p_even,
         q_even=p_even, q_odd=p_odd, rate_even=one, rate_odd=one,
         x_loc=p_even, x_scale=np.sqrt(p_even * (1.0 - p_even)),
     )

@@ -4,7 +4,9 @@ The dense sampler draws one uniform per (trajectory, variable) from its own
 stream keyed by (master seed, variable index, block), then inverts it per
 row: the engine's sampler before it drew only the nonzero counts.  The
 aggregator reduces full [n, trajectory] count matrices to the engine's
-per-n sums, suprema and hit counts, with plain dense numpy operations.
+per-n sums and window hit counts, and to each trajectory's suprema of |F_n|
+over n >= n0, from which sup_hits gives the engine's sup-exceedance counts,
+with plain dense numpy operations.
 """
 
 from __future__ import annotations
@@ -75,12 +77,12 @@ def aggregate(config: mc.SimConfig, tables, y_even: np.ndarray, c_odd: np.ndarra
     grid = mc.default_diagnostic_grid(start, config.n_max)
     windows = mc.dyadic_windows(config.n_max)
     event = y_even == 1
+    abs_f = np.abs(f)
     return {
         "sums": per_n,
-        "window_max": np.abs(f).max(axis=0),
-        "suffix_hits": np.array([
-            (np.abs(f[g - start :]).max(axis=0) > config.epsilon).sum() for g in grid
-        ]),
+        "window_max": abs_f.max(axis=0),
+        # [n0 in (start_n, *grid), trajectory]: sup over n >= n0 of |F_n|
+        "suffix_max": np.array([abs_f[n0 - start :].max(axis=0) for n0 in (start, *grid)]),
         "win_hits": np.array([
             event[lo - start : hi - start].any(axis=0).sum() for lo, hi in windows
         ], dtype=np.int64),
@@ -97,6 +99,11 @@ def run(config: mc.SimConfig, counts=dense_counts) -> dict:
     return {
         "sums": {k: sum(p["sums"][k] for p in parts) for k in mc.STAT_NAMES},
         "window_max": np.concatenate([p["window_max"] for p in parts]),
-        "suffix_hits": sum(p["suffix_hits"] for p in parts),
+        "suffix_max": np.concatenate([p["suffix_max"] for p in parts], axis=1),
         "win_hits": sum(p["win_hits"] for p in parts),
     }
+
+
+def sup_hits(dense: dict, thresholds) -> np.ndarray:
+    """[threshold, n0]: the trajectories whose sup over n >= n0 of |F_n| exceeds it."""
+    return np.array([(dense["suffix_max"] > t).sum(axis=1) for t in thresholds])

@@ -231,6 +231,33 @@ def test_decompose_json_bytes_are_frozen(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+FROZEN_TAIL = ("tail", "--n-max", "300", "--reps", "20000", "--seed", "5",
+               "--t-grid", "0.5,2,9,16")
+FROZEN_SIMULATE = ("simulate", "--example", "twopoint", "--n-max", "60", "--reps", "20000",
+                   "--seed", "3", "--epsilon", "0.5")
+
+
+@pytest.mark.parametrize("argv, fmt, output, digest", [
+    (FROZEN_TAIL, "text", "stdout",
+     "bcb9549de9300a8dc92b0c3f88bead7a617048c05e46da675d1659942df0da79"),
+    (FROZEN_TAIL, "json", "stdout",
+     "627c697795f9e28222645fc9de3d2e19042159125a5bdd167d59e110793271b0"),
+    (FROZEN_SIMULATE, "json", "stdout",
+     "b552e824da8a0d6232b8a0a927e6f69462fc6a39f2ff055060f6c2c50c51fcf8"),
+    (FROZEN_SIMULATE, "json", "csv",
+     "e0ce9228decc40bd8184217c4aa07a19ad2dbb821d4c9cbe710ffc76ef55e718"),
+], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv"])
+def test_monte_carlo_bytes_are_frozen(capsys, tmp_path, argv, fmt, output, digest):
+    # sha256 of the output: the sup-exceedance, tail-diagnostic and window rows
+    # print the same bytes from one version of the engine to the next
+    csv = tmp_path / "out.csv"
+    out_flag = ("--out", str(csv)) if argv[0] == "simulate" else ()
+    code, out, _ = run_cli(capsys, *argv, *out_flag, "--format", fmt)
+    assert code == 0
+    data = csv.read_bytes() if output == "csv" else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_decompose_bad_flags(capsys):
     assert run_cli(capsys, "decompose", "--n", "16", "--counts", "2")[0] == 1
     assert run_cli(capsys, "decompose", "--n", "16", "--counts", "a,b")[0] == 1

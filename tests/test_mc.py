@@ -10,13 +10,13 @@ import scipy.stats
 import dense_oracle
 from chaoslab import mc, poisson_pair, two_point, workers
 from chaoslab.errors import BadIndexError, ResourceLimitError
+from chaoslab.point_process import decompose_term
 from chaoslab.streams import BLOCK_SIZE
 
 
 def stats_equal(a: mc.TrajectoryStats, b: mc.TrajectoryStats) -> bool:
     return (
-        np.array_equal(a.window_max, b.window_max)
-        and np.array_equal(a.suffix_hits, b.suffix_hits)
+        np.array_equal(a.sup_hits, b.sup_hits)
         and all(np.array_equal(x, y) for x, y in zip(a.block_sums, b.block_sums))
         and np.array_equal(a.win_hits, b.win_hits)
     )
@@ -29,9 +29,10 @@ def test_config_validation():
         mc.SimConfig(example="twopoint", n_max=1)
     with pytest.raises(BadIndexError):
         mc.SimConfig(example="poisson", replications=0)
-    for bad_epsilon in (0.0, math.inf, math.nan):
+    for bad_thresholds in ((), (0.0,), (math.inf,), (math.nan,), (1.0, -1.0)):
         with pytest.raises(BadIndexError):
-            mc.SimConfig(example="poisson", epsilon=bad_epsilon)
+            mc.SimConfig(example="poisson", thresholds=bad_thresholds)
+    assert mc.SimConfig(example="poisson", thresholds=[2, 9]).thresholds == (2.0, 9.0)
     for bad_seed in (-1, 2**64):
         with pytest.raises(BadIndexError):
             mc.SimConfig(example="poisson", master_seed=bad_seed)
@@ -148,12 +149,14 @@ def test_worker_tasks_carry_no_arrays(monkeypatch):
 
 
 def test_worker_results_carry_no_plan():
-    # a block's result holds what its draws determine; the per-n tables are
-    # rebuilt from the config where they are read, not sent back from a worker
-    cfg = mc.SimConfig(example="poisson", n_max=2000, replications=100)
-    block = mc._block_task(cfg, (0, 100))
+    # a block's result holds what its draws determine, and nothing per
+    # trajectory: the per-n tables are rebuilt from the config where they are
+    # read, and the sup-exceedance counts are counts
+    cfg = mc.SimConfig(example="poisson", n_max=2000, replications=BLOCK_SIZE,
+                       thresholds=(0.5, 2.0, 9.0))
+    block = mc._block_task(cfg, (0, BLOCK_SIZE))
     (sums,) = block.block_sums
-    assert len(pickle.dumps(block)) <= sums.nbytes + block.window_max.nbytes + 16 * 1024
+    assert len(pickle.dumps(block)) <= sums.nbytes + 4 * 1024
 
 
 def test_a_wrapped_walk_block_runs_in_the_workers(monkeypatch, tmp_path):
@@ -239,18 +242,22 @@ def test_poisson_moment_estimates():
 
 
 def test_sup_exceedance_monotone():
-    cfg = mc.SimConfig(example="poisson", n_max=100, replications=20_000, master_seed=23)
+    thresholds = (0.5, 1.0, 2.0, 5.0, 9.0, 1e12)
+    cfg = mc.SimConfig(example="poisson", n_max=100, replications=20_000, master_seed=23,
+                       thresholds=thresholds)
     stats = mc.run(cfg)
-    values = [mc.sup_exceedance(stats, t).mean for t in (0.5, 1.0, 2.0, 5.0, 9.0)]
+    values = [mc.sup_exceedance(stats, t).mean for t in thresholds]
     assert all(b <= a for a, b in zip(values, values[1:]))
-    assert mc.sup_exceedance(stats, 1e12).mean == 0.0
-    with pytest.raises(BadIndexError):
-        mc.sup_exceedance(stats, 0.0)
+    assert values[0] > 0.0 and values[-1] == 0.0
+    # counts are kept for the configured thresholds only
+    for t in (0.0, 3.0, 1e13):
+        with pytest.raises(BadIndexError):
+            mc.sup_exceedance(stats, t)
 
 
 def test_tail_diagnostic_two_point_separation():
     cfg = mc.SimConfig(
-        example="twopoint", n_max=1000, replications=20_000, master_seed=29, epsilon=0.1
+        example="twopoint", n_max=1000, replications=20_000, master_seed=29, thresholds=(0.1,)
     )
     stats = mc.run(cfg)
     diag = dict(mc.tail_diagnostic(stats))
@@ -294,16 +301,18 @@ def test_first_chaos_report_two_point():
     assert exact == Fraction(10, 19)
     assert w.exact_prob == pytest.approx(float(exact), abs=1e-12)
     assert abs(w.estimate.mean - w.exact_prob) <= 3 * w.estimate.stderr
-    assert w.event_count > 0
+    assert stats.sums("events")[10 - 2 : 20 - 2].sum() > 0
     assert w.max_event_deviation <= 1e-9
-    # conditional magnitudes match the closed form at some window index
-    assert w.max_event_value <= w.closed_form_max * (1 + 1e-9)
-    assert w.closed_form_max == pytest.approx(two_point.first_chaos_on_plus(19), rel=1e-12)
     w2 = reports[1]
     exact2 = 1 - math.prod(1 - Fraction(1, n) for n in range(20, 40))
     assert w2.exact_prob == pytest.approx(float(exact2), abs=1e-12)
-    # later windows carry larger degree-one magnitudes
-    assert w2.closed_form_max > w.closed_form_max
+    # the closed form on the event peaks at each window's last n, and later
+    # windows carry larger degree-one magnitudes
+    for lo, hi in ((10, 20), (20, 40)):
+        closed = two_point.first_chaos_on_plus(np.arange(lo, hi))
+        assert closed.max() == closed[-1] == pytest.approx(
+            two_point.first_chaos_on_plus(hi - 1), rel=1e-12)
+    assert two_point.first_chaos_on_plus(39) > two_point.first_chaos_on_plus(19)
 
 
 def test_first_chaos_report_poisson():
@@ -314,11 +323,29 @@ def test_first_chaos_report_poisson():
     assert w.exact_prob == pytest.approx(1 - np.prod(1 - p), rel=1e-12)
     assert abs(w.estimate.mean - w.exact_prob) <= 3 * w.estimate.stderr
     assert w.max_event_deviation <= 1e-9
-    assert w.closed_form_max == pytest.approx(poisson_pair.first_chaos_at_one(19), rel=1e-12)
+    closed = poisson_pair.first_chaos_at_one(np.arange(10, 20))
+    assert closed.max() == closed[-1] == pytest.approx(
+        poisson_pair.first_chaos_at_one(19), rel=1e-12)
+    assert poisson_pair.first_chaos_at_one(39) > poisson_pair.first_chaos_at_one(19)
+
+
+def separating_thresholds(sups: np.ndarray) -> tuple[float, ...]:
+    """Thresholds between the distinct positive values of sups: half the
+    smallest, and the midpoint of each neighbouring pair.  The count above
+    each pins the sorted sups; no count depends on how a sup is rounded."""
+    levels = np.unique(sups[sups > 0])
+    return tuple(np.concatenate(([levels[0] / 2], (levels[:-1] + levels[1:]) / 2)))
+
+
+def reconstruction_run(cfg, f_by_n):
+    """The engine's run of cfg with thresholds that separate the reconstructed sups."""
+    thresholds = separating_thresholds(np.abs(f_by_n).max(axis=0))
+    assert len(thresholds) > 10
+    return mc.run(dataclasses.replace(cfg, thresholds=thresholds))
 
 
 def assert_counts_match(stats, f_by_n, event_by_n, on_event):
-    """Window report and tail diagnostic against reconstructed trajectories.
+    """Window report and sup-exceedance counts against reconstructed trajectories.
 
     f_by_n and event_by_n are [n, trajectory] arrays of F_n and the
     recurrence event; on_event(n) gives the degree-one part on the event by
@@ -329,26 +356,28 @@ def assert_counts_match(stats, f_by_n, event_by_n, on_event):
     (w,) = mc.first_chaos_report(stats)
     assert (w.n_lo, w.n_hi) == (10, 20)
     events = event_by_n[10 - start : 20 - start]
-    assert w.event_count == events.sum() > 0
+    assert stats.sums("events")[10 - start : 20 - start].sum() == events.sum() > 0
     assert w.estimate.mean == events.any(axis=0).sum() / reps
     on = [on_event(n) for n in range(10, 20) if events[n - 10].any()]
-    assert w.max_event_value == pytest.approx(max(v for v, _ in on), rel=1e-12)
     assert w.max_event_deviation == pytest.approx(
         max(abs(v - c) / c for v, c in on), abs=1e-12
     )
+    abs_f = np.abs(f_by_n)
+    suffix_sups = [abs_f[n0 - start :].max(axis=0) for n0 in (start, *stats.grid)]
+    expected = np.array([[(s > t).sum() for s in suffix_sups] for t in cfg.thresholds])
+    assert np.array_equal(stats.sup_hits, expected)
+    for t, hits in zip(cfg.thresholds, expected):
+        assert mc.sup_exceedance(stats, t).mean == hits[0] / reps
     diag = mc.tail_diagnostic(stats)
     assert [n0 for n0, _ in diag] == list(stats.grid)
-    for n0, est in diag:
-        suffix_sup = np.abs(f_by_n[n0 - start :]).max(axis=0)
-        assert est.mean == (suffix_sup > cfg.epsilon).sum() / reps
+    assert [est.mean for _, est in diag] == [h / reps for h in expected[0, 1:]]
 
 
 def test_engine_matches_scalar_reconstruction_twopoint():
     # rebuild every trajectory from the same draws through the module-level
     # scalar API (using the defining sum form, not the collapsed one) and
-    # compare the per-n aggregates, the window supremum and the counts
+    # compare the per-n aggregates, the sup-exceedance counts and the window
     cfg = mc.SimConfig(example="twopoint", n_max=20, replications=64, master_seed=71)
-    stats = mc.run(cfg)
     reps, start = cfg.replications, cfg.start_n
     plus_even, plus_odd = sparse_counts(cfg)
     f_by_n = np.zeros((cfg.n_max - start + 1, reps))
@@ -359,9 +388,9 @@ def test_engine_matches_scalar_reconstruction_twopoint():
             xe = se.value_plus if plus_even[n - start, r] else se.value_minus
             xo = so.value_plus if plus_odd[n - start, r] else so.value_minus
             f_by_n[n - start, r] = two_point.term(n, xe, xo)
+    stats = reconstruction_run(cfg, f_by_n)
     assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-12, atol=1e-12)
     assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-12, atol=1e-12)
-    assert np.allclose(stats.window_max, np.abs(f_by_n).max(axis=0), rtol=1e-12, atol=1e-12)
 
     def on_event(n):
         value = two_point.first_chaos(n, two_point.even_spec(n).value_plus)
@@ -372,7 +401,6 @@ def test_engine_matches_scalar_reconstruction_twopoint():
 
 def test_engine_matches_scalar_reconstruction_poisson():
     cfg = mc.SimConfig(example="poisson", n_max=20, replications=64, master_seed=73)
-    stats = mc.run(cfg)
     reps, start = cfg.replications, cfg.start_n
     y_even, y_odd = sparse_counts(cfg)
     f_by_n = np.zeros((cfg.n_max - start + 1, reps))
@@ -380,13 +408,13 @@ def test_engine_matches_scalar_reconstruction_poisson():
     for n in range(start, cfg.n_max + 1):
         for r in range(reps):
             ye, yo = int(y_even[n - start, r]), int(y_odd[n - start, r])
-            f_by_n[n - start, r] = sum(poisson_pair.term_components(n, ye, yo))
+            f_by_n[n - start, r] = decompose_term(n, ye, yo).total
+    stats = reconstruction_run(cfg, f_by_n)
     assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-10, atol=1e-12)
     assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-10, atol=1e-10)
-    assert np.allclose(stats.window_max, np.abs(f_by_n).max(axis=0), rtol=1e-10, atol=1e-12)
 
     def on_event(n):
-        return poisson_pair.first_chaos(n, 1), poisson_pair.first_chaos_at_one(n)
+        return decompose_term(n, 1, 0).order1, poisson_pair.first_chaos_at_one(n)
 
     assert_counts_match(stats, f_by_n, event_by_n, on_event)
 
@@ -397,17 +425,24 @@ def assert_equals_dense_aggregation(stats):
     for stat in mc.STAT_NAMES:
         assert np.allclose(stats.sums(stat), dense["sums"][stat], rtol=1e-10, atol=1e-10), stat
     assert np.array_equal(stats.sums("events"), dense["sums"]["events"])
-    assert np.array_equal(stats.window_max, dense["window_max"])
-    assert np.array_equal(stats.suffix_hits, dense["suffix_hits"])
+    thresholds = stats.config.thresholds
+    whole_range = [(dense["window_max"] > t).sum() for t in thresholds]
+    assert np.array_equal(stats.sup_hits[:, 0], whole_range)
+    assert np.array_equal(stats.sup_hits, dense_oracle.sup_hits(dense, thresholds))
     assert np.array_equal(stats.win_hits, dense["win_hits"])
 
 
 @pytest.mark.parametrize("example", ["poisson", "twopoint"])
 def test_sparse_aggregates_equal_dense_aggregation(example):
-    # two blocks, the second partial, and an epsilon that splits the suffix counts
-    cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300,
-                       master_seed=83, epsilon=0.5)
-    assert_equals_dense_aggregation(mc.run(cfg))
+    # two blocks, the second partial; a threshold that splits the suffix
+    # counts, and 32 thresholds at the dense sups themselves, where the strict
+    # inequality decides
+    cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300, master_seed=83)
+    sups = dense_oracle.run(cfg, counts=dense_oracle.sparse_counts)["window_max"]
+    levels = np.unique(sups[sups > 0])
+    at_sups = levels[np.unique(np.linspace(0, levels.size - 1, 32).astype(int))]
+    assert at_sups.size == 32
+    assert_equals_dense_aggregation(mc.run(dataclasses.replace(cfg, thresholds=(0.5, *at_sups))))
 
 
 def test_gap_top_up_keeps_draws_exact(monkeypatch):
@@ -534,7 +569,7 @@ def count_p(hits_a, hits_b, r):
 def test_sparse_engine_matches_dense_oracle_in_distribution(example):
     # Two independent samples, sparse engine and dense oracle, at fixed seeds.
     # Every per-n mean (f, f_sq, f_abs52, x_even), per-n event count,
-    # suffix-hit count and window-hit count is one two-sample z-test; Holm's
+    # sup-exceedance count and window-hit count is one two-sample z-test; Holm's
     # step-down keeps the family-wise false-failure rate at 1e-3 per seed.
     cfg = mc.SimConfig(example=example, n_max=64, replications=2 * BLOCK_SIZE, master_seed=101)
     oracle_cfg = mc.SimConfig(example=example, n_max=64, replications=2 * BLOCK_SIZE,
@@ -552,8 +587,9 @@ def test_sparse_engine_matches_dense_oracle_in_distribution(example):
             p_values[f"{stat}[{n}]"] = two_sample_p(m_a[i], v_a[i], m_b[i], v_b[i], r)
     for i, n in enumerate(stats.tables.n_values):
         p_values[f"events[{n}]"] = count_p(stats.sums("events")[i], dense["sums"]["events"][i], r)
-    for g, a, b in zip(stats.grid, stats.suffix_hits, dense["suffix_hits"]):
-        p_values[f"suffix_hits[{g}]"] = count_p(a, b, r)
+    (dense_hits,) = dense_oracle.sup_hits(dense, cfg.thresholds)
+    for n0, a, b in zip((cfg.start_n, *stats.grid), stats.sup_hits[0], dense_hits):
+        p_values[f"sup_hits[{n0}]"] = count_p(a, b, r)
     for (lo, _), a, b in zip(stats.windows, stats.win_hits, dense["win_hits"]):
         p_values[f"win_hits[{lo}]"] = count_p(a, b, r)
     assert len(p_values) > 250

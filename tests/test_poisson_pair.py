@@ -6,11 +6,12 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dense_oracle
 from chaoslab.errors import BadIndexError, DomainError
+from chaoslab.point_process import decompose_term
 from chaoslab.poisson_pair import (
     EventBounds,
     event_bounds,
-    first_chaos,
     first_chaos_at_one,
     fourth_moment,
     intensity,
@@ -21,7 +22,6 @@ from chaoslab.poisson_pair import (
     sup_moment_bound,
     sup_tail_bound,
     term,
-    term_components,
 )
 from chaoslab.series import Series, limit_constant
 
@@ -56,7 +56,7 @@ def test_term_collapse_agreement():
         for ye in (0, 1, 2, 7):
             for yo in (0, 1, 3, 11):
                 collapsed = term(n, ye, yo)
-                component_sum = sum(term_components(n, ye, yo))
+                component_sum = decompose_term(n, ye, yo).total
                 scale = max(1.0, abs(collapsed))
                 assert abs(collapsed - component_sum) <= 1e-10 * scale
                 assert collapsed == pytest.approx(
@@ -160,21 +160,22 @@ def test_sup_moment_bound():
     for bad in (0.0, 1.0 / 24.0, 0.5):
         with pytest.raises(DomainError):
             sup_moment_bound(bad)
-    # the bound dominates a finite-window Monte Carlo lower estimate
+    # the bound dominates a finite-window Monte Carlo lower estimate, from the
+    # per-trajectory sups of the engine's draws
     from chaoslab import mc
 
     cfg = mc.SimConfig(example="poisson", n_max=200, replications=20_000, master_seed=53)
-    stats = mc.run(cfg)
-    window_moment = float((stats.window_max ** (1.0 / 48.0)).mean())
+    window_max = dense_oracle.run(cfg, counts=dense_oracle.sparse_counts)["window_max"]
+    window_moment = float((window_max ** (1.0 / 48.0)).mean())
     assert window_moment <= bound
 
 
 def test_first_chaos_closed_form():
     oracle = 16.0 ** (1.0 / 16.0) - 16.0 ** (-11.0 / 16.0)
     assert oracle == pytest.approx(1.0405, abs=1e-3)
-    assert first_chaos(16, 1) == pytest.approx(oracle, rel=1e-10)
+    assert decompose_term(16, 1, 0).order1 == pytest.approx(oracle, rel=1e-10)
     assert first_chaos_at_one(16) == pytest.approx(oracle, rel=1e-12)
-    assert first_chaos(1, 1) == 0.0
+    assert decompose_term(1, 1, 0).order1 == 0.0
     n = 2**16
     assert first_chaos_at_one(n) == pytest.approx(2.0 - 2.0**-11.0, rel=1e-10)
     assert first_chaos_at_one(n) > first_chaos_at_one(16)
@@ -183,7 +184,7 @@ def test_first_chaos_closed_form():
 def test_first_chaos_two_forms_agree():
     for n in range(1, 10_001):
         closed = first_chaos_at_one(n)
-        direct = first_chaos(n, 1)
+        direct = decompose_term(n, 1, 0).order1
         assert abs(direct - closed) <= 1e-10 * max(1.0, abs(closed))
 
 
@@ -220,5 +221,5 @@ def test_event_bounds():
 @given(st.integers(1, 10_000), st.integers(0, 50), st.integers(0, 50))
 def test_collapse_property(n, ye, yo):
     collapsed = term(n, ye, yo)
-    component_sum = sum(term_components(n, ye, yo))
+    component_sum = decompose_term(n, ye, yo).total
     assert abs(collapsed - component_sum) <= 1e-10 * max(1.0, abs(collapsed))

@@ -10,7 +10,6 @@ from chaoslab import streams
 from chaoslab.errors import BadIndexError
 from chaoslab.series import Series, term as series_term
 from chaoslab.two_point import (
-    both_plus_prob,
     even_spec,
     first_chaos,
     first_chaos_on_plus,
@@ -137,11 +136,12 @@ def test_first_chaos_growth_scan():
 
 
 def test_both_plus_prob():
-    assert both_plus_prob(2) == pytest.approx(0.5 * prob(5), rel=1e-15)
-    assert both_plus_prob(2) == pytest.approx(0.21745, abs=1e-4)
-    for n in (2, 3, 10, 999):
-        assert both_plus_prob(n) == pytest.approx(
-            series_term(Series.TWO_POINT_JOINT, n), rel=1e-14
+    # P(Y_2n = Y_2n+1 = 1) = p_2n p_(2n+1) is the joint-sign series term
+    assert series_term(Series.TWO_POINT_JOINT, 2) == pytest.approx(0.5 * prob(5), rel=1e-15)
+    assert series_term(Series.TWO_POINT_JOINT, 2) == pytest.approx(0.21745, abs=1e-4)
+    for n in (2, 3, 10, 999, 10**4):
+        assert series_term(Series.TWO_POINT_JOINT, n) == pytest.approx(
+            prob(2 * n) * prob(2 * n + 1), rel=1e-14
         )
         # the divergent even-index harmonic series is exactly sum of p_2n
         assert series_term(Series.EVEN_HARMONIC, n) == prob(2 * n)
@@ -152,7 +152,7 @@ def test_both_plus_prob_monte_carlo():
     gen = streams.generator(777, 0)
     u = gen.random((2, reps))
     hits = ((u[0] < prob(2 * n)) & (u[1] < prob(2 * n + 1))).mean()
-    p = both_plus_prob(n)
+    p = series_term(Series.TWO_POINT_JOINT, n)
     se = math.sqrt(p * (1 - p) / reps)
     assert abs(hits - p) <= 3 * se
 
