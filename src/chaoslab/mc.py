@@ -394,9 +394,9 @@ def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
 def _block_task(config: SimConfig, bounds: tuple[int, int]) -> TrajectoryStats:
     """_walk_block in a worker process, looked up there by name when called."""
     # The pool pickles this function by name; _walk_block itself may be replaced by
-    # a wrapper that cannot be pickled.  Only the config is sent: an unpickled
-    # float64 array carries its own copy of the dtype, which takes np.maximum.at
-    # in _Block.add off its fast path (~25x slower).
+    # a wrapper that cannot be pickled.  Only the config is sent: the worker
+    # inherits the plan built before the fork, and the per-n tables would
+    # otherwise be pickled once per block.
     return _walk_block(config, *bounds)
 
 

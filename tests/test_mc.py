@@ -117,8 +117,8 @@ def test_a_run_builds_its_plan_once(monkeypatch):
 
 
 def test_worker_tasks_carry_no_arrays(monkeypatch):
-    # unpickled float64 arrays take np.maximum.at off its fast path; the task
-    # sent to a worker must be the config and a range, not the pair tables
+    # the workers inherit the plan; the task sent to a worker must be the
+    # config and a range, not the pair tables
     import concurrent.futures
 
     sizes = []
