@@ -8,21 +8,24 @@ F_n = X_2n C_2n+1 is then nonzero only where the odd count is, and every
 kept statistic follows from the nonzero counts alone.
 
 Trajectories are simulated in fixed blocks of BLOCK_SIZE.  A block walks
-the pair indices upward in chunks of rows holding about _CHUNK_DRAWS
-expected nonzero counts; in each chunk and for each parity it draws, from
-the parity's stream of that block (see streams), the positions of the
-nonzero counts by geometric skipping, then which of them exceed 1 by
-geometric skipping over the nonzero counts with the thinning probability
-P(C >= 2 | C >= 1), then the value of each count above 1.  A nonzero
-count is 1 unless drawn otherwise, so the two-point signs draw only their
-positions.  Results are therefore bitwise identical for any worker count
-and any replication split along block boundaries.
+the pair indices upward in chunks of rows that draw about _CHUNK_DRAWS
+variates, each from the block's two streams in the order of stream
+layout 4 (see streams).  The even counts are all placed: their positions,
+which of them exceed 1 and the values of those.  An odd count is placed
+only where F_n may pass a threshold: where it is at least 2, where
+Y_2n != 0, or in a row where b_n = -x_loc / x_scale, the value of F_n at
+Y_2n = 0 and C_2n+1 = 1, exceeds min(SimConfig.thresholds) in size.  The
+other odd counts are 1 with F_n = b_n; only their number per row is
+drawn.  So the draws depend on the smallest threshold; at 1 no row of
+either construction is placed (|b_n| <= 1).  Results are bitwise identical
+for any worker count and any replication split along block boundaries.
 
 Per chunk the draws reduce to per-n sums (STAT_NAMES): X_2n sums from the
-integer sums of the even counts, F_n sums over the odd draws row by row,
-with X_2n taken from the even count where both counts of a trajectory are
-nonzero and multiplied by the odd count only where it exceeds 1, and the
-recurrence events {Y_2n = 1}.  A block also keeps, per threshold t of
+integer sums of the even counts, F_n sums over the placed odd counts row by
+row, with X_2n taken from the even count where both counts of a trajectory
+are placed and multiplied by the odd count only where it exceeds 1, plus
+each row's unplaced counts times the powers of b_n; and the recurrence
+events {Y_2n = 1}.  A block also keeps, per threshold t of
 SimConfig.thresholds and per trajectory, the last n with |F_n| > t, which
 gives P(sup_(n >= n0) |F_n| > t) as one count per n0 of the diagnostic
 grid and per t (sup_exceedance is the n0 = start_n count, tail_diagnostic
@@ -126,11 +129,9 @@ def dyadic_windows(n_max: int) -> tuple[tuple[int, int], ...]:
     return tuple(windows)
 
 
-# Gaps drawn per chunk of rows, both parities together: about the expected
-# nonzero counts plus the spare gaps.  It bounds the size of a chunk's
-# arrays; smaller chunks cost more numpy calls per count, larger ones more
-# peak memory.  Against 2^15, 2^16 takes less CPU per Poisson block at the
-# same peak RSS; 2^17 raises twopoint-wide's peak RSS by 8%.
+# Variates a chunk of rows draws, both parities together, about.  It bounds
+# the size of a chunk's arrays: smaller chunks cost more numpy calls per
+# count, larger ones more peak memory.
 _CHUNK_DRAWS = 1 << 16
 # Gaps drawn per row beyond the expected count of nonzero slots, in
 # standard deviations; a row whose gaps end short of its last slot draws
@@ -139,13 +140,14 @@ _SPARE_SD = 4.0
 
 
 class Draws(NamedTuple):
-    """The nonzero counts of one parity in one chunk, in ascending (row, pos)."""
+    """The placed nonzero counts of one parity in one chunk, in ascending (row, pos)."""
 
     rows: np.ndarray      # row within the chunk
     pos: np.ndarray       # trajectory offset within the block
-    per_row: np.ndarray   # number of nonzero counts in each row of the chunk
+    per_row: np.ndarray   # number of placed counts in each row of the chunk
     multi: np.ndarray     # ascending indices into pos of the counts >= 2; the rest are 1
     multi_counts: np.ndarray  # those counts
+    unplaced: np.ndarray  # per row, odd parity only: counts of 1 at Y_2n = 0 not placed
 
     def counts(self) -> np.ndarray:
         """Every nonzero count, in the order of pos."""
@@ -274,41 +276,75 @@ def _chunk_bounds(cost: np.ndarray) -> list[tuple[int, int]]:
     return bounds
 
 
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each key, an index into sorted_keys and whether the key is there."""
+    if not sorted_keys.size:
+        return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
+    at = np.minimum(sorted_keys.searchsorted(keys), sorted_keys.size - 1)
+    return at, sorted_keys[at] == keys
+
+
 def sparse_draws(
-    tables: PairTables, master_seed: int, block: int, width: int
+    tables: PairTables, master_seed: int, block: int, width: int, t_min: float
 ) -> Iterator[tuple[int, int, Draws, Draws]]:
     """The nonzero counts of one block, chunk by chunk in ascending n.
 
     Yields (j0, j1, even, odd): the chunk's rows [j0, j1) and the Draws of
-    Y_2n and C_2n+1 there, for the first `width` trajectories of the block.
-    Per chunk, each parity's stream gives the positions of the nonzero
-    counts; then, where the rates are positive, which of them are >= 2, by
-    geometric skipping over each row's nonzero slots with the thinning
-    probability P(C >= 2 | C >= 1); then one uniform for each count >= 2.
+    Y_2n and C_2n+1 there, for the first `width` trajectories of the block,
+    in the draw order of streams.  In a row with |b_n| <= t_min, the
+    smallest threshold, the odd counts of 1 at Y_2n = 0 (F_n = b_n) pass no
+    threshold, so they are only counted, in odd.unplaced.
     """
-    laws = []
-    for parity, q, rate in ((0, tables.q_even, tables.rate_even),
-                            (1, tables.q_odd, tables.rate_odd)):
-        if rate.any() and not rate.all():
-            raise ValueError("a parity's truncated-Poisson rates must be all 0 or all positive")
-        r, p_two = _count_law(rate) if rate.any() else (None, None)
-        laws.append((block_stream(master_seed, parity, block), 1.0 / np.log1p(-q),
-                     _gap_counts(q, width), rate, r, p_two))
-    for j0, j1 in _chunk_bounds(laws[0][2] + laws[1][2]):
-        parts = []
-        for stream, inv_log, n_gaps, rate, r, p_two in laws:
-            pos, per_row = _nonzero_slots(stream, inv_log[j0:j1], n_gaps[j0:j1], width)
-            rows = np.repeat(np.arange(j1 - j0), per_row)
-            multi = multi_counts = np.zeros(0, dtype=np.int64)  # every count is 1
-            if r is not None:
-                r_rows = r[j0:j1]
-                k, per_row_multi = _nonzero_slots(
-                    stream, 1.0 / np.log1p(-r_rows), _gap_counts(r_rows, per_row), per_row)
-                multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
-                multi_rows = rows[multi] + j0
-                multi_counts = _counts_above_one(stream, rate[multi_rows], p_two[multi_rows])
-            parts.append(Draws(rows, pos, per_row, multi, multi_counts))
-        yield j0, j1, *parts
+    rates = (tables.rate_even, tables.rate_odd)
+    if any(rate.any() and not rate.all() for rate in rates):
+        raise ValueError("a parity's truncated-Poisson rates must be all 0 or all positive")
+    (r_even, p2_even), (r_odd, p2_odd) = (
+        _count_law(rate) if rate.any() else (None, None) for rate in rates)
+    even_stream, odd_stream = (block_stream(master_seed, parity, block) for parity in (0, 1))
+    even_inv, even_gaps = 1.0 / np.log1p(-tables.q_even), _gap_counts(tables.q_even, width)
+    q2 = tables.q_odd * (r_odd if r_odd is not None else 0.0)  # P(C >= 2)
+    p1 = (tables.q_odd - q2) / (1.0 - q2)
+    placed = np.abs(-tables.x_loc / tables.x_scale) > t_min  # the expression _Block.add uses
+    one_inv, one_gaps = 1.0 / np.log1p(-p1), _gap_counts(p1, width)
+    multi_gaps = _gap_counts(q2, width) * (r_odd is not None)
+    # a row not placed draws one odd uniform per nonzero even count, not gaps
+    for j0, j1 in _chunk_bounds(even_gaps + multi_gaps + np.where(placed, one_gaps, even_gaps)):
+        n = j1 - j0
+        pos, per_row = _nonzero_slots(even_stream, even_inv[j0:j1], even_gaps[j0:j1], width)
+        rows = np.repeat(np.arange(n), per_row)
+        multi = multi_counts = np.zeros(0, dtype=np.int64)  # every count is 1
+        if r_even is not None:
+            r_rows = r_even[j0:j1]
+            k, per_row_multi = _nonzero_slots(
+                even_stream, 1.0 / np.log1p(-r_rows), _gap_counts(r_rows, per_row), per_row)
+            multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
+            at = rows[multi] + j0
+            multi_counts = _counts_above_one(even_stream, tables.rate_even[at], p2_even[at])
+        even = Draws(rows, pos, per_row, multi, multi_counts, np.zeros(n, dtype=np.int64))
+
+        multi_key = multi_counts = np.zeros(0, dtype=np.int64)
+        if r_odd is not None:
+            inv_log = 1.0 / np.log1p(-q2[j0:j1])
+            pos, per_row = _nonzero_slots(odd_stream, inv_log, multi_gaps[j0:j1], width)
+            at = np.repeat(np.arange(n), per_row)
+            multi_key = at * width + pos
+            multi_counts = _counts_above_one(odd_stream, tables.rate_odd[at + j0], p2_odd[at + j0])
+        keys = [multi_key]
+        at = placed[j0:j1].nonzero()[0]  # the placed rows
+        if at.size:
+            pos, per_row = _nonzero_slots(odd_stream, one_inv[j0 + at], one_gaps[j0 + at], width)
+            key = np.repeat(at, per_row) * width + pos
+            keys.append(key[~_lookup(multi_key, key)[1]])
+        counted = ~placed[j0:j1]
+        even_key = even.rows * width + even.pos
+        key = even_key[counted[even.rows] & ~_lookup(multi_key, even_key)[1]]
+        keys.append(key[uniform_block(odd_stream, key.size) < p1[j0 + key // width]])
+        free = width - np.bincount(np.concatenate([multi_key, key]) // width, minlength=n)
+        unplaced = odd_stream.binomial(free * counted, p1[j0:j1])  # n = 0 draws nothing
+        key = np.sort(np.concatenate(keys), kind="stable")
+        rows = key // width
+        yield j0, j1, even, Draws(rows, key - rows * width, np.bincount(rows, minlength=n),
+                                  key.searchsorted(multi_key), multi_counts, unplaced)
 
 
 def _row_sums(values: np.ndarray, per_row: np.ndarray) -> np.ndarray:
@@ -320,15 +356,11 @@ def _row_sums(values: np.ndarray, per_row: np.ndarray) -> np.ndarray:
     return out
 
 
-def _both_nonzero(even: Draws, odd: Draws, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into odd and into even of the slots where both counts are nonzero."""
-    if not (odd.pos.size and even.pos.size):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    odd_key = odd.rows * width + odd.pos
-    even_key = even.rows * width + even.pos
-    at = np.minimum(odd_key.searchsorted(even_key), odd_key.size - 1)
-    both = (odd_key[at] == even_key).nonzero()[0]
-    return at[both], both
+def _powers(f: np.ndarray) -> np.ndarray:
+    """F, F^2, F^4, |F|^(5/2) and |F|^5: the sums' columns f to f_abs5."""
+    f_sq = f * f
+    a52 = np.sqrt(np.abs(f)) * f_sq
+    return np.stack([f, f_sq, f_sq * f_sq, a52, a52 * a52])
 
 
 class _Block:
@@ -351,26 +383,22 @@ class _Block:
         loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
         y = even.counts()
         sum_y, sum_y2 = _row_sums(np.stack([y, y * y]), even.per_row).astype(np.float64)
-        # X_2n where F_n may be nonzero: its zero-count value unless Y_2n != 0 too
-        f = np.repeat(-loc / scale, odd.per_row)
-        at, both = _both_nonzero(even, odd, width)
+        # F_n at the placed odd counts: the count times X_2n, which is b_n at Y_2n = 0
+        b = -loc / scale
+        f = np.repeat(b, odd.per_row)
+        at, found = _lookup(odd.rows * width + odd.pos, even.rows * width + even.pos)
+        both = found.nonzero()[0]  # the even counts where an odd count is placed
         rows = even.rows[both]
-        f[at] = (y[both] - loc[rows]) / scale[rows]
+        f[at[both]] = (y[both] - loc[rows]) / scale[rows]
         f[odd.multi] *= odd.multi_counts
-        abs_f = np.abs(f)
-        f_sq = f * f
         block = self.sums[j0:j1]
         block[:, 0] = (sum_y - width * loc) / scale
         block[:, 1] = (sum_y2 - 2.0 * loc * sum_y + width * loc * loc) / (scale * scale)
-        block[:, 2] = _row_sums(f, odd.per_row)
-        block[:, 3] = _row_sums(f_sq, odd.per_row)
-        a52 = np.sqrt(abs_f, out=f)  # F_n is summed; its buffer takes |F_n|^(5/2)
-        a52 *= f_sq
-        block[:, 5] = _row_sums(a52, odd.per_row)
-        block[:, 4] = _row_sums(np.square(f_sq, out=f_sq), odd.per_row)
-        block[:, 6] = _row_sums(np.square(a52, out=a52), odd.per_row)
+        # an unplaced count is 1 where Y_2n = 0: its F_n is b_n
+        block[:, 2:7] = (_row_sums(_powers(f), odd.per_row) + odd.unplaced * _powers(b)).T
         event = (y == 1).nonzero()[0]
         block[:, 7] = np.bincount(even.rows[event], minlength=j1 - j0)
+        abs_f = np.abs(f)
         for last, t in zip(self.last_above, self.config.thresholds):
             big = (abs_f > t).nonzero()[0]
             np.maximum.at(last, odd.pos[big], odd.rows[big] + j0)
@@ -382,7 +410,8 @@ def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     """One block's per-n sums, sup-exceedance and window hits."""
     tables, grid, windows = _plan(config)
     acc = _Block(config, tables, windows, hi - lo)
-    for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo):
+    for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo,
+                                          min(config.thresholds)):
         acc.add(j0, j1, even, odd)
         del even, odd  # free this chunk's draws before the next is drawn
     sup_hits = [[(last >= n0 - config.start_n).sum() for n0 in (config.start_n, *grid)]

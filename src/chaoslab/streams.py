@@ -5,28 +5,38 @@ Trajectory ``r`` lives in block ``r // BLOCK_SIZE`` at offset
 counter-based Philox streams, one for the even variables Y_2n (parity 0)
 and one for the odd variables Y_2n+1 (parity 1), keyed directly by
 ``(master seed, 2 * block + parity)`` without a SeedSequence.  Each stream
-is consumed in ascending n, chunk by chunk, and only where a count is
-nonzero.  Per chunk it gives, in this order: the positions of the nonzero
-counts, by geometric skipping over the trajectories of each row; where the
-counts are Poisson, which of those counts are at least 2, by geometric
-skipping over each row's nonzero counts; and one uniform for each count
-of at least 2, inverted on the law of the count given that it is at least
-2 (see mc.sparse_draws).  The draws of a block are therefore a function of
-the seed, the construction, n_max, the block and its width, never of the
-worker count or of how the replications are split along block boundaries;
-a full block's draws do not depend on the total replication count.
+is consumed in ascending n, chunk by chunk.  Per chunk the even stream
+gives, in this order: the positions of the nonzero counts, by geometric
+skipping over the trajectories of each row; for Poisson counts, which of
+them are at least 2, by skipping over each row's nonzero counts; and one
+uniform per count of at least 2, inverted on its law given C >= 2.  The
+odd stream gives: for Poisson counts, the positions of the counts of at
+least 2, by skipping with P(C >= 2), and one uniform for each; in each
+placed row, the positions of the counts of 1, by skipping with
+p1 = P(C = 1 | C <= 1), dropping those on a count of at least 2; in the
+other rows, one uniform per nonzero even count not on a count of at least
+2, in ascending (row, trajectory), making the odd count 1 there with
+probability p1; then one numpy binomial(free slots, p1) per such row, the
+number of its other counts of 1, which are not placed.  A row is placed
+when |b_n| > min(thresholds), b_n = -x_loc / x_scale being F_n at
+Y_2n = 0, C_2n+1 = 1 (see mc.sparse_draws).  The draws of a block are
+therefore a function of the seed, the construction, n_max, the smallest
+threshold, the block and its width, never of the worker count or of how
+the replications are split along block boundaries; a full block's draws
+do not depend on the total replication count.
 
 LAYOUT_VERSION names this layout and changes whenever the same seed would
 give different draws.  Version 1 gave every (variable index, block) pair
 its own stream and one uniform per trajectory; version 2 drew the
-positions, then one uniform for every nonzero Poisson count.
+positions, then one uniform for every nonzero Poisson count; version 3
+placed every nonzero odd count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-LAYOUT_VERSION = 3
+LAYOUT_VERSION = 4
 BLOCK_SIZE = 1 << 14
 
 
@@ -59,5 +69,6 @@ def block_stream(master_seed: int, parity: int, block: int) -> np.random.Generat
 
 
 def uniform_block(stream: np.random.Generator, size: int) -> np.ndarray:
-    """The next `size` uniforms of a block stream; the engine draws only through here."""
+    """The next `size` uniforms of a block stream; the engine draws every
+    variate through here except its per-row binomials."""
     return stream.random(size)

@@ -337,11 +337,37 @@ def separating_thresholds(sups: np.ndarray) -> tuple[float, ...]:
     return tuple(np.concatenate(([levels[0] / 2], (levels[:-1] + levels[1:]) / 2)))
 
 
-def reconstruction_run(cfg, f_by_n):
-    """The engine's run of cfg with thresholds that separate the reconstructed sups."""
-    thresholds = separating_thresholds(np.abs(f_by_n).max(axis=0))
+def zero_count_values(cfg) -> np.ndarray:
+    """|b_n|: |F_n| where the even count is 0 and the odd count is 1."""
+    tables = mc.MODELS[cfg.example].tables(np.arange(cfg.start_n, cfg.n_max + 1))
+    return np.abs(-tables.x_loc / tables.x_scale)
+
+
+def check_reconstruction(cfg, rebuild, on_event, rtol):
+    """The engine against trajectories rebuilt from its own draws of cfg.
+
+    rebuild(even_counts, odd_counts) gives the [n, trajectory] arrays of F_n
+    and of the recurrence event.  The draws depend on the thresholds only
+    through the rows whose |b_n| exceeds the smallest one, where every slot
+    is placed.  The first run has the thresholds that separate the rebuilt
+    sups and one below every |b_n|, so every row is placed; the second has
+    threshold 1, at or above every |b_n|, so no row is placed.
+    """
+    b = zero_count_values(cfg)
+    assert b.max() <= 1.0
+    every_row = dataclasses.replace(cfg, thresholds=(b.min() / 2,))
+    f_by_n, event_by_n = rebuild(*sparse_counts(every_row))
+    thresholds = (*separating_thresholds(np.abs(f_by_n).max(axis=0)), b.min() / 2)
     assert len(thresholds) > 10
-    return mc.run(dataclasses.replace(cfg, thresholds=thresholds))
+    counted = dataclasses.replace(cfg, thresholds=(1.0,))
+    for run_cfg, (f_by_n, event_by_n) in (
+        (dataclasses.replace(cfg, thresholds=thresholds), (f_by_n, event_by_n)),
+        (counted, rebuild(*sparse_counts(counted))),
+    ):
+        stats = mc.run(run_cfg)
+        assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=rtol, atol=1e-12)
+        assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=rtol, atol=rtol)
+        assert_counts_match(stats, f_by_n, event_by_n, on_event)
 
 
 def assert_counts_match(stats, f_by_n, event_by_n, on_event):
@@ -379,44 +405,40 @@ def test_engine_matches_scalar_reconstruction_twopoint():
     # compare the per-n aggregates, the sup-exceedance counts and the window
     cfg = mc.SimConfig(example="twopoint", n_max=20, replications=64, master_seed=71)
     reps, start = cfg.replications, cfg.start_n
-    plus_even, plus_odd = sparse_counts(cfg)
-    f_by_n = np.zeros((cfg.n_max - start + 1, reps))
-    event_by_n = plus_even == 1
-    for n in range(start, cfg.n_max + 1):
-        se, so = two_point.even_spec(n), two_point.odd_spec(n)
-        for r in range(reps):
-            xe = se.value_plus if plus_even[n - start, r] else se.value_minus
-            xo = so.value_plus if plus_odd[n - start, r] else so.value_minus
-            f_by_n[n - start, r] = two_point.term(n, xe, xo)
-    stats = reconstruction_run(cfg, f_by_n)
-    assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-12, atol=1e-12)
-    assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-12, atol=1e-12)
+
+    def rebuild(plus_even, plus_odd):
+        f_by_n = np.zeros((cfg.n_max - start + 1, reps))
+        for n in range(start, cfg.n_max + 1):
+            se, so = two_point.even_spec(n), two_point.odd_spec(n)
+            for r in range(reps):
+                xe = se.value_plus if plus_even[n - start, r] else se.value_minus
+                xo = so.value_plus if plus_odd[n - start, r] else so.value_minus
+                f_by_n[n - start, r] = two_point.term(n, xe, xo)
+        return f_by_n, plus_even == 1
 
     def on_event(n):
         value = two_point.first_chaos(n, two_point.even_spec(n).value_plus)
         return value, two_point.first_chaos_on_plus(n)
 
-    assert_counts_match(stats, f_by_n, event_by_n, on_event)
+    check_reconstruction(cfg, rebuild, on_event, rtol=1e-12)
 
 
 def test_engine_matches_scalar_reconstruction_poisson():
     cfg = mc.SimConfig(example="poisson", n_max=20, replications=64, master_seed=73)
     reps, start = cfg.replications, cfg.start_n
-    y_even, y_odd = sparse_counts(cfg)
-    f_by_n = np.zeros((cfg.n_max - start + 1, reps))
-    event_by_n = y_even == 1
-    for n in range(start, cfg.n_max + 1):
-        for r in range(reps):
-            ye, yo = int(y_even[n - start, r]), int(y_odd[n - start, r])
-            f_by_n[n - start, r] = decompose_term(n, ye, yo).total
-    stats = reconstruction_run(cfg, f_by_n)
-    assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=1e-10, atol=1e-12)
-    assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=1e-10, atol=1e-10)
+
+    def rebuild(y_even, y_odd):
+        f_by_n = np.zeros((cfg.n_max - start + 1, reps))
+        for n in range(start, cfg.n_max + 1):
+            for r in range(reps):
+                ye, yo = int(y_even[n - start, r]), int(y_odd[n - start, r])
+                f_by_n[n - start, r] = decompose_term(n, ye, yo).total
+        return f_by_n, y_even == 1
 
     def on_event(n):
         return decompose_term(n, 1, 0).order1, poisson_pair.first_chaos_at_one(n)
 
-    assert_counts_match(stats, f_by_n, event_by_n, on_event)
+    check_reconstruction(cfg, rebuild, on_event, rtol=1e-10)
 
 
 def assert_equals_dense_aggregation(stats):
@@ -435,18 +457,25 @@ def assert_equals_dense_aggregation(stats):
 @pytest.mark.parametrize("example", ["poisson", "twopoint"])
 def test_sparse_aggregates_equal_dense_aggregation(example):
     # two blocks, the second partial; a threshold that splits the suffix
-    # counts, and 32 thresholds at the dense sups themselves, where the strict
-    # inequality decides
-    cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300, master_seed=83)
+    # counts, and 32 thresholds at the dense sups above it, where the strict
+    # inequality decides.  The smallest threshold, 0.5, places the rows with
+    # |b_n| > 0.5 (n <= 6 for Poisson, n <= 4 for two-point) and counts the
+    # C = 1 slots of the others where Y_2n = 0.
+    cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300, master_seed=83,
+                       thresholds=(0.5,))
+    b = zero_count_values(cfg)
+    assert (b > 0.5).any() and (b <= 0.5).any()
     sups = dense_oracle.run(cfg, counts=dense_oracle.sparse_counts)["window_max"]
-    levels = np.unique(sups[sups > 0])
+    levels = np.unique(sups[sups > 0.5])
     at_sups = levels[np.unique(np.linspace(0, levels.size - 1, 32).astype(int))]
     assert at_sups.size == 32
     assert_equals_dense_aggregation(mc.run(dataclasses.replace(cfg, thresholds=(0.5, *at_sups))))
 
 
 def test_gap_top_up_keeps_draws_exact(monkeypatch):
-    # with no spare gaps about half the rows run out before their last slot
+    # with no spare gaps about half the rows run out before their last slot,
+    # in the skips for the even counts, for the odd counts >= 2 and for the
+    # odd counts of 1 in the placed rows (|b_n| > 0.5: n <= 6)
     monkeypatch.setattr(mc, "_SPARE_SD", 0.0)
     top_ups = []
     real_top_up = mc._top_up
@@ -456,18 +485,20 @@ def test_gap_top_up_keeps_draws_exact(monkeypatch):
         return real_top_up(*args)
 
     monkeypatch.setattr(mc, "_top_up", counting_top_up)
-    cfg = mc.SimConfig(example="poisson", n_max=200, replications=4096, master_seed=89)
+    cfg = mc.SimConfig(example="poisson", n_max=200, replications=4096, master_seed=89,
+                       thresholds=(0.5,))
     tables = mc.MODELS["poisson"].tables(np.arange(1, 201))
     per_row = {"even": np.zeros(200), "odd": np.zeros(200)}
-    for j0, j1, even, odd in mc.sparse_draws(tables, cfg.master_seed, 0, 4096):
+    for j0, j1, even, odd in mc.sparse_draws(tables, cfg.master_seed, 0, 4096, 0.5):
         for name, d in (("even", even), ("odd", odd)):
             key = d.rows * 4096 + d.pos
             assert np.all(np.diff(key) > 0) and d.pos.min(initial=0) >= 0
             assert d.pos.max(initial=0) < 4096 and d.counts().min(initial=1) >= 1
             assert np.array_equal(np.bincount(d.rows, minlength=j1 - j0), d.per_row)
-            per_row[name][j0:j1] = d.per_row
+            per_row[name][j0:j1] = d.per_row + d.unplaced
+        assert not even.unplaced.any() and not odd.unplaced[: max(6 - j0, 0)].any()
     assert len(top_ups) > 100
-    # the nonzero counts per row are Binomial(width, q): total and spread
+    # the nonzero counts per row, placed or not, are Binomial(width, q): total and spread
     for name, q in (("even", tables.q_even), ("odd", tables.q_odd)):
         mean, var = 4096 * q, 4096 * q * (1 - q)
         z = (per_row[name] - mean) / np.sqrt(var)
@@ -476,8 +507,12 @@ def test_gap_top_up_keeps_draws_exact(monkeypatch):
     assert_equals_dense_aggregation(mc.run(cfg))
 
 
-def test_poisson_block_draws_only_the_nonzero_counts(monkeypatch):
-    # count every variate a Poisson block draws, whatever method draws it
+def test_poisson_block_draws_fewer_variates_than_nonzero_counts(monkeypatch):
+    # count every variate a Poisson block draws, whatever method draws it,
+    # binomials included.  The odd counts of 1 where Y_2n = 0 are counted per
+    # row, not placed, so the variates are a fraction of the nonzero counts
+    # (0.36 by the tables), and at most about three per even nonzero count and
+    # per odd count >= 2, plus a few per row
     drawn = []
 
     class CountingStream:
@@ -499,16 +534,19 @@ def test_poisson_block_draws_only_the_nonzero_counts(monkeypatch):
     cfg = mc.SimConfig(example="poisson", n_max=2000, replications=BLOCK_SIZE, master_seed=97)
     mc.run(cfg)
     tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
-    expected = BLOCK_SIZE * (tables.q_even + tables.q_odd).sum()
+    r_odd, _ = mc._count_law(tables.rate_odd)
+    nonzero = BLOCK_SIZE * (tables.q_even + tables.q_odd).sum()
+    informative = BLOCK_SIZE * (tables.q_even + tables.q_odd * r_odd).sum()
     rows = 2 * len(tables.n_values)
-    assert expected <= sum(drawn) <= 3 * expected + 8 * rows
-    assert sum(drawn) < BLOCK_SIZE * rows / 5  # one uniform per count would be BLOCK_SIZE * rows
+    assert sum(drawn) <= 0.45 * nonzero
+    assert sum(drawn) <= 3 * informative + 8 * rows
 
 
 def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
-    # a count's value is drawn only when it exceeds one, and the counts above
-    # one are found by skipping, so a Poisson block spends well under two
-    # uniforms per nonzero count (one for its gap, one for its value)
+    # a count's value is drawn only when it exceeds one, the counts above one
+    # are found by skipping, and the odd counts of 1 where Y_2n = 0 are
+    # counted by one binomial per row, so a Poisson block spends well under
+    # one uniform per nonzero count
     drawn, slot_draws = [], []
     real_uniform_block, real_slots = mc.uniform_block, mc._nonzero_slots
 
@@ -526,20 +564,56 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     monkeypatch.setattr(mc, "_nonzero_slots", counting_slots)
     tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
     nonzero = above_one = 0
-    for _, _, *parts in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE):
-        nonzero += sum(d.pos.size for d in parts)
+    for _, _, *parts in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE, 1.0):
+        nonzero += sum(d.pos.size + d.unplaced.sum() for d in parts)
         above_one += sum(d.multi.size for d in parts)
     assert above_one > 0
-    assert sum(drawn) <= 1.5 * nonzero
-    # a two-point chunk draws its gaps and nothing else: one skip per parity
+    assert sum(drawn) <= 0.5 * nonzero
+    # with no placed row, a two-point chunk draws its even gaps, then one odd
+    # uniform per nonzero even count: one skip, and no skip for the odd counts
     drawn.clear(), slot_draws.clear()
     tables = mc.MODELS["twopoint"].tables(np.arange(2, 2001))
-    chunks = 0
-    for _, _, even, odd in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE):
+    chunks = even_nonzero = 0
+    for _, _, even, odd in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE, 1.0):
         chunks += 1
+        even_nonzero += even.pos.size
         assert even.multi.size == odd.multi.size == 0
-    assert len(slot_draws) == 2 * chunks
-    assert sum(drawn) == sum(slot_draws) > 0
+    assert len(slot_draws) == chunks
+    assert sum(drawn) == sum(slot_draws) + even_nonzero > even_nonzero
+
+
+@pytest.mark.parametrize("example", ["poisson", "twopoint"])
+def test_draws_depend_on_the_thresholds_only_through_the_placed_rows(example):
+    # |b_n| <= 1 in both constructions, so neither smallest threshold, 1 or 9,
+    # places a row: the draws, and with them the sums, the counts above 9 and
+    # the window hits, are the same bits
+    cfg = mc.SimConfig(example=example, n_max=1000, replications=BLOCK_SIZE + 100,
+                       master_seed=59, thresholds=(1.0, 9.0))
+    low = mc.run(cfg)
+    high = mc.run(dataclasses.replace(cfg, thresholds=(9.0, 16.0, 25.0, 100.0)))
+    assert all(np.array_equal(a, b) for a, b in zip(low.block_sums, high.block_sums))
+    assert np.array_equal(low.sup_hits[1], high.sup_hits[0]) and high.sup_hits[0, 0] > 0
+    assert np.array_equal(low.win_hits, high.win_hits)
+
+
+def test_pooled_moments_over_every_n_match_the_exact_values():
+    # One pooled z per statistic with an exact per-n mean and variance, over
+    # every n of one run: sum_n (S_n - R mu_n) / sqrt(R sum_n var_n).  Terms
+    # are independent across n and trajectories, so the pooled variance is
+    # exact.  |z| < 3.48 for each of the four is a family-wise false-failure
+    # rate of 4 x 5.0e-4 = 2e-3 (Bonferroni).
+    cfg = mc.SimConfig(example="poisson", n_max=2000, replications=1 << 16, master_seed=11)
+    stats = mc.run(cfg)
+    model, n, r = mc.MODELS["poisson"], stats.tables.n_values, cfg.replications
+    second = np.array([model.second_moment(int(k)) for k in n])
+    fourth = np.array([model.fourth_moment(int(k)) for k in n])
+    p = stats.tables.event_prob
+    exact = {"f": (0.0, second), "f_sq": (second, fourth - second**2), "x_even": (0.0, 1.0),
+             "events": (p, p * (1 - p))}
+    for stat, (mean, var) in exact.items():
+        mean, var = np.broadcast_to(mean, n.shape), np.broadcast_to(var, n.shape)
+        z = (stats.sums(stat) - r * mean).sum() / math.sqrt(r * var.sum())
+        assert abs(z) < 3.48, (stat, z)
 
 
 def holm_rejections(p_values: dict, alpha: float) -> list:
@@ -632,14 +706,16 @@ def binomial_p(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def test_thinned_counts_follow_the_truncated_law():
-    # At a fixed seed, one Poisson block.  Given m_j nonzero counts in row j,
-    # the number of counts >= 2 there is Binomial(m_j, r_j), r_j =
-    # P(C >= 2 | C >= 1); pooled over the rows, the frequencies of C = 2, 3
-    # and >= 4 match the exact zero-truncated pmf.  Holm's step-down keeps the
-    # family-wise false-failure rate at 1e-3.
+    # At a fixed seed, one Poisson block.  Given m_j nonzero even counts in
+    # row j, the number of them >= 2 is Binomial(m_j, r_j), r_j =
+    # P(C >= 2 | C >= 1); the odd counts >= 2 of row j, found by skipping over
+    # all its slots, are Binomial(width, P(C >= 2)).  Pooled over the rows,
+    # so are the totals, and the frequencies of C = 2, 3 and >= 4 match the
+    # exact pmf, given C >= 1 (even) and given C >= 2 (odd).  Holm's
+    # step-down keeps the family-wise false-failure rate at 1e-3.
     tables = mc.MODELS["poisson"].tables(np.arange(1, 501))
     totals = {"even": [], "odd": []}
-    for j0, j1, even, odd in mc.sparse_draws(tables, 131, 0, BLOCK_SIZE):
+    for j0, j1, even, odd in mc.sparse_draws(tables, 131, 0, BLOCK_SIZE, 1.0):
         for name, d in (("even", even), ("odd", odd)):
             assert np.all(np.diff(d.multi) > 0) and np.all(d.multi_counts >= 2)
             counts = d.counts()
@@ -648,17 +724,23 @@ def test_thinned_counts_follow_the_truncated_law():
                                  minlength=j1 - j0) for k in (2, 3, 4)]
             totals[name].append(np.column_stack([d.per_row, multi_rows, *cells]))
     p_values = {}
-    for name, rate in (("even", tables.rate_even), ("odd", tables.rate_odd)):
+    for name, q, rate in (("even", tables.q_even, tables.rate_even),
+                          ("odd", tables.q_odd, tables.rate_odd)):
         m, multi, *cells = np.concatenate(totals[name]).T
         r, _ = mc._count_law(rate)
-        for n, p in zip(tables.n_values, binomial_p(multi, m, r)):
-            p_values[f"{name} multi[{n}]"] = p
-        pmf = scipy.stats.poisson.pmf(np.arange(4)[:, None], rate) / -np.expm1(-rate)
-        cell_probs = [pmf[2], pmf[3], 1.0 - pmf[1:].sum(axis=0)]
+        trials, p = (m, r) if name == "even" else (np.full_like(m, BLOCK_SIZE), q * r)
+        for n, p_n in zip(tables.n_values, binomial_p(multi, trials, p)):
+            p_values[f"{name} multi[{n}]"] = p_n
+        mean, var = (trials * p).sum(), (trials * p * (1 - p)).sum()
+        p_values[f"{name} multi total"] = math.erfc(abs(multi.sum() - mean) / math.sqrt(2 * var))
+        law = scipy.stats.poisson(rate)
+        given = law.sf(0 if name == "even" else 1)  # P(C >= 1) or P(C >= 2)
+        cell_probs = np.array([law.pmf(2), law.pmf(3), law.sf(3)]) / given
+        weight = m if name == "even" else multi
         for k, seen, prob in zip(("2", "3", ">=4"), cells, cell_probs):
-            mean, var = (m * prob).sum(), (m * prob * (1 - prob)).sum()
+            mean, var = (weight * prob).sum(), (weight * prob * (1 - prob)).sum()
             p_values[f"{name} C={k}"] = math.erfc(abs(seen.sum() - mean) / math.sqrt(2 * var))
-    assert len(p_values) == 2 * 500 + 6
+    assert len(p_values) == 2 * 500 + 8
     assert holm_rejections(p_values, alpha=1e-3) == []
 
 
