@@ -26,13 +26,5 @@ from .poisson_moments import (
     raw_moment_4,
     tail_factorial_bound,
 )
-from .variables import (
-    TwoPointSpec,
-    poisson_from_uniform,
-    poisson_normalize,
-    sample_poisson,
-    two_point_from_p,
-    two_point_value,
-)
 
 __version__ = "0.1.0"

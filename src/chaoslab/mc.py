@@ -57,7 +57,7 @@ from . import poisson_pair, two_point
 from .errors import BadIndexError, ResourceLimitError
 from .pair_model import PairModel, PairTables
 from .streams import BLOCK_SIZE, block_bounds, block_stream, uniform_block
-from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
+from .point_process import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
 from .workers import run_tasks
 from .workers import worker_count as _worker_count  # perfbench/spans.py hooks this name
 

@@ -3,17 +3,66 @@
 The n-th term depends on the process only through the counts N(A_2n) and
 N(A_2n+1) of two disjoint intervals, independent Poisson variables with the
 intensities as means; those two counts fix its whole chaos expansion.
+`realize` draws the two counts by inversion of the cumulative pmf.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from . import streams
+from .errors import OutOfRangeError
+from .poisson_moments import MAX_RATE
 from .poisson_pair import intensity
-from .variables import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
-from .variables import sample_poisson
+
+# Cumulative pmf values are cached per intensity; the table ends where the
+# remaining tail mass is far below 2^-53, so one uniform always lands.
+_TAIL_CUTOFF = 1e-25
+
+
+@lru_cache(maxsize=None)
+def _poisson_cdf(lam: float) -> np.ndarray:
+    if not 0.0 < lam <= MAX_RATE:
+        raise OutOfRangeError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
+    pmf = math.exp(-lam)
+    levels = [pmf]
+    k = 0
+    cap = int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    while k < cap:
+        k += 1
+        pmf *= lam / k
+        levels.append(levels[-1] + pmf)
+        if k > lam and pmf < _TAIL_CUTOFF:
+            break
+    return np.array(levels)
+
+
+def sample_poisson(lam: float, rng: np.random.Generator) -> int:
+    """Poisson(lam) count by inversion of the cumulative pmf; one uniform."""
+    table = _poisson_cdf(float(lam))
+    return int(bisect_right(table, rng.random()))
+
+
+def poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
+    """Vectorized inversion: count = #{k : cdf(k) <= u}, same walk as sample_poisson.
+
+    No caller in the package: the tests' dense sampler uses it, and
+    perfbench/spans.py hooks this name.
+    """
+    table = _poisson_cdf(float(lam))
+    u = np.asarray(u)
+    y = np.zeros(u.shape, dtype=np.int64)
+    for level in table:
+        mask = u >= level
+        if not mask.any():
+            break
+        y += mask
+    return y
 
 
 def realize(n: int, seed: int) -> tuple[int, int]:

@@ -16,8 +16,8 @@ from .errors import OutOfRangeError
 
 _EPS = sys.float_info.epsilon
 # Largest intensity whose first pmf term exp(-lam) is a normal double; above
-# it every pmf recurrence here and in variables starts from an underflowed
-# term.
+# it every pmf recurrence here and in point_process starts from an
+# underflowed term.
 MAX_RATE = 700.0
 
 

@@ -14,7 +14,6 @@ n^(1/16) - n^(-11/16) on the recurrent event {Y_2n = 1}, hence diverges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import BadIndexError, DomainError
 from .pair_model import PairModel, PairTables
 from .poisson_moments import abs_central_moment, raw_abs_moment, raw_moment_4
 from .series import Series, limit_constant
-from .variables import poisson_normalize
 
 START_N = 1
 
@@ -43,7 +41,8 @@ def term(n: int, y_even: int, y_odd: int) -> float:
     """F_n in collapsed form X_2n * Y_2n+1; a zero F_n is 0.0, never -0.0."""
     if n < START_N:
         raise BadIndexError(f"pair index must be >= {START_N}")
-    x_even = poisson_normalize(intensity(2 * n), y_even)
+    lam = intensity(2 * n)
+    x_even = (float(y_even) - lam) / math.sqrt(lam)
     return x_even * y_odd if y_odd else 0.0
 
 
@@ -136,40 +135,6 @@ def first_chaos_at_one(n) -> np.ndarray | float:
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class EventBounds:
-    """Per-pair event probabilities and bounds used by the recurrence arguments."""
-
-    joint_nonzero: float   # bound on P(Y_2n != 0, Y_2n+1 != 0): lambda_2n*lambda_2n+1
-    large_count: float     # Chebyshev bound on P(Y_2n+1 > eps n^(3/8))
-    count_one: float       # exact P(Y_2n = 1) = exp(-lambda_2n) lambda_2n
-
-
-def event_bounds(n: int, epsilon: float = 1.0) -> EventBounds:
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    lam_even = intensity(2 * n)
-    lam_odd = intensity(2 * n + 1)
-    return EventBounds(
-        joint_nonzero=lam_even * lam_odd,
-        large_count=(lam_odd + lam_odd * lam_odd) / (epsilon * epsilon * n**0.75),
-        count_one=math.exp(-lam_even) * lam_even,
-    )
-
-
-def scan_first_chaos_exceeds(threshold: float, n_cap: int = 2**62) -> tuple[int, float]:
-    """First doubling index where the at-one closed form exceeds the threshold."""
-    n = START_N
-    while n <= n_cap:
-        value = first_chaos_at_one(n)
-        if value > threshold:
-            return n, value
-        n *= 2
-    raise BadIndexError(f"closed form stayed <= {threshold} up to n={n_cap}")
 
 
 def pair_tables(n: np.ndarray) -> PairTables:

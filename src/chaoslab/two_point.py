@@ -14,13 +14,10 @@ the recurrent event {Y_2n = 1}.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import BadIndexError
 from .pair_model import PairModel, PairTables
-from .variables import TwoPointSpec, two_point_from_p
 
 START_N = 2
 
@@ -39,22 +36,6 @@ def prob(k) -> np.ndarray | float:
     return out
 
 
-def even_spec(n: int) -> TwoPointSpec:
-    return two_point_from_p(prob(2 * n))
-
-
-def odd_spec(n: int) -> TwoPointSpec:
-    return two_point_from_p(prob(2 * n + 1))
-
-
-def term(n: int, x_even: float, x_odd: float) -> float:
-    """F_n evaluated from the two normalized values."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
-    p = prob(2 * n + 1)
-    return p * x_even + math.sqrt(p * (1.0 - p)) * x_even * x_odd
-
-
 def second_moment(n: int) -> float:
     """E(F_n^2); equals the odd sign probability p_(2n+1)."""
     if n < START_N:
@@ -70,13 +51,6 @@ def fourth_moment(n: int) -> float:
     return ((1.0 - p) ** 2 / p + p * p / (1.0 - p)) * prob(2 * n + 1)
 
 
-def first_chaos(n: int, x_even: float) -> float:
-    """Degree-one chaos component of F_n: p_(2n+1) * X_2n."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
-    return prob(2 * n + 1) * x_even
-
-
 def first_chaos_on_plus(n) -> np.ndarray | float:
     """Closed form of the degree-one component on {Y_2n = 1}.
 
@@ -89,17 +63,6 @@ def first_chaos_on_plus(n) -> np.ndarray | float:
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def scan_first_chaos_exceeds(threshold: float, n_cap: int = 2**62) -> tuple[int, float]:
-    """First doubling index where the on-plus closed form exceeds the threshold."""
-    n = START_N
-    while n <= n_cap:
-        value = first_chaos_on_plus(n)
-        if value > threshold:
-            return n, value
-        n *= 2
-    raise BadIndexError(f"closed form stayed <= {threshold} up to n={n_cap}")
 
 
 def pair_tables(n: np.ndarray) -> PairTables:

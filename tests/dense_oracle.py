@@ -7,15 +7,56 @@ aggregator reduces full [n, trajectory] count matrices to the engine's
 per-n sums and window hit counts, and to each trajectory's suprema of |F_n|
 over n >= n0, from which sup_hits gives the engine's sup-exceedance counts,
 with plain dense numpy operations.
+
+It also keeps the two-point F_n in its defining, un-collapsed form, the
+reference for the collapsed tables and the engine.
 """
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from chaoslab import mc
+from chaoslab import mc, two_point
+from chaoslab.point_process import poisson_from_uniform
 from chaoslab.streams import BLOCK_SIZE, block_bounds
-from chaoslab.variables import poisson_from_uniform
+
+
+class TwoPointSpec(NamedTuple):
+    """A +/-1 sign Y with P(Y = 1) = p and its normalization X.
+
+    X is sqrt((1-p)/p) on {Y = 1} and -sqrt(p/(1-p)) on {Y = -1}, which
+    makes it mean-zero with unit variance for every p in (0, 1).
+    """
+
+    p: float
+    value_plus: float
+    value_minus: float
+
+    @classmethod
+    def from_p(cls, p: float) -> TwoPointSpec:
+        return cls(float(p), math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p)))
+
+    def value(self, y: int) -> float:
+        """Normalized value X for a realized sign y in {-1, +1}."""
+        return self.value_plus if y == 1 else self.value_minus
+
+
+def even_spec(n: int) -> TwoPointSpec:
+    return TwoPointSpec.from_p(two_point.prob(2 * n))
+
+
+def odd_spec(n: int) -> TwoPointSpec:
+    return TwoPointSpec.from_p(two_point.prob(2 * n + 1))
+
+
+def two_point_term(n: int, x_even: float, x_odd: float) -> float:
+    """F_n = p X_2n + sqrt(p(1-p)) X_2n X_2n+1 with p = p_(2n+1), from the two
+    normalized values."""
+    p = two_point.prob(2 * n + 1)
+    return p * x_even + math.sqrt(p * (1.0 - p)) * x_even * x_odd
 
 
 def uniform_block(master_seed: int, var_index: int, block: int, size: int) -> np.ndarray:

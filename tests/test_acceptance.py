@@ -13,11 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_oracle
 from chaoslab import mc, poisson_moments, poisson_pair, series, two_point
 from chaoslab.cli import main
 from chaoslab.point_process import decompose_term
 from chaoslab.poisson_pair import intensity
-from chaoslab.variables import two_point_value
 
 SEED = 20240601
 
@@ -53,12 +53,12 @@ def test_exact_identities_two_point():
     with criterion("two-point exact identities"):
         outcomes = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         for n in range(2, 101):
-            se, so = two_point.even_spec(n), two_point.odd_spec(n)
+            se, so = dense_oracle.even_spec(n), dense_oracle.odd_spec(n)
             mean_terms, sq_terms = [], []
             for ye, yo in outcomes:
                 w = (se.p if ye == 1 else 1 - se.p) * (so.p if yo == 1 else 1 - so.p)
-                xe = two_point_value(se, ye)
-                f = two_point.term(n, xe, two_point_value(so, yo))
+                xe = se.value(ye)
+                f = dense_oracle.two_point_term(n, xe, so.value(yo))
                 collapsed = xe if yo == 1 else 0.0
                 assert abs(f - collapsed) <= 1e-12  # collapse on every outcome
                 mean_terms.append(w * f)
@@ -185,9 +185,14 @@ def test_divergence_of_projection_evidence():
         assert abs(w.estimate.mean - float(exact)) <= 3 * w.estimate.stderr
         assert stats.sums("events")[10 - 2 : 20 - 2].sum() > 0 and w.max_event_deviation <= 1e-9
 
-        n_tp, v_tp = two_point.scan_first_chaos_exceeds(10.0)
+        # the first doubling n where each closed form on the event exceeds 10
+        n_tp, n_po = two_point.START_N, poisson_pair.START_N
+        while two_point.first_chaos_on_plus(n_tp) <= 10.0:
+            n_tp *= 2
+        while poisson_pair.first_chaos_at_one(n_po) <= 10.0:
+            n_po *= 2
+        v_tp, v_po = two_point.first_chaos_on_plus(n_tp), poisson_pair.first_chaos_at_one(n_po)
         assert v_tp > 10.0 and n_tp <= 10**9
-        n_po, v_po = poisson_pair.scan_first_chaos_exceeds(10.0)
         assert v_po > 10.0
         print(
             f"  degree-one component exceeds 10: two-point at n={n_tp} "

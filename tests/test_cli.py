@@ -231,10 +231,24 @@ def test_decompose_json_bytes_are_frozen(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("moments",), "d27a8d5cba69615a42ae4b275cfcdf491fe54ab875289452af90fd1618074247"),
+    (("series", "--series", "all", "--n", "100000"),
+     "038bded57f59dfd1486689935b5f33cfb0c55b279078ddbea8e638f59b9d5257"),
+], ids=["moments", "series"])
+def test_exact_json_bytes_are_frozen(capsys, argv, digest):
+    # sha256 of the JSON stdout of the certified (non-random) commands
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 FROZEN_TAIL = ("tail", "--n-max", "300", "--reps", "20000", "--seed", "5",
                "--t-grid", "0.5,2,9,16")
 FROZEN_SIMULATE = ("simulate", "--example", "twopoint", "--n-max", "60", "--reps", "20000",
                    "--seed", "3", "--epsilon", "0.5")
+FROZEN_POISSON = ("simulate", "--example", "poisson", "--n-max", "300", "--reps", "20000",
+                  "--seed", "7")
 
 
 @pytest.mark.parametrize("argv, fmt, output, digest", [
@@ -246,7 +260,9 @@ FROZEN_SIMULATE = ("simulate", "--example", "twopoint", "--n-max", "60", "--reps
      "1ee70981a6c7dd7308f67e0f731fddd7397bef3db05947115ad3f926d2045e2d"),
     (FROZEN_SIMULATE, "json", "csv",
      "58d51a853eb8df653d66cf175fe41272cea9926e7bed49a2263a4aa3c052fb5e"),
-], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv"])
+    (FROZEN_POISSON, "text", "csv",
+     "b124a286e3df585126a766e322378001bc3c483af071d467af8bfd487fdc53c2"),
+], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv", "poisson-csv"])
 def test_monte_carlo_bytes_are_frozen(capsys, tmp_path, argv, fmt, output, digest):
     # sha256 of the output: the sup-exceedance, tail-diagnostic and window rows
     # print the same bytes from one version of the engine to the next; the

@@ -319,7 +319,8 @@ def test_first_chaos_report_poisson():
     cfg = mc.SimConfig(example="poisson", n_max=40, replications=100_000, master_seed=43)
     stats = mc.run(cfg)
     w = mc.first_chaos_report(stats)[0]
-    p = np.array([poisson_pair.event_bounds(n).count_one for n in range(10, 20)])
+    lam = np.asarray(poisson_pair.intensity(2 * np.arange(10, 20)))
+    p = np.exp(-lam) * lam  # P(Y_2n = 1)
     assert w.exact_prob == pytest.approx(1 - np.prod(1 - p), rel=1e-12)
     assert abs(w.estimate.mean - w.exact_prob) <= 3 * w.estimate.stderr
     assert w.max_event_deviation <= 1e-9
@@ -330,11 +331,20 @@ def test_first_chaos_report_poisson():
 
 
 def separating_thresholds(sups: np.ndarray) -> tuple[float, ...]:
-    """Thresholds between the distinct positive values of sups: half the
+    """Thresholds between the distinct values of sups above 1e-12: half the
     smallest, and the midpoint of each neighbouring pair.  The count above
-    each pins the sorted sups; no count depends on how a sup is rounded."""
-    levels = np.unique(sups[sups > 0])
+    each pins the sorted sups; no count depends on how a sup is rounded.
+    A rebuilt F_n that is 0 can carry a rounding residue (up to 1.1e-16 in
+    the un-collapsed two-point form), and the smallest nonzero |F_n| at
+    n <= 20 is above 0.2, so sups below 1e-12 count as 0."""
+    levels = np.unique(sups[sups > 1e-12])
     return tuple(np.concatenate(([levels[0] / 2], (levels[:-1] + levels[1:]) / 2)))
+
+
+def test_separating_thresholds_skip_rounding_residues():
+    thresholds = separating_thresholds(np.array([0.0, 1.1e-16, 0.25, 0.5, 0.25]))
+    assert min(thresholds) >= 1e-12
+    assert thresholds == (0.125, 0.375)
 
 
 def zero_count_values(cfg) -> np.ndarray:
@@ -409,15 +419,15 @@ def test_engine_matches_scalar_reconstruction_twopoint():
     def rebuild(plus_even, plus_odd):
         f_by_n = np.zeros((cfg.n_max - start + 1, reps))
         for n in range(start, cfg.n_max + 1):
-            se, so = two_point.even_spec(n), two_point.odd_spec(n)
+            se, so = dense_oracle.even_spec(n), dense_oracle.odd_spec(n)
             for r in range(reps):
                 xe = se.value_plus if plus_even[n - start, r] else se.value_minus
                 xo = so.value_plus if plus_odd[n - start, r] else so.value_minus
-                f_by_n[n - start, r] = two_point.term(n, xe, xo)
+                f_by_n[n - start, r] = dense_oracle.two_point_term(n, xe, xo)
         return f_by_n, plus_even == 1
 
     def on_event(n):
-        value = two_point.first_chaos(n, two_point.even_spec(n).value_plus)
+        value = two_point.prob(2 * n + 1) * dense_oracle.even_spec(n).value_plus
         return value, two_point.first_chaos_on_plus(n)
 
     check_reconstruction(cfg, rebuild, on_event, rtol=1e-12)

@@ -7,15 +7,90 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaoslab import streams
-from chaoslab.point_process import ChaosParts, decompose_term, realize
+from chaoslab.errors import OutOfRangeError
+from chaoslab.point_process import (
+    ChaosParts,
+    decompose_term,
+    poisson_from_uniform,
+    realize,
+    sample_poisson,
+)
 from chaoslab.poisson_pair import intensity, term
-from chaoslab.variables import poisson_from_uniform, sample_poisson
+
+
+class QueuedRng:
+    """Stand-in generator feeding a preset uniform sequence."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
 
 
 def batch_counts(lengths, rng, size: int) -> np.ndarray:
     """Counts of `size` realizations, shape (size, len(lengths)): column i takes
     one uniform per realization, in interval order."""
     return np.column_stack([poisson_from_uniform(rng.random(size), lam) for lam in lengths])
+
+
+def test_poisson_spec_validation():
+    with pytest.raises(OutOfRangeError):
+        sample_poisson(-1.0, streams.generator(0, 0))
+    with pytest.raises(OutOfRangeError):
+        sample_poisson(1e12, streams.generator(0, 0))  # O(rate) table is capped
+    for lam in (800.0, 1000.0):  # exp(-lam) would underflow the cdf table
+        with pytest.raises(OutOfRangeError):
+            sample_poisson(lam, streams.generator(0, 0))
+        with pytest.raises(OutOfRangeError):
+            poisson_from_uniform(np.array([0.5]), lam)
+    assert list(poisson_from_uniform(np.array([0.1, 0.5, 0.9]), 700.0)) == [666, 700, 734]
+
+
+def test_sample_poisson_matches_vector_inversion():
+    rng = streams.generator(7, 2)
+    u = rng.random(500)
+    vec = poisson_from_uniform(u, 0.7)
+    scalar = [sample_poisson(0.7, QueuedRng([ui])) for ui in u]
+    assert np.array_equal(vec, scalar)
+    assert poisson_from_uniform(np.array([0.0]), 0.7)[0] == 0
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+def test_poisson_chi_square_fit(lam):
+    reps = 100_000
+    u = streams.generator(90210, int(lam * 100)).random(reps)
+    counts = poisson_from_uniform(u, lam)
+    kmax = int(counts.max())
+    observed = np.bincount(counts, minlength=kmax + 2).astype(float)
+    expected = reps * scipy.stats.poisson.pmf(np.arange(kmax + 2), lam)
+    expected[-1] = reps * scipy.stats.poisson.sf(kmax, lam)
+    # merge sparse tail bins until every expected count is >= 5
+    while len(expected) > 2 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    stat = ((observed - expected) ** 2 / expected).sum()
+    pvalue = scipy.stats.chi2.sf(stat, df=len(expected) - 1)
+    assert pvalue > 1e-4
+
+
+def test_poisson_empirical_moments():
+    reps = 10**6
+    u = streams.generator(5150, 3).random(reps)
+    y = poisson_from_uniform(u, 0.5)
+    p0 = (y == 0).mean()
+    se = math.sqrt(math.exp(-0.5) * (1 - math.exp(-0.5)) / reps)
+    assert abs(p0 - math.exp(-0.5)) <= 3 * se
+
+    y = poisson_from_uniform(streams.generator(5150, 4).random(reps), 0.125)
+    se = math.sqrt(0.125 / reps)
+    assert abs(y.mean() - 0.125) <= 3 * se
+
+    y = poisson_from_uniform(streams.generator(5150, 5).random(reps), 1.0).astype(float)
+    y4 = y**4
+    se = y4.std(ddof=1) / math.sqrt(reps)
+    assert abs(y4.mean() - 15.0) <= 3 * se  # E(Y^4) at rate 1
 
 
 def test_realize_provenance_and_reproducibility():

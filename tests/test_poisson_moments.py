@@ -16,7 +16,7 @@ from chaoslab.poisson_moments import (
     raw_moment_4,
     tail_factorial_bound,
 )
-from chaoslab.variables import poisson_from_uniform
+from chaoslab.point_process import poisson_from_uniform
 
 SLACK = 1e-14
 LAM_GRID = [i / 100.0 for i in range(1, 101)]
@@ -154,3 +154,10 @@ def test_validation():
             abs_central_moment(lam, 2.5)
     assert raw_abs_moment(700.0, 2.5).value == pytest.approx(1.2999e7, rel=1e-4)
     assert raw_abs_moment(30.0, 2.0).value == pytest.approx(30.0 + 900.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.125, 0.5, 1.0])
+def test_normalized_moments_algebra(lam):
+    # E X^2 = Var(Y)/lam = 1 for X = (Y - lam)/sqrt(lam)
+    var = abs_central_moment(lam, 2.0).value
+    assert var / lam == pytest.approx(1.0, abs=1e-10)

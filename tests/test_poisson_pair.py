@@ -10,14 +10,12 @@ import dense_oracle
 from chaoslab.errors import BadIndexError, DomainError
 from chaoslab.point_process import decompose_term
 from chaoslab.poisson_pair import (
-    EventBounds,
-    event_bounds,
     first_chaos_at_one,
     fourth_moment,
     intensity,
     moment52_bound,
     moment52_exact,
-    scan_first_chaos_exceeds,
+    pair_tables,
     second_moment,
     sup_moment_bound,
     sup_tail_bound,
@@ -194,31 +192,24 @@ def test_first_chaos_two_forms_agree():
 def test_first_chaos_growth_scan():
     values = first_chaos_at_one(np.arange(1, 10**6, dtype=np.int64))
     assert np.all(np.diff(values) > 0)
-    n, value = scan_first_chaos_exceeds(10.0)
-    assert value > 10.0
+    n = 1
+    while first_chaos_at_one(n) <= 10.0:  # the first doubling n past 10
+        n *= 2
+    assert first_chaos_at_one(n) > 10.0
     assert first_chaos_at_one(max(1, n // 2)) <= 10.0
 
 
-def test_event_bounds():
-    eb = event_bounds(16)
-    assert isinstance(eb, EventBounds)
-    assert eb.joint_nonzero == pytest.approx(16.0 ** (-17.0 / 16.0), rel=1e-12)
-    assert eb.count_one == pytest.approx(math.exp(-0.125) * 0.125, rel=1e-12)
-    assert eb.count_one == pytest.approx(0.110312, abs=1e-5)
-    for n in (1, 2, 16, 500):
-        lam_e, lam_o = intensity(2 * n), intensity(2 * n + 1)
-        eb = event_bounds(n)
-        exact_joint = (1 - math.exp(-lam_e)) * (1 - math.exp(-lam_o))
-        assert exact_joint <= eb.joint_nonzero + 1e-14
-        assert eb.joint_nonzero == pytest.approx(float(n) ** (-17.0 / 16.0), rel=1e-12)
-        # Chebyshev bound collapses to <= 2 n^(-17/16) / eps^2
-        for eps in (0.5, 1.0, 2.0):
-            bound = event_bounds(n, eps).large_count
-            assert bound <= 2.0 * float(n) ** (-17.0 / 16.0) / eps**2 + 1e-14
-        # divergence driver: count-one probability dominates e^-1 * lam_even
-        assert eb.count_one >= math.exp(-1.0) * lam_e
-    with pytest.raises(DomainError):
-        event_bounds(4, epsilon=0.0)
+def test_event_tables():
+    n_values = np.array([1, 2, 16, 500])
+    tables = pair_tables(n_values)
+    lam_e = np.asarray(intensity(2 * n_values))
+    # P(Y_2n = 1) = exp(-lam_2n) lam_2n, lam_32 = 1/8
+    assert tables.event_prob[2] == pytest.approx(math.exp(-0.125) * 0.125, rel=1e-12)
+    assert tables.event_prob[2] == pytest.approx(0.110312, abs=1e-5)
+    # P(Y_2n != 0, Y_2n+1 != 0) <= lam_2n lam_2n+1 = n^(-17/16)
+    assert np.all(tables.q_even * tables.q_odd <= n_values ** (-17.0 / 16.0) + 1e-14)
+    # divergence driver: count-one probability dominates e^-1 * lam_even
+    assert np.all(tables.event_prob >= math.exp(-1.0) * lam_e)
 
 
 @given(st.integers(1, 10_000), st.integers(0, 50), st.integers(0, 50))

@@ -9,18 +9,8 @@ from hypothesis import strategies as st
 from chaoslab import streams
 from chaoslab.errors import BadIndexError
 from chaoslab.series import Series, term as series_term
-from chaoslab.two_point import (
-    even_spec,
-    first_chaos,
-    first_chaos_on_plus,
-    fourth_moment,
-    odd_spec,
-    prob,
-    scan_first_chaos_exceeds,
-    second_moment,
-    term,
-)
-from chaoslab.variables import two_point_value
+from chaoslab.two_point import first_chaos_on_plus, fourth_moment, prob, second_moment
+from dense_oracle import TwoPointSpec, even_spec, odd_spec, two_point_term as term
 
 OUTCOMES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -31,10 +21,39 @@ def enumerate_moments(n: int) -> tuple[float, float]:
     mean_terms, sq_terms = [], []
     for ye, yo in OUTCOMES:
         w = (se.p if ye == 1 else 1 - se.p) * (so.p if yo == 1 else 1 - so.p)
-        f = term(n, two_point_value(se, ye), two_point_value(so, yo))
+        f = term(n, se.value(ye), so.value(yo))
         mean_terms.append(w * f)
         sq_terms.append(w * f * f)
     return math.fsum(mean_terms), math.fsum(sq_terms)
+
+
+def test_two_point_examples():
+    spec = TwoPointSpec.from_p(0.5)
+    assert (spec.value_plus, spec.value_minus) == (1.0, -1.0)
+    spec = TwoPointSpec.from_p(0.2)
+    assert spec.value_plus == pytest.approx(2.0, rel=1e-15)
+    assert spec.value_minus == pytest.approx(-0.5, rel=1e-15)
+    # two-outcome enumeration: mean 0, variance 1
+    assert 0.2 * 4.0 + 0.8 * 0.25 == pytest.approx(1.0, rel=1e-15)
+
+
+@given(st.floats(1e-9, 1 - 1e-9))
+def test_two_point_moments(p):
+    spec = TwoPointSpec.from_p(p)
+    mean = p * spec.value_plus + (1 - p) * spec.value_minus
+    var = p * spec.value_plus**2 + (1 - p) * spec.value_minus**2
+    assert abs(mean) <= 1e-12
+    assert abs(var - 1.0) <= 1e-12
+
+
+def test_two_point_empirical_mean():
+    p = 0.3
+    spec = TwoPointSpec.from_p(p)
+    reps = 10**6
+    u = streams.generator(2024, 1).random(reps)
+    x = np.where(u < p, spec.value_plus, spec.value_minus)
+    stderr = 1.0 / math.sqrt(reps)  # exact variance is 1
+    assert abs(x.mean()) <= 3 * stderr
 
 
 def test_prob_examples():
@@ -59,7 +78,7 @@ def test_prob_in_unit_interval_and_decreasing():
 def test_collapse_identity_all_outcomes(n):
     se, so = even_spec(n), odd_spec(n)
     for ye, yo in OUTCOMES:
-        xe, xo = two_point_value(se, ye), two_point_value(so, yo)
+        xe, xo = se.value(ye), so.value(yo)
         collapsed = xe if yo == 1 else 0.0
         assert term(n, xe, xo) == pytest.approx(collapsed, abs=1e-12)
 
@@ -77,7 +96,7 @@ def test_fourth_moment_by_enumeration():
         se, so = even_spec(n), odd_spec(n)
         terms = [
             (se.p if ye == 1 else 1 - se.p) * (so.p if yo == 1 else 1 - so.p)
-            * term(n, two_point_value(se, ye), two_point_value(so, yo)) ** 4
+            * term(n, se.value(ye), so.value(yo)) ** 4
             for ye, yo in OUTCOMES
         ]
         assert fourth_moment(n) == pytest.approx(math.fsum(terms), rel=1e-12)
@@ -110,7 +129,7 @@ def test_term_examples():
 def test_first_chaos_values():
     for n in (2, 5, 17, 400):
         se = even_spec(n)
-        on_plus = first_chaos(n, se.value_plus)
+        on_plus = prob(2 * n + 1) * se.value_plus
         assert on_plus == pytest.approx(first_chaos_on_plus(n), rel=1e-10)
     # n = 5: sqrt(4) * 5^(-1/sqrt(log 5))
     oracle = 2.0 * 5.0 ** (-1.0 / math.sqrt(math.log(5.0)))
@@ -120,7 +139,7 @@ def test_first_chaos_values():
     assert first_chaos_on_plus(10**6) > first_chaos_on_plus(10**3)
     # vanishes along the minus event
     n = 10**4
-    minus = first_chaos(n, even_spec(n).value_minus)
+    minus = prob(2 * n + 1) * even_spec(n).value_minus
     assert minus == pytest.approx(-prob(2 * n + 1) * math.sqrt(1.0 / (n - 1)), rel=1e-10)
     assert abs(minus) < 1e-3
 
@@ -129,8 +148,10 @@ def test_first_chaos_growth_scan():
     n_values = np.arange(2, 10**6, dtype=np.int64)
     values = first_chaos_on_plus(n_values)
     assert np.all(np.diff(values) > 0)  # increasing over the whole scanned range
-    n, value = scan_first_chaos_exceeds(10.0)
-    assert value > 10.0
+    n = 2
+    while first_chaos_on_plus(n) <= 10.0:  # the first doubling n past 10
+        n *= 2
+    assert first_chaos_on_plus(n) > 10.0
     assert n <= 10**9
     assert first_chaos_on_plus(max(2, n // 2)) <= 10.0
 
@@ -167,5 +188,5 @@ def test_window_event_probability_telescopes():
 def test_collapse_identity_property(n, outcome):
     ye, yo = outcome
     se, so = even_spec(n), odd_spec(n)
-    xe, xo = two_point_value(se, ye), two_point_value(so, yo)
+    xe, xo = se.value(ye), so.value(yo)
     assert term(n, xe, xo) == pytest.approx(xe if yo == 1 else 0.0, abs=1e-12)
