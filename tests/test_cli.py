@@ -247,6 +247,8 @@ FROZEN_TAIL = ("tail", "--n-max", "300", "--reps", "20000", "--seed", "5",
                "--t-grid", "0.5,2,9,16")
 FROZEN_SIMULATE = ("simulate", "--example", "twopoint", "--n-max", "60", "--reps", "20000",
                    "--seed", "3", "--epsilon", "0.5")
+FROZEN_TWOPOINT = ("simulate", "--example", "twopoint", "--n-max", "60", "--reps", "20000",
+                   "--seed", "3", "--epsilon", "1")
 FROZEN_POISSON = ("simulate", "--example", "poisson", "--n-max", "300", "--reps", "20000",
                   "--seed", "7")
 
@@ -260,9 +262,11 @@ FROZEN_POISSON = ("simulate", "--example", "poisson", "--n-max", "300", "--reps"
      "1ee70981a6c7dd7308f67e0f731fddd7397bef3db05947115ad3f926d2045e2d"),
     (FROZEN_SIMULATE, "json", "csv",
      "58d51a853eb8df653d66cf175fe41272cea9926e7bed49a2263a4aa3c052fb5e"),
+    (FROZEN_TWOPOINT, "json", "csv",
+     "8aae72508026b811cf163630baec00623c774726e4a73b7b67ad98945e53f075"),
     (FROZEN_POISSON, "text", "csv",
      "b124a286e3df585126a766e322378001bc3c483af071d467af8bfd487fdc53c2"),
-], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv", "poisson-csv"])
+], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv", "twopoint-csv", "poisson-csv"])
 def test_monte_carlo_bytes_are_frozen(capsys, tmp_path, argv, fmt, output, digest):
     # sha256 of the output: the sup-exceedance, tail-diagnostic and window rows
     # print the same bytes from one version of the engine to the next; the
