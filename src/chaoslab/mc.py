@@ -10,29 +10,32 @@ kept statistic follows from the nonzero counts alone.
 Trajectories are simulated in fixed blocks of BLOCK_SIZE.  A block walks
 the pair indices upward in chunks of rows that draw about _CHUNK_DRAWS
 variates, each from the block's two streams in the order of stream
-layout 4 (see streams).  The even counts are all placed: their positions,
-which of them exceed 1 and the values of those.  An odd count is placed
-only where F_n may pass a threshold: where it is at least 2, where
-Y_2n != 0, or in a row where b_n = -x_loc / x_scale, the value of F_n at
-Y_2n = 0 and C_2n+1 = 1, exceeds min(SimConfig.thresholds) in size.  The
-other odd counts are 1 with F_n = b_n; only their number per row is
-drawn.  So the draws depend on the smallest threshold; at 1 no row of
-either construction is placed (|b_n| <= 1).  Results are bitwise identical
-for any worker count and any replication split along block boundaries.
+layout 5 (see streams).  The even counts are all placed: their positions,
+which of them exceed 1 and the values of those.  The odd count beside each
+nonzero even count is drawn by inversion, one uniform each, so it sits
+beside its even count with no search.  Where Y_2n = 0, F_n is C_2n+1 b_n,
+b_n = -x_loc / x_scale; an odd count there is placed only where F_n may
+pass a threshold: where it is at least 3, or in a row where the largest
+count not placed, 1 for two-point and 2 for Poisson counts, times |b_n|
+exceeds min(SimConfig.thresholds).  Of the other odd counts only their
+number per row is drawn, of 1s and of 2s.  So the draws depend on the
+smallest threshold; at 1 only the Poisson rows n <= 6 are placed.  Results
+are bitwise identical for any worker count and any replication split along
+block boundaries.
 
 Per chunk the draws reduce to per-n sums (STAT_NAMES): X_2n sums from the
 integer sums of the even counts, F_n sums over the placed odd counts row by
-row, with X_2n taken from the even count where both counts of a trajectory
-are placed and multiplied by the odd count only where it exceeds 1, plus
-each row's unplaced counts times the powers of b_n; and the recurrence
-events {Y_2n = 1}.  A block also keeps, per threshold t of
-SimConfig.thresholds and per trajectory, the last n with |F_n| > t, which
-gives P(sup_(n >= n0) |F_n| > t) as one count per n0 of the diagnostic
-grid and per t (sup_exceedance is the n0 = start_n count, tail_diagnostic
-the grid counts of the first threshold); and per window the count of
-trajectories with an event in it.  run_range and merge join
-contiguous parts with the same _assemble; across blocks the per-n sums are
-combined by an exactly rounded compensated sum, and counts add.
+row, X_2n times the odd count beside a nonzero even count and b_n times
+the placed count where Y_2n = 0, plus each row's unplaced 1s and 2s times
+the powers of b_n and 2 b_n; and the recurrence events {Y_2n = 1}.  A
+block also keeps, per threshold t of SimConfig.thresholds and per
+trajectory, the last n with |F_n| > t, which gives
+P(sup_(n >= n0) |F_n| > t) as one count per n0 of the diagnostic grid and
+per t (sup_exceedance is the n0 = start_n count, tail_diagnostic the grid
+counts of the first threshold); and per window the count of trajectories
+with an event in it.  run_range and merge join contiguous parts with the
+same _assemble; across blocks the per-n sums are combined by an exactly
+rounded compensated sum, and counts add.
 
 run_range walks the blocks with workers.run_tasks: in forked worker
 processes, as many as workers.worker_count allows (CHAOSLAB_THREADS, by
@@ -140,20 +143,23 @@ _SPARE_SD = 4.0
 
 
 class Draws(NamedTuple):
-    """The placed nonzero counts of one parity in one chunk, in ascending (row, pos)."""
+    """Placed nonzero counts of one parity in one chunk, in ascending (row, pos)."""
 
     rows: np.ndarray      # row within the chunk
     pos: np.ndarray       # trajectory offset within the block
     per_row: np.ndarray   # number of placed counts in each row of the chunk
-    multi: np.ndarray     # ascending indices into pos of the counts >= 2; the rest are 1
-    multi_counts: np.ndarray  # those counts
-    unplaced: np.ndarray  # per row, odd parity only: counts of 1 at Y_2n = 0 not placed
+    counts: np.ndarray    # the counts, each >= 1
 
-    def counts(self) -> np.ndarray:
-        """Every nonzero count, in the order of pos."""
-        counts = np.ones(self.pos.size, dtype=np.int64)
-        counts[self.multi] = self.multi_counts
-        return counts
+
+class OddDraws(NamedTuple):
+    """The odd counts of one chunk: those beside a nonzero even count, the
+    placed ones where Y_2n = 0, and per row the number of the others."""
+
+    on_even: np.ndarray         # ascending indices into the even Draws where C >= 1
+    on_even_counts: np.ndarray  # the odd counts there
+    placed: Draws               # the placed counts where Y_2n = 0
+    ones: np.ndarray            # per row: the counts of 1 where Y_2n = 0 (F_n = b_n), unplaced
+    twos: np.ndarray            # per row: the counts of 2 there (F_n = 2 b_n), unplaced
 
 
 def _gaps(u: np.ndarray, inv_log: np.ndarray, width: int) -> np.ndarray:
@@ -221,45 +227,52 @@ def _nonzero_slots(stream, inv_log: np.ndarray, n_gaps: np.ndarray, width: int |
     return pos, per_row
 
 
-# Terms of g(x) = 2 sum_k x^k / (k + 2)!, highest first: for x <= 1 the
-# omitted terms are below 2^-53 of g.
-_G_TERMS = tuple(2.0 / math.factorial(k + 2) for k in reversed(range(18)))
+# Terms of g_m(x) = m! sum_k x^k / (k + m)!, highest first: for x <= 1 the
+# omitted terms are below 2^-53 of g_m.
+_G_TERMS = {m: tuple(float(math.factorial(m)) / math.factorial(k + m) for k in reversed(range(18)))
+            for m in (1, 2, 3)}
+
+
+def _g(m: int, rate: np.ndarray) -> np.ndarray:
+    """g_m(rate), so that P(C >= m) = e^-rate rate^m g_m(rate) / m! for C ~ Poisson(rate).
+
+    Summed term by term for rate <= 1, so that no digits cancel at small rates.
+    """
+    g = np.zeros_like(rate)
+    for c in _G_TERMS[m]:
+        g = g * rate + c
+    large = rate > 1.0
+    x = rate[large]
+    head = sum(x**k / math.factorial(k) for k in range(1, m))  # e^x - 1 before x^m
+    g[large] = math.factorial(m) * (np.expm1(x) - head) / x**m
+    return g
 
 
 def _count_law(rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) for C ~ Poisson(rate), rate > 0.
-
-    Both rest on e^rate - 1 - rate = rate^2 g(rate) / 2, where g is summed
-    term by term for rate <= 1, so that no digits cancel at small rates.
-    """
-    g = np.zeros_like(rate)
-    for c in _G_TERMS:
-        g = g * rate + c
-    large = rate > 1.0
-    g[large] = 2.0 * (np.expm1(rate[large]) - rate[large]) / (rate[large] * rate[large])
+    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) for C ~ Poisson(rate), rate > 0."""
+    g = _g(2, rate)
     return 0.5 * rate * rate * g / np.expm1(rate), 1.0 / g
 
 
-def _counts_above_one(stream, rate: np.ndarray, p_two: np.ndarray) -> np.ndarray:
-    """Counts of C ~ Poisson(rate[j]) given C >= 2, by inversion, one uniform each.
+def _counts_at_least(stream, rate: np.ndarray, low, p_low: np.ndarray) -> np.ndarray:
+    """Counts of C ~ Poisson(rate[j]) given C >= low[j], by inversion, one uniform each.
 
-    p_two[j] is P(C = 2 | C >= 2) for the row j of each count.
+    p_low[j] is P(C = low[j] | C >= low[j]); low is an array or one int.
     """
     u = uniform_block(stream, rate.size)
-    counts = np.full(rate.size, 2, dtype=np.int64)
-    live = (u >= p_two).nonzero()[0]  # the counts above 2
-    lam = rate[live]
-    term = cdf = p_two[live]
-    k = 2
+    counts = np.array(np.broadcast_to(low, rate.shape), dtype=np.int64)
+    live = (u >= p_low).nonzero()[0]  # the counts above low
+    lam, k = rate[live], counts[live]
+    term = cdf = p_low[live]
     while live.size:
-        k += 1
+        k = k + 1
         counts[live] = k
-        term = term * lam / k  # P(C = k | C >= 2)
+        term = term * lam / k  # P(C = k | C >= low)
         if not term.any():  # the rest of the tail is below the smallest double
             break
         cdf = cdf + term
         up = u[live] >= cdf
-        live, lam, term, cdf = live[up], lam[up], term[up], cdf[up]
+        live, lam, k, term, cdf = live[up], lam[up], k[up], term[up], cdf[up]
     return counts
 
 
@@ -276,75 +289,95 @@ def _chunk_bounds(cost: np.ndarray) -> list[tuple[int, int]]:
     return bounds
 
 
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each key, an index into sorted_keys and whether the key is there."""
+def _holds(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in sorted_keys."""
     if not sorted_keys.size:
-        return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
-    at = np.minimum(sorted_keys.searchsorted(keys), sorted_keys.size - 1)
-    return at, sorted_keys[at] == keys
+        return np.zeros(keys.size, dtype=bool)
+    return sorted_keys[np.minimum(sorted_keys.searchsorted(keys), sorted_keys.size - 1)] == keys
 
 
 def sparse_draws(
     tables: PairTables, master_seed: int, block: int, width: int, t_min: float
-) -> Iterator[tuple[int, int, Draws, Draws]]:
+) -> Iterator[tuple[int, int, Draws, OddDraws]]:
     """The nonzero counts of one block, chunk by chunk in ascending n.
 
-    Yields (j0, j1, even, odd): the chunk's rows [j0, j1) and the Draws of
+    Yields (j0, j1, even, odd): the chunk's rows [j0, j1) and the draws of
     Y_2n and C_2n+1 there, for the first `width` trajectories of the block,
-    in the draw order of streams.  In a row with |b_n| <= t_min, the
-    smallest threshold, the odd counts of 1 at Y_2n = 0 (F_n = b_n) pass no
-    threshold, so they are only counted, in odd.unplaced.
+    in the draw order of streams.  Where Y_2n = 0, F_n is C_2n+1 b_n.  In a
+    row where no unplaced count can pass t_min, the smallest threshold, the
+    odd counts of 1 and 2 there are only counted, in odd.ones and odd.twos.
     """
     rates = (tables.rate_even, tables.rate_odd)
     if any(rate.any() and not rate.all() for rate in rates):
         raise ValueError("a parity's truncated-Poisson rates must be all 0 or all positive")
-    (r_even, p2_even), (r_odd, p2_odd) = (
-        _count_law(rate) if rate.any() else (None, None) for rate in rates)
+    r_even, p2_even = _count_law(tables.rate_even) if tables.rate_even.any() else (None, None)
+    lam, q = tables.rate_odd, tables.q_odd
+    poisson_odd = bool(lam.any())  # else every nonzero odd count is 1
+    g1, g2, g3 = (_g(m, lam) for m in (1, 2, 3))
+    p_two = q * lam / (2.0 * g1)                   # P(C = 2)
+    q2, q3 = p_two * g2, p_two * lam * g3 / 3.0    # P(C >= 2), P(C >= 3)
+    one = q / g1 / (1.0 - q3)                      # P(C = 1 | C <= 2), q at rate 0
+    two = p_two / (1.0 - q + p_two)                # P(C = 2 | C in {0, 2})
+    b = -tables.x_loc / tables.x_scale             # the expression _Block.add uses
+    placed = np.abs(b * (2 if poisson_odd else 1)) > t_min  # the largest unplaced F_n passes
+    skip = np.where(placed, q, q3)                 # P(C >= 1) or P(C >= 3) at Y_2n = 0
+    low, p_low = np.where(placed, 1, 3), 1.0 / np.where(placed, g1, g3)
+    drawn = skip > 0.0                             # the rows that skip
+    skip_inv = np.divide(1.0, np.log1p(-skip), out=np.zeros_like(skip), where=drawn)
+    skip_gaps = _gap_counts(skip, width) * drawn
     even_stream, odd_stream = (block_stream(master_seed, parity, block) for parity in (0, 1))
     even_inv, even_gaps = 1.0 / np.log1p(-tables.q_even), _gap_counts(tables.q_even, width)
-    q2 = tables.q_odd * (r_odd if r_odd is not None else 0.0)  # P(C >= 2)
-    p1 = (tables.q_odd - q2) / (1.0 - q2)
-    placed = np.abs(-tables.x_loc / tables.x_scale) > t_min  # the expression _Block.add uses
-    one_inv, one_gaps = 1.0 / np.log1p(-p1), _gap_counts(p1, width)
-    multi_gaps = _gap_counts(q2, width) * (r_odd is not None)
-    # a row not placed draws one odd uniform per nonzero even count, not gaps
-    for j0, j1 in _chunk_bounds(even_gaps + multi_gaps + np.where(placed, one_gaps, even_gaps)):
+    # The variates of a row: its even gaps, about as many odd uniforms and
+    # its odd skip gaps; for Poisson counts, also the even thinning gaps and
+    # the values.  The per-row binomials are left out, as in layout 4, so a
+    # two-point chunk keeps its rows.
+    cost = 2 * even_gaps + skip_gaps
+    if r_even is not None:
+        above_one = width * tables.q_even * r_even
+        cost += _gap_counts(r_even, width * tables.q_even) + np.ceil(
+            above_one + width * (tables.q_even * q2 + skip)).astype(np.int64)
+    for j0, j1 in _chunk_bounds(cost):
         n = j1 - j0
         pos, per_row = _nonzero_slots(even_stream, even_inv[j0:j1], even_gaps[j0:j1], width)
         rows = np.repeat(np.arange(n), per_row)
-        multi = multi_counts = np.zeros(0, dtype=np.int64)  # every count is 1
+        counts = np.ones(pos.size, dtype=np.int64)
         if r_even is not None:
             r_rows = r_even[j0:j1]
             k, per_row_multi = _nonzero_slots(
                 even_stream, 1.0 / np.log1p(-r_rows), _gap_counts(r_rows, per_row), per_row)
             multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
             at = rows[multi] + j0
-            multi_counts = _counts_above_one(even_stream, tables.rate_even[at], p2_even[at])
-        even = Draws(rows, pos, per_row, multi, multi_counts, np.zeros(n, dtype=np.int64))
+            counts[multi] = _counts_at_least(even_stream, tables.rate_even[at], 2, p2_even[at])
+        even = Draws(rows, pos, per_row, counts)
 
-        multi_key = multi_counts = np.zeros(0, dtype=np.int64)
-        if r_odd is not None:
-            inv_log = 1.0 / np.log1p(-q2[j0:j1])
-            pos, per_row = _nonzero_slots(odd_stream, inv_log, multi_gaps[j0:j1], width)
-            at = np.repeat(np.arange(n), per_row)
-            multi_key = at * width + pos
-            multi_counts = _counts_above_one(odd_stream, tables.rate_odd[at + j0], p2_odd[at + j0])
-        keys = [multi_key]
-        at = placed[j0:j1].nonzero()[0]  # the placed rows
+        # 1. the odd count beside each nonzero even count, by inversion
+        u = uniform_block(odd_stream, pos.size)
+        on_even = (u < np.repeat(q[j0:j1], per_row)).nonzero()[0]
+        on_even_counts = np.ones(on_even.size, dtype=np.int64)
+        if poisson_odd:
+            at = rows[on_even] + j0
+            multi = (u[on_even] < q2[at]).nonzero()[0]
+            at = at[multi]
+            on_even_counts[multi] = _counts_at_least(odd_stream, lam[at], 2, 1.0 / g2[at])
+        # 2. the placed counts where Y_2n = 0: skips over every slot
+        z_rows = z_pos = np.zeros(0, dtype=np.int64)
+        at = drawn[j0:j1].nonzero()[0] + j0
         if at.size:
-            pos, per_row = _nonzero_slots(odd_stream, one_inv[j0 + at], one_gaps[j0 + at], width)
-            key = np.repeat(at, per_row) * width + pos
-            keys.append(key[~_lookup(multi_key, key)[1]])
-        counted = ~placed[j0:j1]
-        even_key = even.rows * width + even.pos
-        key = even_key[counted[even.rows] & ~_lookup(multi_key, even_key)[1]]
-        keys.append(key[uniform_block(odd_stream, key.size) < p1[j0 + key // width]])
-        free = width - np.bincount(np.concatenate([multi_key, key]) // width, minlength=n)
-        unplaced = odd_stream.binomial(free * counted, p1[j0:j1])  # n = 0 draws nothing
-        key = np.sort(np.concatenate(keys), kind="stable")
-        rows = key // width
-        yield j0, j1, even, Draws(rows, key - rows * width, np.bincount(rows, minlength=n),
-                                  key.searchsorted(multi_key), multi_counts, unplaced)
+            z_pos, z_per_row = _nonzero_slots(odd_stream, skip_inv[at], skip_gaps[at], width)
+            z_rows = np.repeat(at - j0, z_per_row)
+            keep = ~_holds(rows * width + pos, z_rows * width + z_pos)  # drop Y_2n != 0
+            z_rows, z_pos = z_rows[keep], z_pos[keep]
+        at = z_rows + j0
+        z_counts = (_counts_at_least(odd_stream, lam[at], low[at], p_low[at]) if poisson_odd
+                    else np.ones(at.size, dtype=np.int64))
+        z_per_row = np.bincount(z_rows, minlength=n)
+        # 3. the other counts of 1 and 2 there, in the rows not placed
+        free = (width - per_row - z_per_row) * ~placed[j0:j1]
+        ones = odd_stream.binomial(free, one[j0:j1])  # n = 0 draws nothing
+        twos = (odd_stream.binomial(free - ones, two[j0:j1]) if poisson_odd
+                else np.zeros(n, dtype=np.int64))
+        yield j0, j1, even, OddDraws(on_even, on_even_counts,
+                                     Draws(z_rows, z_pos, z_per_row, z_counts), ones, twos)
 
 
 def _row_sums(values: np.ndarray, per_row: np.ndarray) -> np.ndarray:
@@ -377,31 +410,31 @@ class _Block:
             self.window_of[w_lo - config.start_n : w_hi - config.start_n] = w
         self.ev_or = np.zeros((len(windows), width), dtype=bool)  # event seen in the window
 
-    def add(self, j0: int, j1: int, even: Draws, odd: Draws) -> None:
+    def add(self, j0: int, j1: int, even: Draws, odd: OddDraws) -> None:
         """Reduce the draws of rows [j0, j1)."""
-        width = self.width
         loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
-        y = even.counts()
+        y = even.counts
         sum_y, sum_y2 = _row_sums(np.stack([y, y * y]), even.per_row).astype(np.float64)
         # F_n at the placed odd counts: the count times X_2n, which is b_n at Y_2n = 0
         b = -loc / scale
-        f = np.repeat(b, odd.per_row)
-        at, found = _lookup(odd.rows * width + odd.pos, even.rows * width + even.pos)
-        both = found.nonzero()[0]  # the even counts where an odd count is placed
-        rows = even.rows[both]
-        f[at[both]] = (y[both] - loc[rows]) / scale[rows]
-        f[odd.multi] *= odd.multi_counts
+        rows = even.rows[odd.on_even]
+        f = (y[odd.on_even] - loc[rows]) / scale[rows] * odd.on_even_counts
+        zero = odd.placed
+        f_zero = b[zero.rows] * zero.counts
         block = self.sums[j0:j1]
-        block[:, 0] = (sum_y - width * loc) / scale
-        block[:, 1] = (sum_y2 - 2.0 * loc * sum_y + width * loc * loc) / (scale * scale)
-        # an unplaced count is 1 where Y_2n = 0: its F_n is b_n
-        block[:, 2:7] = (_row_sums(_powers(f), odd.per_row) + odd.unplaced * _powers(b)).T
+        block[:, 0] = (sum_y - self.width * loc) / scale
+        block[:, 1] = (sum_y2 - 2.0 * loc * sum_y + self.width * loc * loc) / (scale * scale)
+        block[:, 2:7] = (_row_sums(_powers(f), np.bincount(rows, minlength=j1 - j0))
+                         + _row_sums(_powers(f_zero), zero.per_row)
+                         + odd.ones * _powers(b) + odd.twos * _powers(2.0 * b)).T
         event = (y == 1).nonzero()[0]
         block[:, 7] = np.bincount(even.rows[event], minlength=j1 - j0)
-        abs_f = np.abs(f)
+        abs_f = np.abs(np.concatenate([f, f_zero]))
+        f_pos = np.concatenate([even.pos[odd.on_even], zero.pos])
+        f_rows = np.concatenate([rows, zero.rows]) + j0
         for last, t in zip(self.last_above, self.config.thresholds):
             big = (abs_f > t).nonzero()[0]
-            np.maximum.at(last, odd.pos[big], odd.rows[big] + j0)
+            np.maximum.at(last, f_pos[big], f_rows[big])
         w = self.window_of[even.rows[event] + j0]
         self.ev_or[w[w >= 0], even.pos[event][w >= 0]] = True
 

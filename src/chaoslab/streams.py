@@ -10,33 +10,42 @@ gives, in this order: the positions of the nonzero counts, by geometric
 skipping over the trajectories of each row; for Poisson counts, which of
 them are at least 2, by skipping over each row's nonzero counts; and one
 uniform per count of at least 2, inverted on its law given C >= 2.  The
-odd stream gives: for Poisson counts, the positions of the counts of at
-least 2, by skipping with P(C >= 2), and one uniform for each; in each
-placed row, the positions of the counts of 1, by skipping with
-p1 = P(C = 1 | C <= 1), dropping those on a count of at least 2; in the
-other rows, one uniform per nonzero even count not on a count of at least
-2, in ascending (row, trajectory), making the odd count 1 there with
-probability p1; then one numpy binomial(free slots, p1) per such row, the
-number of its other counts of 1, which are not placed.  A row is placed
-when |b_n| > min(thresholds), b_n = -x_loc / x_scale being F_n at
-Y_2n = 0, C_2n+1 = 1 (see mc.sparse_draws).  The draws of a block are
-therefore a function of the seed, the construction, n_max, the smallest
-threshold, the block and its width, never of the worker count or of how
-the replications are split along block boundaries; a full block's draws
-do not depend on the total replication count.
+odd stream gives: one uniform per nonzero even count, in ascending (row,
+trajectory), the odd count there being at least 1 when it is below
+P(C >= 1) and at least 2 when it is below P(C >= 2); for Poisson counts,
+one uniform per such count of at least 2, inverted on its law given
+C >= 2; then, where Y_2n = 0, the positions of the placed counts, by
+skipping over all the slots of a row with P(C >= 1) in a placed row and
+P(C >= 3) in the others (a row whose probability is 0 draws nothing),
+dropping those on a nonzero even count; for Poisson counts one uniform
+for each, inverted on its law given C >= 1 or C >= 3; then one numpy
+binomial per row, the number of the other counts of 1 in the row's free
+slots, with P(C = 1 | C <= 2); and for Poisson counts one more, the number
+of counts of 2 in the slots left, with P(C = 2 | C in {0, 2}).  Placed
+rows draw binomials over no slots, which take no draws.  A row is placed
+when its largest unplaced F_n, b_n for two-point and 2 b_n for Poisson
+counts, exceeds min(thresholds) in size, b_n = -x_loc / x_scale being
+F_n at Y_2n = 0, C_2n+1 = 1 (see mc.sparse_draws).  The draws of a block
+are therefore a function of the seed, the construction, n_max, the
+smallest threshold, the block and its width, never of the worker count or
+of how the replications are split along block boundaries; a full block's
+draws do not depend on the total replication count.
 
 LAYOUT_VERSION names this layout and changes whenever the same seed would
 give different draws.  Version 1 gave every (variable index, block) pair
 its own stream and one uniform per trajectory; version 2 drew the
 positions, then one uniform for every nonzero Poisson count; version 3
-placed every nonzero odd count.
+placed every nonzero odd count; version 4 placed the odd counts of at
+least 2 by skipping and counted the 1s where Y_2n = 0 per row, drawing
+one uniform per nonzero even count for the 1s beside it.  Version 5
+gives the same two-point draws as version 4 where no row is placed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-LAYOUT_VERSION = 4
+LAYOUT_VERSION = 5
 BLOCK_SIZE = 1 << 14
 
 

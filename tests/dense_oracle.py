@@ -95,21 +95,25 @@ def dense_counts(config: mc.SimConfig, tables, block: int, width: int):
 def sparse_counts(config: mc.SimConfig, tables, block: int, width: int):
     """The same matrices filled from the sparse engine's draws of the block.
 
-    A row's unplaced odd counts, each 1 where the even count is 0, go to its
-    lowest slots that hold neither a nonzero even count nor a placed odd one:
-    the per-n sums and the counts above the thresholds of the config do not
-    depend on which such slots they take, but the per-trajectory sups do.
+    A row's unplaced odd counts, 1s then 2s where the even count is 0, go to
+    its lowest slots that hold neither a nonzero even count nor a placed odd
+    one: the per-n sums and the counts above the thresholds of the config do
+    not depend on which such slots they take, but the per-trajectory sups do.
     """
     rows = len(tables.n_values)
     y_even = np.zeros((rows, width), dtype=np.int64)
     c_odd = np.zeros((rows, width), dtype=np.int64)
     for j0, _, even, odd in mc.sparse_draws(tables, config.master_seed, block, width,
                                             min(config.thresholds)):
-        y_even[j0 + even.rows, even.pos] = even.counts()
-        c_odd[j0 + odd.rows, odd.pos] = odd.counts()
-        for j in odd.unplaced.nonzero()[0]:
+        y_even[j0 + even.rows, even.pos] = even.counts
+        on = odd.on_even
+        c_odd[j0 + even.rows[on], even.pos[on]] = odd.on_even_counts
+        c_odd[j0 + odd.placed.rows, odd.placed.pos] = odd.placed.counts
+        for j in (odd.ones + odd.twos).nonzero()[0]:
             free = np.flatnonzero((y_even[j0 + j] == 0) & (c_odd[j0 + j] == 0))
-            c_odd[j0 + j, free[: odd.unplaced[j]]] = 1
+            ones, twos = odd.ones[j], odd.twos[j]
+            c_odd[j0 + j, free[:ones]] = 1
+            c_odd[j0 + j, free[ones : ones + twos]] = 2
     return y_even, c_odd
 
 

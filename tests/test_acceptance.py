@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import dense_oracle
 from chaoslab import mc, poisson_moments, poisson_pair, series, two_point
@@ -149,6 +150,45 @@ def test_sup_tail_bound(big_poisson_run):
             assert est.mean - 3 * est.stderr <= bound
 
 
+def exact_sup_tail(t: float, n_max: int, cutoff: float = 1e-30) -> float:
+    """P(sup_{n <= n_max} |F_n| > t) for the paired-Poisson F_n, from Poisson pmfs.
+
+    Terms are independent across n, so the sup tail is 1 - prod(1 - p_n),
+    summed as log1p terms; p_n = P(|X_2n| Y_2n+1 > t) sums the joint pmf of
+    the two counts, each cut where its tail falls below `cutoff`.
+    """
+    n = np.arange(1, n_max + 1)
+    lam_e, lam_o = np.asarray(intensity(2 * n)), np.asarray(intensity(2 * n + 1))
+
+    def counts(lam):  # 0..K, with P(C > K) < cutoff at the largest rate
+        top = next(k for k in range(100) if scipy.stats.poisson.sf(k, lam.max()) < cutoff)
+        return np.arange(top + 1)
+
+    c = counts(lam_o)[1:, None]
+    pmf_o = scipy.stats.poisson.pmf(c, lam_o)  # [count, n]
+    p = np.zeros(n.size)
+    for k in counts(lam_e):
+        x = np.abs((k - lam_e) / np.sqrt(lam_e))
+        p += scipy.stats.poisson.pmf(k, lam_e) * (pmf_o * (x * c > t)).sum(axis=0)
+    return -math.expm1(np.log1p(-p).sum())
+
+
+def test_sup_tail_matches_the_exact_law(big_poisson_run):
+    # The engine's count of trajectories with sup_{n <= 10^4} |F_n| > t against
+    # Binomial(R, exact), by exact two-sided p-values; Bonferroni over the four
+    # t keeps the family-wise false-failure rate at 2e-3.
+    with criterion("supremum tail against the exact law"):
+        r = big_poisson_run.replications
+        for t, expected, hits in zip(SUP_TAIL_T, (0.880956, 0.674126, 0.329929, 1.13515e-5),
+                                     big_poisson_run.sup_hits[:, 0]):
+            exact = exact_sup_tail(t, big_poisson_run.config.n_max)
+            assert exact == pytest.approx(expected, rel=1e-5)
+            law = scipy.stats.binom(r, exact)
+            p_value = min(1.0, 2.0 * min(law.cdf(hits), law.sf(hits - 1)))
+            print(f"  t={t:g}: {hits}/{r} against exact {exact:.6g}, p = {p_value:.3g}")
+            assert p_value >= 2e-3 / len(SUP_TAIL_T)
+
+
 def test_series_certificates():
     with criterion("series brackets and divergence"):
         convergent = (
@@ -192,8 +232,11 @@ def test_divergence_of_projection_evidence():
         while poisson_pair.first_chaos_at_one(n_po) <= 10.0:
             n_po *= 2
         v_tp, v_po = two_point.first_chaos_on_plus(n_tp), poisson_pair.first_chaos_at_one(n_po)
-        assert v_tp > 10.0 and n_tp <= 10**9
-        assert v_po > 10.0
+        assert (n_tp, n_po) == (2**17, 2**54)
+        assert v_tp == pytest.approx(11.6935, abs=1e-4)
+        assert two_point.first_chaos_on_plus(n_tp // 2) == pytest.approx(9.1610, abs=1e-4)
+        assert v_po == pytest.approx(10.3747, abs=1e-4)
+        assert poisson_pair.first_chaos_at_one(n_po // 2) == pytest.approx(9.9349, abs=1e-4)
         print(
             f"  degree-one component exceeds 10: two-point at n={n_tp} "
             f"(value {v_tp:.3f}), paired-Poisson at n={n_po} (value {v_po:.3f})"

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import chaoslab.streams
+
 SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(SPEC)
@@ -41,3 +43,13 @@ def test_a_claim_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_iqr():
     nine = [p - 0.2 for p in parent[:9]] + parent[9:]
     row = bench_pairs.compare(parent, nine)
     assert row["change_lower_in_pairs"] == 9 and row["ties"] == 1 and bench_pairs.claim_holds(row)
+
+
+def test_each_side_names_its_stream_layout(tmp_path):
+    streams = tmp_path / "src" / "chaoslab" / "streams.py"
+    streams.parent.mkdir(parents=True)
+    streams.write_text('"""Streams."""\n\nLAYOUT_VERSION = 12\nBLOCK_SIZE = 1 << 14\n')
+    assert bench_pairs.layout_version(tmp_path) == 12
+    streams.write_text("BLOCK_SIZE = 1 << 14\n")
+    assert bench_pairs.layout_version(tmp_path) is None
+    assert bench_pairs.layout_version(bench_pairs.ROOT) == chaoslab.streams.LAYOUT_VERSION

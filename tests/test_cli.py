@@ -255,22 +255,22 @@ FROZEN_POISSON = ("simulate", "--example", "poisson", "--n-max", "300", "--reps"
 
 @pytest.mark.parametrize("argv, fmt, output, digest", [
     (FROZEN_TAIL, "text", "stdout",
-     "4c373e07b8175a0a7f47bad6df983ebb661d082a6c15dfcdbd166c864c3e3d72"),
+     "432e8da9469690c70c0651c1b780c4e0f79a1022eb03d81c3f93612288c98bb0"),
     (FROZEN_TAIL, "json", "stdout",
-     "2627a8d801d22711982ed553941dd9505a4094553a5774a8d3d42ce8f1c57a33"),
+     "248772aab650a9ac2195c7deb9d9486d5edfd18ec3c1cda729e57163c0c91be8"),
     (FROZEN_SIMULATE, "json", "stdout",
-     "1ee70981a6c7dd7308f67e0f731fddd7397bef3db05947115ad3f926d2045e2d"),
+     "05b753e6b804db9689357ee50563277908e004a69b67865b3a9e63e39ce3c8aa"),
     (FROZEN_SIMULATE, "json", "csv",
-     "58d51a853eb8df653d66cf175fe41272cea9926e7bed49a2263a4aa3c052fb5e"),
+     "2c2c945c9062d9da3a8392e3a317a1c725e48aa1a4abeea38c97514a05f9073c"),
     (FROZEN_TWOPOINT, "json", "csv",
      "8aae72508026b811cf163630baec00623c774726e4a73b7b67ad98945e53f075"),
     (FROZEN_POISSON, "text", "csv",
-     "b124a286e3df585126a766e322378001bc3c483af071d467af8bfd487fdc53c2"),
+     "8f52a7e182b0e2d5545d64e7280faa0798db04432cd278de32d9fb9a17d573d5"),
 ], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv", "twopoint-csv", "poisson-csv"])
 def test_monte_carlo_bytes_are_frozen(capsys, tmp_path, argv, fmt, output, digest):
     # sha256 of the output: the sup-exceedance, tail-diagnostic and window rows
     # print the same bytes from one version of the engine to the next; the
-    # digests are retaken only when the stream layout changes (now 4)
+    # digests are retaken only when the stream layout changes (now 5)
     csv = tmp_path / "out.csv"
     out_flag = ("--out", str(csv)) if argv[0] == "simulate" else ()
     code, out, _ = run_cli(capsys, *argv, *out_flag, "--format", fmt)
@@ -503,7 +503,7 @@ def test_reports_carry_stream_layout_and_exact_stderr(capsys):
     # the per-row 3 sigma checks fail by chance on a few seeds; the exit code
     # must say whether one did
     assert code == (2 if any(r["pass"] is False for r in payload["rows"]) else 0)
-    assert payload["params"]["stream_layout"] == streams.LAYOUT_VERSION == 4
+    assert payload["params"]["stream_layout"] == streams.LAYOUT_VERSION == 5
     rows = {r["label"]: r for r in payload["rows"]}
     model = mc.MODELS["poisson"]
     var4 = model.fourth_moment(4) - model.second_moment(4) ** 2
@@ -516,7 +516,7 @@ def test_reports_carry_stream_layout_and_exact_stderr(capsys):
         math.sqrt(p * (1 - p) / 3000), rel=1e-12)
     code, out, _ = run_cli(
         capsys, "tail", "--n-max", "5", "--reps", "3", "--seed", "1", "--format", "json")
-    assert json.loads(out)["params"]["stream_layout"] == 4
+    assert json.loads(out)["params"]["stream_layout"] == 5
 
 
 def test_csv_layout():

@@ -358,10 +358,11 @@ def check_reconstruction(cfg, rebuild, on_event, rtol):
 
     rebuild(even_counts, odd_counts) gives the [n, trajectory] arrays of F_n
     and of the recurrence event.  The draws depend on the thresholds only
-    through the rows whose |b_n| exceeds the smallest one, where every slot
-    is placed.  The first run has the thresholds that separate the rebuilt
-    sups and one below every |b_n|, so every row is placed; the second has
-    threshold 1, at or above every |b_n|, so no row is placed.
+    through the placed rows, those where an unplaced F_n (b_n, or 2 b_n for
+    Poisson counts) would exceed the smallest one.  The first run has the
+    thresholds that separate the rebuilt sups and one below every |b_n|, so
+    every row is placed; the second has threshold 2, at or above every
+    2 |b_n|, so no row is placed.
     """
     b = zero_count_values(cfg)
     assert b.max() <= 1.0
@@ -369,7 +370,7 @@ def check_reconstruction(cfg, rebuild, on_event, rtol):
     f_by_n, event_by_n = rebuild(*sparse_counts(every_row))
     thresholds = (*separating_thresholds(np.abs(f_by_n).max(axis=0)), b.min() / 2)
     assert len(thresholds) > 10
-    counted = dataclasses.replace(cfg, thresholds=(1.0,))
+    counted = dataclasses.replace(cfg, thresholds=(2.0,))
     for run_cfg, (f_by_n, event_by_n) in (
         (dataclasses.replace(cfg, thresholds=thresholds), (f_by_n, event_by_n)),
         (counted, rebuild(*sparse_counts(counted))),
@@ -469,8 +470,9 @@ def test_sparse_aggregates_equal_dense_aggregation(example):
     # two blocks, the second partial; a threshold that splits the suffix
     # counts, and 32 thresholds at the dense sups above it, where the strict
     # inequality decides.  The smallest threshold, 0.5, places the rows with
-    # |b_n| > 0.5 (n <= 6 for Poisson, n <= 4 for two-point) and counts the
-    # C = 1 slots of the others where Y_2n = 0.
+    # 2 |b_n| > 0.5 for Poisson (n <= 40) and |b_n| > 0.5 for two-point
+    # (n <= 4), and counts the C = 1 and C = 2 slots of the others where
+    # Y_2n = 0.
     cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300, master_seed=83,
                        thresholds=(0.5,))
     b = zero_count_values(cfg)
@@ -484,8 +486,8 @@ def test_sparse_aggregates_equal_dense_aggregation(example):
 
 def test_gap_top_up_keeps_draws_exact(monkeypatch):
     # with no spare gaps about half the rows run out before their last slot,
-    # in the skips for the even counts, for the odd counts >= 2 and for the
-    # odd counts of 1 in the placed rows (|b_n| > 0.5: n <= 6)
+    # in the skips for the even counts and for the odd counts where Y_2n = 0:
+    # C >= 1 in the placed rows (2 |b_n| > 0.5: n <= 40), C >= 3 in the others
     monkeypatch.setattr(mc, "_SPARE_SD", 0.0)
     top_ups = []
     real_top_up = mc._top_up
@@ -500,13 +502,19 @@ def test_gap_top_up_keeps_draws_exact(monkeypatch):
     tables = mc.MODELS["poisson"].tables(np.arange(1, 201))
     per_row = {"even": np.zeros(200), "odd": np.zeros(200)}
     for j0, j1, even, odd in mc.sparse_draws(tables, cfg.master_seed, 0, 4096, 0.5):
-        for name, d in (("even", even), ("odd", odd)):
+        zero = odd.placed
+        for d in (even, zero):
             key = d.rows * 4096 + d.pos
             assert np.all(np.diff(key) > 0) and d.pos.min(initial=0) >= 0
-            assert d.pos.max(initial=0) < 4096 and d.counts().min(initial=1) >= 1
+            assert d.pos.max(initial=0) < 4096 and d.counts.min(initial=1) >= 1
             assert np.array_equal(np.bincount(d.rows, minlength=j1 - j0), d.per_row)
-            per_row[name][j0:j1] = d.per_row + d.unplaced
-        assert not even.unplaced.any() and not odd.unplaced[: max(6 - j0, 0)].any()
+        assert not np.isin(zero.rows * 4096 + zero.pos, even.rows * 4096 + even.pos).any()
+        assert np.all(np.diff(odd.on_even) > 0) and odd.on_even_counts.min(initial=1) >= 1
+        assert np.all(zero.counts >= np.where(zero.rows + j0 < 40, 1, 3))
+        assert not (odd.ones + odd.twos)[: max(40 - j0, 0)].any()
+        per_row["even"][j0:j1] = even.per_row
+        per_row["odd"][j0:j1] = (np.bincount(even.rows[odd.on_even], minlength=j1 - j0)
+                                 + zero.per_row + odd.ones + odd.twos)
     assert len(top_ups) > 100
     # the nonzero counts per row, placed or not, are Binomial(width, q): total and spread
     for name, q in (("even", tables.q_even), ("odd", tables.q_odd)):
@@ -518,11 +526,12 @@ def test_gap_top_up_keeps_draws_exact(monkeypatch):
 
 
 def test_poisson_block_draws_fewer_variates_than_nonzero_counts(monkeypatch):
-    # count every variate a Poisson block draws, whatever method draws it,
-    # binomials included.  The odd counts of 1 where Y_2n = 0 are counted per
-    # row, not placed, so the variates are a fraction of the nonzero counts
-    # (0.36 by the tables), and at most about three per even nonzero count and
-    # per odd count >= 2, plus a few per row
+    # count every variate a Poisson block draws at n_max = 10^4, seed 5 and
+    # threshold 1, whatever method draws it, binomials included.  The odd
+    # counts of 1 and 2 where Y_2n = 0 are counted per row, not placed, and
+    # the odd count beside a nonzero even count takes one uniform, so the
+    # block draws 1,722,740 variates (3,009,932 under layout 4): about three
+    # per nonzero even count and an eighth of the nonzero counts
     drawn = []
 
     class CountingStream:
@@ -541,22 +550,21 @@ def test_poisson_block_draws_fewer_variates_than_nonzero_counts(monkeypatch):
 
     real_stream = mc.block_stream
     monkeypatch.setattr(mc, "block_stream", lambda *key: CountingStream(real_stream(*key)))
-    cfg = mc.SimConfig(example="poisson", n_max=2000, replications=BLOCK_SIZE, master_seed=97)
+    cfg = mc.SimConfig(example="poisson", n_max=10_000, replications=BLOCK_SIZE, master_seed=5)
     mc.run(cfg)
-    tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
-    r_odd, _ = mc._count_law(tables.rate_odd)
-    nonzero = BLOCK_SIZE * (tables.q_even + tables.q_odd).sum()
-    informative = BLOCK_SIZE * (tables.q_even + tables.q_odd * r_odd).sum()
-    rows = 2 * len(tables.n_values)
-    assert sum(drawn) <= 0.45 * nonzero
-    assert sum(drawn) <= 3 * informative + 8 * rows
+    tables = mc.MODELS["poisson"].tables(np.arange(1, 10_001))
+    even_nonzero = BLOCK_SIZE * tables.q_even.sum()
+    nonzero = even_nonzero + BLOCK_SIZE * tables.q_odd.sum()
+    assert sum(drawn) <= 1_900_000
+    assert sum(drawn) <= 3.1 * even_nonzero
+    assert sum(drawn) <= 0.14 * nonzero
 
 
 def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
-    # a count's value is drawn only when it exceeds one, the counts above one
-    # are found by skipping, and the odd counts of 1 where Y_2n = 0 are
-    # counted by one binomial per row, so a Poisson block spends well under
-    # one uniform per nonzero count
+    # a count's value is drawn only when it exceeds one (odd counts beside a
+    # nonzero even count) or two (the others), and the odd counts of 1 and 2
+    # where Y_2n = 0 are counted by binomials per row, so a Poisson block
+    # spends well under one uniform per nonzero count
     drawn, slot_draws = [], []
     real_uniform_block, real_slots = mc.uniform_block, mc._nonzero_slots
 
@@ -574,9 +582,10 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     monkeypatch.setattr(mc, "_nonzero_slots", counting_slots)
     tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
     nonzero = above_one = 0
-    for _, _, *parts in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE, 1.0):
-        nonzero += sum(d.pos.size + d.unplaced.sum() for d in parts)
-        above_one += sum(d.multi.size for d in parts)
+    for _, _, even, odd in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE, 1.0):
+        nonzero += (even.pos.size + odd.on_even.size + odd.placed.pos.size
+                    + odd.ones.sum() + odd.twos.sum())
+        above_one += (even.counts > 1).sum() + (odd.on_even_counts > 1).sum()
     assert above_one > 0
     assert sum(drawn) <= 0.5 * nonzero
     # with no placed row, a two-point chunk draws its even gaps, then one odd
@@ -587,23 +596,29 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     for _, _, even, odd in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE, 1.0):
         chunks += 1
         even_nonzero += even.pos.size
-        assert even.multi.size == odd.multi.size == 0
+        assert np.all(even.counts == 1) and np.all(odd.on_even_counts == 1)
+        assert odd.placed.pos.size == odd.twos.sum() == 0
     assert len(slot_draws) == chunks
     assert sum(drawn) == sum(slot_draws) + even_nonzero > even_nonzero
 
 
 @pytest.mark.parametrize("example", ["poisson", "twopoint"])
 def test_draws_depend_on_the_thresholds_only_through_the_placed_rows(example):
-    # |b_n| <= 1 in both constructions, so neither smallest threshold, 1 or 9,
-    # places a row: the draws, and with them the sums, the counts above 9 and
-    # the window hits, are the same bits
+    # |b_n| <= 1 in both constructions, and an unplaced F_n is b_n or, for
+    # Poisson counts, 2 b_n, so neither smallest threshold, 2 or 9, places a
+    # row: the draws, and with them the sums, the counts above 9 and the
+    # window hits, are the same bits.  At 1 the Poisson rows n <= 6
+    # (2 n^(-3/8) > 1) are placed, and the draws differ.
     cfg = mc.SimConfig(example=example, n_max=1000, replications=BLOCK_SIZE + 100,
-                       master_seed=59, thresholds=(1.0, 9.0))
+                       master_seed=59, thresholds=(2.0, 9.0))
     low = mc.run(cfg)
     high = mc.run(dataclasses.replace(cfg, thresholds=(9.0, 16.0, 25.0, 100.0)))
     assert all(np.array_equal(a, b) for a, b in zip(low.block_sums, high.block_sums))
     assert np.array_equal(low.sup_hits[1], high.sup_hits[0]) and high.sup_hits[0, 0] > 0
     assert np.array_equal(low.win_hits, high.win_hits)
+    one = mc.run(dataclasses.replace(cfg, thresholds=(1.0, 9.0)))
+    same = all(np.array_equal(a, b) for a, b in zip(one.block_sums, low.block_sums))
+    assert same == (example == "twopoint")
 
 
 def test_pooled_moments_over_every_n_match_the_exact_values():
@@ -709,6 +724,22 @@ def test_count_law_has_no_cancellation():
         assert p_j == pytest.approx(pmf[2] / above_one, rel=1e-13)
 
 
+def test_g_has_no_cancellation():
+    # g_m(lam) = m! sum_k lam^k / (k + m)!, which gives P(C >= m), against its
+    # exact partial sums at small rates (omitted terms below 1e-30 of the
+    # kept ones), and against scipy's Poisson tail at and above the switch
+    lams = np.array([1e-3, 1e-6])
+    for m in (1, 2, 3):
+        for lam, g in zip(lams, mc._g(m, lams)):
+            x = Fraction(float(lam))
+            exact = math.factorial(m) * sum(x**k / math.factorial(k + m) for k in range(12))
+            assert abs(Fraction(float(g)) / exact - 1) <= 1e-14
+        lams_big = np.array([0.5, 1.0, 2.0, 9.0])
+        tail = scipy.stats.poisson.sf(m - 1, lams_big)
+        expected = tail * np.exp(lams_big) * math.factorial(m) / lams_big**m
+        assert mc._g(m, lams_big) == pytest.approx(expected, rel=1e-13)
+
+
 def binomial_p(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Two-sided p-values of Binomial(n, p) at k: twice the smaller tail, at most 1."""
     tails = np.minimum(scipy.stats.binom.cdf(k, n, p), scipy.stats.binom.sf(k - 1, n, p))
@@ -716,42 +747,69 @@ def binomial_p(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def test_thinned_counts_follow_the_truncated_law():
-    # At a fixed seed, one Poisson block.  Given m_j nonzero even counts in
-    # row j, the number of them >= 2 is Binomial(m_j, r_j), r_j =
-    # P(C >= 2 | C >= 1); the odd counts >= 2 of row j, found by skipping over
-    # all its slots, are Binomial(width, P(C >= 2)).  Pooled over the rows,
-    # so are the totals, and the frequencies of C = 2, 3 and >= 4 match the
-    # exact pmf, given C >= 1 (even) and given C >= 2 (odd).  Holm's
-    # step-down keeps the family-wise false-failure rate at 1e-3.
+    # At a fixed seed, one Poisson block at threshold 1, which places the
+    # rows n <= 6.  Given m_j nonzero even counts in row j: the even counts
+    # >= 2 are Binomial(m_j, P(C >= 2 | C >= 1)); the odd counts beside them
+    # that are >= 1 and >= 2 are Binomial(m_j, P(C >= 1)) and
+    # Binomial(m_j, P(C >= 2)).  Over the width - m_j slots where Y_2n = 0,
+    # the placed odd counts are Binomial(width - m_j, P(C >= 1)) in a placed
+    # row and Binomial(width - m_j, P(C >= 3)) in the others, whose unplaced
+    # 1s and 2s are Binomial(width - m_j, P(C = 1)) and (..., P(C = 2)).  So
+    # are the totals over the rows, and the values match the exact pmf: C = 2,
+    # 3 and >= 4 given C >= 1 (even counts, odd counts beside them and those
+    # of the placed rows), C = 4 and >= 5 given C >= 3 (the other placed odd
+    # counts).  Holm's step-down keeps the family-wise false-failure rate at
+    # 1e-3: 5e-4 for the per-row tests and 5e-4 for the pooled ones, which
+    # see a small bias that no single row shows.
     tables = mc.MODELS["poisson"].tables(np.arange(1, 501))
-    totals = {"even": [], "odd": []}
+    even_law, odd_law = scipy.stats.poisson(tables.rate_even), scipy.stats.poisson(tables.rate_odd)
+    placed = tables.n_values <= 6
+    per_row = []
+    values = {1: [], 2: [], 3: []}  # even, odd given C >= 1 and odd given C >= 3: (row, count)
     for j0, j1, even, odd in mc.sparse_draws(tables, 131, 0, BLOCK_SIZE, 1.0):
-        for name, d in (("even", even), ("odd", odd)):
-            assert np.all(np.diff(d.multi) > 0) and np.all(d.multi_counts >= 2)
-            counts = d.counts()
-            multi_rows = np.bincount(d.rows[d.multi], minlength=j1 - j0)
-            cells = [np.bincount(d.rows, weights=(counts == k) if k < 4 else (counts >= 4),
-                                 minlength=j1 - j0) for k in (2, 3, 4)]
-            totals[name].append(np.column_stack([d.per_row, multi_rows, *cells]))
-    p_values = {}
-    for name, q, rate in (("even", tables.q_even, tables.rate_even),
-                          ("odd", tables.q_odd, tables.rate_odd)):
-        m, multi, *cells = np.concatenate(totals[name]).T
-        r, _ = mc._count_law(rate)
-        trials, p = (m, r) if name == "even" else (np.full_like(m, BLOCK_SIZE), q * r)
-        for n, p_n in zip(tables.n_values, binomial_p(multi, trials, p)):
-            p_values[f"{name} multi[{n}]"] = p_n
+        n = j1 - j0
+        beside, beside_rows, zero = odd.on_even_counts, even.rows[odd.on_even], odd.placed
+        per_row.append(np.column_stack([
+            even.per_row, np.bincount(even.rows, weights=even.counts >= 2, minlength=n),
+            np.bincount(beside_rows, minlength=n),
+            np.bincount(beside_rows, weights=beside >= 2, minlength=n),
+            zero.per_row, odd.ones, odd.twos]))
+        at_zero = placed[zero.rows + j0]
+        values[1].append((even.rows + j0, even.counts))
+        values[2] += [(beside_rows + j0, beside), (zero.rows[at_zero] + j0, zero.counts[at_zero])]
+        values[3].append((zero.rows[~at_zero] + j0, zero.counts[~at_zero]))
+    m, *seen = np.concatenate(per_row).T
+    free = BLOCK_SIZE - m
+    tests = {  # name: (trials, probability) per row
+        "even >= 2": (m, even_law.sf(1) / even_law.sf(0)),
+        "odd beside >= 1": (m, odd_law.sf(0)),
+        "odd beside >= 2": (m, odd_law.sf(1)),
+        "odd placed at 0": (free, np.where(placed, odd_law.sf(0), odd_law.sf(2))),
+        "odd 1s at 0": (free, np.where(placed, 0.0, odd_law.pmf(1))),
+        "odd 2s at 0": (free, np.where(placed, 0.0, odd_law.pmf(2))),
+    }
+    p_values, pooled = {}, {}
+    for (name, (trials, p)), k in zip(tests.items(), seen):
+        for n, p_n in zip(tables.n_values, binomial_p(k, trials, p)):
+            p_values[f"{name}[{n}]"] = p_n
         mean, var = (trials * p).sum(), (trials * p * (1 - p)).sum()
-        p_values[f"{name} multi total"] = math.erfc(abs(multi.sum() - mean) / math.sqrt(2 * var))
-        law = scipy.stats.poisson(rate)
-        given = law.sf(0 if name == "even" else 1)  # P(C >= 1) or P(C >= 2)
-        cell_probs = np.array([law.pmf(2), law.pmf(3), law.sf(3)]) / given
-        weight = m if name == "even" else multi
-        for k, seen, prob in zip(("2", "3", ">=4"), cells, cell_probs):
-            mean, var = (weight * prob).sum(), (weight * prob * (1 - prob)).sum()
-            p_values[f"{name} C={k}"] = math.erfc(abs(seen.sum() - mean) / math.sqrt(2 * var))
-    assert len(p_values) == 2 * 500 + 8
-    assert holm_rejections(p_values, alpha=1e-3) == []
+        pooled[f"{name} total"] = math.erfc(abs(k.sum() - mean) / math.sqrt(2 * var))
+    for key, name, law, lo in ((1, "even", even_law, 1), (2, "odd", odd_law, 1),
+                               (3, "odd", odd_law, 3)):
+        rows, counts = (np.concatenate(v) for v in zip(*values[key]))
+        given = law.sf(lo - 1)[rows]
+        cells = [(f"{lo + 1}", counts == lo + 1, law.pmf(lo + 1)[rows]),
+                 (f"{lo + 2}", counts == lo + 2, law.pmf(lo + 2)[rows]),
+                 (f">={lo + 3}", counts >= lo + 3, law.sf(lo + 2)[rows])]
+        if lo == 3:  # few counts reach 6: join the last two cells
+            cells = cells[:1] + [(f">={lo + 2}", counts >= lo + 2, law.sf(lo + 1)[rows])]
+        for k, hit, prob in cells:
+            prob = prob / given
+            mean, var = prob.sum(), (prob * (1 - prob)).sum()
+            pooled[f"{name} C={k} given C>={lo}"] = math.erfc(
+                abs(hit.sum() - mean) / math.sqrt(2 * var))
+    assert (len(p_values), len(pooled)) == (6 * 500, 6 + 8)
+    assert holm_rejections(p_values, alpha=5e-4) == holm_rejections(pooled, alpha=5e-4) == []
 
 
 def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):

@@ -195,8 +195,9 @@ def test_first_chaos_growth_scan():
     n = 1
     while first_chaos_at_one(n) <= 10.0:  # the first doubling n past 10
         n *= 2
-    assert first_chaos_at_one(n) > 10.0
-    assert first_chaos_at_one(max(1, n // 2)) <= 10.0
+    assert n == 2**54
+    assert first_chaos_at_one(n) == pytest.approx(10.3747, abs=1e-4)
+    assert first_chaos_at_one(n // 2) == pytest.approx(9.9349, abs=1e-4)
 
 
 def test_event_tables():

@@ -151,9 +151,9 @@ def test_first_chaos_growth_scan():
     n = 2
     while first_chaos_on_plus(n) <= 10.0:  # the first doubling n past 10
         n *= 2
-    assert first_chaos_on_plus(n) > 10.0
-    assert n <= 10**9
-    assert first_chaos_on_plus(max(2, n // 2)) <= 10.0
+    assert n == 2**17
+    assert first_chaos_on_plus(n) == pytest.approx(11.6935, abs=1e-4)
+    assert first_chaos_on_plus(n // 2) == pytest.approx(9.1610, abs=1e-4)
 
 
 def test_both_plus_prob():

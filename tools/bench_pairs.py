@@ -12,8 +12,8 @@ pairs; both sides of a pair use the same seed.  The file records, per
 workload and end-to-end metric, the median and inclusive quartiles of each
 side, every sample and the pairs in which the change reads lower; then the
 Tier-1 wall time and pass count of each side (two alternated runs each), the
-``src/chaoslab/*.py`` line counts, and the core count with the Python and
-numpy versions.  A claim ``workload:metric`` holds when there are at least
+``src/chaoslab/*.py`` line counts and ``streams.LAYOUT_VERSION`` of each side,
+and the core count with the Python and numpy versions.  A claim ``workload:metric`` holds when there are at least
 ten pairs, the change reads lower in at least 9 of 10 of them and its median
 is below the parent's by more than the parent's interquartile range.
 """
@@ -139,6 +139,13 @@ def src_lines(tree: Path) -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
+def layout_version(tree: Path) -> int | None:
+    """streams.LAYOUT_VERSION of the tree, read from its source, or None."""
+    source = (tree / "src" / "chaoslab" / "streams.py").read_text()
+    found = re.search(r"^LAYOUT_VERSION = (\d+)$", source, re.MULTILINE)
+    return int(found.group(1)) if found else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
@@ -171,6 +178,7 @@ def main(argv=None) -> int:
                       **tier1(trees)},
             "src_lines": {"command": "wc -l src/chaoslab/*.py",
                           **{side: src_lines(tree) for side, tree in trees.items()}},
+            "stream_layout": {side: layout_version(tree) for side, tree in trees.items()},
         }
     if args.claim:
         workload, metric = args.claim.split(":")
