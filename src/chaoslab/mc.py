@@ -143,7 +143,7 @@ _SPARE_SD = 4.0
 
 
 class Draws(NamedTuple):
-    """Placed nonzero counts of one parity in one chunk, in ascending (row, pos)."""
+    """The placed nonzero counts of one parity in one chunk, in ascending (row, pos)."""
 
     rows: np.ndarray      # row within the chunk
     pos: np.ndarray       # trajectory offset within the block
@@ -319,7 +319,8 @@ def sparse_draws(
     one = q / g1 / (1.0 - q3)                      # P(C = 1 | C <= 2), q at rate 0
     two = p_two / (1.0 - q + p_two)                # P(C = 2 | C in {0, 2})
     b = -tables.x_loc / tables.x_scale             # the expression _Block.add uses
-    placed = np.abs(b * (2 if poisson_odd else 1)) > t_min  # the largest unplaced F_n passes
+    # a placed row is one where the largest count left unplaced, 2 or 1, times b_n passes t_min
+    placed = np.abs(b * (2 if poisson_odd else 1)) > t_min
     skip = np.where(placed, q, q3)                 # P(C >= 1) or P(C >= 3) at Y_2n = 0
     low, p_low = np.where(placed, 1, 3), 1.0 / np.where(placed, g1, g3)
     drawn = skip > 0.0                             # the rows that skip
@@ -333,9 +334,8 @@ def sparse_draws(
     # two-point chunk keeps its rows.
     cost = 2 * even_gaps + skip_gaps
     if r_even is not None:
-        above_one = width * tables.q_even * r_even
         cost += _gap_counts(r_even, width * tables.q_even) + np.ceil(
-            above_one + width * (tables.q_even * q2 + skip)).astype(np.int64)
+            width * (tables.q_even * (r_even + q2) + skip)).astype(np.int64)
     for j0, j1 in _chunk_bounds(cost):
         n = j1 - j0
         pos, per_row = _nonzero_slots(even_stream, even_inv[j0:j1], even_gaps[j0:j1], width)
@@ -412,6 +412,7 @@ class _Block:
 
     def add(self, j0: int, j1: int, even: Draws, odd: OddDraws) -> None:
         """Reduce the draws of rows [j0, j1)."""
+        width = self.width
         loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
         y = even.counts
         sum_y, sum_y2 = _row_sums(np.stack([y, y * y]), even.per_row).astype(np.float64)
@@ -422,8 +423,8 @@ class _Block:
         zero = odd.placed
         f_zero = b[zero.rows] * zero.counts
         block = self.sums[j0:j1]
-        block[:, 0] = (sum_y - self.width * loc) / scale
-        block[:, 1] = (sum_y2 - 2.0 * loc * sum_y + self.width * loc * loc) / (scale * scale)
+        block[:, 0] = (sum_y - width * loc) / scale
+        block[:, 1] = (sum_y2 - 2.0 * loc * sum_y + width * loc * loc) / (scale * scale)
         block[:, 2:7] = (_row_sums(_powers(f), np.bincount(rows, minlength=j1 - j0))
                          + _row_sums(_powers(f_zero), zero.per_row)
                          + odd.ones * _powers(b) + odd.twos * _powers(2.0 * b)).T

@@ -13,9 +13,10 @@ workload and end-to-end metric, the median and inclusive quartiles of each
 side, every sample and the pairs in which the change reads lower; then the
 Tier-1 wall time and pass count of each side (two alternated runs each), the
 ``src/chaoslab/*.py`` line counts and ``streams.LAYOUT_VERSION`` of each side,
-and the core count with the Python and numpy versions.  A claim ``workload:metric`` holds when there are at least
-ten pairs, the change reads lower in at least 9 of 10 of them and its median
-is below the parent's by more than the parent's interquartile range.
+and the core count with the Python and numpy versions.  A claim
+``workload:metric`` holds when there are at least ten pairs, the change reads
+lower in at least 9 of 10 of them and its median is below the parent's by
+more than the parent's interquartile range.
 """
 
 from __future__ import annotations
