@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+
+# Before numpy loads: chaoslab makes no BLAS call, and an idle OpenBLAS pool costs CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import mc, point_process, poisson_moments, poisson_pair, series, streams
 from .errors import BadIndexError, ChaosLabError, DomainError, ResourceLimitError

@@ -394,8 +394,28 @@ def _python(args, **env_vars):
     )
 
 
+def test_cli_starts_no_blas_threads():
+    # the in-process import of chaoslab.cli has set the variable in this process
+    env = {k: v for k, v in _env().items() if k != "OPENBLAS_NUM_THREADS"}
+    script = (
+        "import os, chaoslab.cli\n"
+        "task = '/proc/self/task'\n"
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
+    )
+    for preset, expected in ((None, "1"), ("2", "2")):
+        run_env = env if preset is None else dict(env, OPENBLAS_NUM_THREADS=preset)
+        proc = subprocess.run([sys.executable, "-c", script], env=run_env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stdout.split()
+        assert value == expected
+        if preset is None and threads != "None":
+            assert threads == "1"
+
+
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # one full block: vectors this long are split across BLAS threads by a dot product
+    # one full block: a BLAS thread count the user sets does not change the bytes
     outputs = []
     for threads in ("1", "2"):
         csv_path = tmp_path / f"blas{threads}.csv"
