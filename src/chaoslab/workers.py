@@ -37,11 +37,11 @@ def _init_worker(parent: int) -> None:
 
     glibc hands the free top of its heap back to the system once it exceeds
     the trim threshold, so every chunk of a Monte Carlo block may fault its
-    temporaries in afresh.  Measured in one process on a Poisson block
-    (n_max = 10^4, width 2^14, seeds 5 to 8): under stream layout 4 a block
-    faulted 7.7k to 10.8k pages without the raised thresholds and at most
-    1.7k with them, about a tenth of its time; under layout 5 a block
-    faults at most 2.8k pages either way.  The worker runs nothing but
+    temporaries in afresh.  Measured on two Poisson blocks (n_max = 10^4,
+    width 2^14, seeds 5 to 14, stream layout 5) in two forked workers: they
+    fault 13.2k to 13.3k pages with the raised thresholds and 15.3k to 17.0k
+    without; their CPU time, 0.28 to 0.37 s, differs by less than its
+    spread between runs (medians 0.33 and 0.34 s).  The worker runs nothing but
     tasks, so raising the thresholds there changes no one else's allocator.
     A worker whose parent is killed would otherwise wait for tasks forever.
     """
