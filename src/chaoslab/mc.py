@@ -37,14 +37,13 @@ with an event in it.  run_range and merge join contiguous parts with the
 same _assemble; across blocks the per-n sums are combined by an exactly
 rounded compensated sum, and counts add.
 
-run_range walks the blocks with workers.run_tasks: in forked worker
-processes, as many as workers.worker_count allows (CHAOSLAB_THREADS, by
-default the CPUs this process may run on), or one after another in this
-process when there is one worker or the platform cannot fork.  The plan
+run_range walks the blocks with workers.run_tasks: worker w of W forked
+processes walks blocks w, w + W, ..., W as workers.worker_count allows
+(CHAOSLAB_THREADS, by default the CPUs this process may run on).  The plan
 (_plan: the per-n tables, the diagnostic grid and the windows) is built
-once per config and inherited by the workers; a worker gets only the
-SimConfig and its block's range and returns the block's TrajectoryStats,
-which holds only what the draws determine.
+once per config, before the fork, so the workers inherit it; a worker sends
+back only its blocks' TrajectoryStats, which hold only what the draws
+determine.
 """
 
 from __future__ import annotations
@@ -61,8 +60,7 @@ from .errors import BadIndexError, ResourceLimitError
 from .pair_model import PairModel, PairTables
 from .streams import BLOCK_SIZE, block_bounds, block_stream, uniform_block
 from .point_process import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
-from .workers import run_tasks
-from .workers import worker_count as _worker_count  # perfbench/spans.py hooks this name
+from .workers import run_tasks, worker_count as _worker_count  # perfbench hooks _worker_count
 
 MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_pair.MODEL}
 EXAMPLES = tuple(MODELS)
@@ -454,15 +452,6 @@ def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
                            acc.ev_or.sum(axis=1))
 
 
-def _block_task(config: SimConfig, bounds: tuple[int, int]) -> TrajectoryStats:
-    """_walk_block in a worker process, looked up there by name when called."""
-    # The pool pickles this function by name; _walk_block itself may be replaced by
-    # a wrapper that cannot be pickled.  Only the config is sent: the worker
-    # inherits the plan built before the fork, and the per-n tables would
-    # otherwise be pickled once per block.
-    return _walk_block(config, *bounds)
-
-
 class Plan(NamedTuple):
     """What a run derives from its config alone, all O(n_max)."""
 
@@ -536,9 +525,9 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
 
     The cost guard, the streams, and the aggregates all see absolute
     trajectory indices, so disjoint ranges combine exactly via merge().
-    The blocks run through workers.run_tasks: in forked processes, or one
-    after another in this process with one worker or where fork is not
-    available.
+    The blocks run through workers.run_tasks, which returns them in block
+    order: on forked workers, or one after another in this process with one
+    worker or where fork is not available.
     """
     if not 0 <= lo < hi:
         raise BadIndexError(f"need 0 <= lo < hi, got [{lo}, {hi})")
@@ -552,7 +541,7 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
         raise ResourceLimitError(f"n_max={config.n_max} exceeds MAX_N={MAX_N}")
     bounds = block_bounds(lo, hi)
     _plan(config)  # built once, before the workers fork, so that they inherit it
-    blocks = run_tasks(_block_task, [(config, b) for b in bounds], _worker_count(len(bounds)))
+    blocks = run_tasks(_walk_block, [(config, *b) for b in bounds], _worker_count(len(bounds)))
     return _assemble(blocks)
 
 

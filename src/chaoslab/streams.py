@@ -53,13 +53,8 @@ def block_bounds(lo: int, hi: int) -> list[tuple[int, int]]:
     """Split the trajectory range [lo, hi) along the fixed block grid."""
     if lo < 0 or hi < lo:
         raise ValueError(f"bad trajectory range [{lo}, {hi})")
-    bounds = []
-    r = lo
-    while r < hi:
-        nxt = min((r // BLOCK_SIZE + 1) * BLOCK_SIZE, hi)
-        bounds.append((r, nxt))
-        r = nxt
-    return bounds
+    cuts = sorted({lo, hi, *range((lo // BLOCK_SIZE + 1) * BLOCK_SIZE, hi, BLOCK_SIZE)})
+    return list(zip(cuts, cuts[1:]))
 
 
 def generator(master_seed: int, *key: int) -> np.random.Generator:

@@ -1,12 +1,16 @@
 """How many workers the Monte Carlo engine may use, and how its tasks run on them.
 
 Only mc runs tasks here: the blocks of a Monte Carlo run are the one parallel step.
+A worker is a plain fork of the caller, with no pool: worker w of W runs tasks w,
+w + W, ..., having inherited the function and all built before the fork, and
+pickles its results, or the exception it raised, into its own pipe.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
+import pickle
+import signal
 import threading
 import time
 
@@ -21,6 +25,8 @@ def worker_count(n_tasks: int) -> int:
             workers = int(env)
         except ValueError:
             raise BadIndexError(f"CHAOSLAB_THREADS must be an integer, got {env!r}")
+        if workers < 1:
+            raise BadIndexError(f"CHAOSLAB_THREADS must be at least 1, got {env!r}")
     elif hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
@@ -28,31 +34,8 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
-# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it accepts.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX = -1, -3, 32 << 20
-
-
 def _init_worker(parent: int) -> None:
-    """Set up a forked worker: keep freed heap memory, and exit with the parent.
-
-    glibc hands the free top of its heap back to the system once it exceeds
-    the trim threshold, so every chunk of a Monte Carlo block may fault its
-    temporaries in afresh.  Measured on two Poisson blocks (n_max = 10^4,
-    width 2^14, seeds 5 to 14, stream layout 5) in two forked workers: they
-    fault 13.2k to 13.3k pages with the raised thresholds and 15.3k to 17.0k
-    without; their CPU time, 0.28 to 0.37 s, differs by less than its
-    spread between runs (medians 0.33 and 0.34 s).  The worker runs nothing but
-    tasks, so raising the thresholds there changes no one else's allocator.
-    A worker whose parent is killed would otherwise wait for tasks forever.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):  # not glibc
-        pass
-    else:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 4 * _MMAP_THRESHOLD_MAX)
+    """Make a forked worker exit with its parent, which can no longer read its results."""
 
     def exit_with_parent() -> None:
         while os.getppid() == parent:
@@ -62,25 +45,57 @@ def _init_worker(parent: int) -> None:
     threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
+def _work(fn, tasks: list[tuple], pipe: int, parent: int):
+    """A forked worker: run its tasks, send their results or the exception raised, and exit."""
+    try:
+        _init_worker(parent)
+        try:
+            sent = [fn(*task) for task in tasks]
+        except BaseException as exc:
+            sent = exc
+        data = pickle.dumps(sent, pickle.HIGHEST_PROTOCOL)  # all of it, or nothing is sent
+        with open(pipe, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)  # never into the caller's frames
+
+
 def run_tasks(fn, tasks: list[tuple], workers: int) -> list:
     """[fn(*task) for task in tasks], on up to `workers` forked processes.
 
     With one worker, or where the platform cannot fork, the tasks run in this
-    process.  A pool pickles fn by name, so it must be a module-level function.
+    process.  A worker's exception is raised here, and a worker that sends no
+    result raises RuntimeError; on any exception every worker is killed and reaped.
     """
-    if workers > 1:
-        # Imported only here, so that a one-worker run and every command without a
-        # parallel step skip the cost.
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn: a spawned worker would import numpy and the package
-            # afresh, and with fork the pool starts every worker before its own thread.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                workers, mp_context=context, initializer=_init_worker, initargs=(os.getpid(),)
-            ) as pool:
-                return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*task) for task in tasks]
+    workers = min(workers, len(tasks))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(*task) for task in tasks]
+    parent, running, pipes, results = os.getpid(), [], [], [None] * len(tasks)
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, tasks[w::workers], write_end, parent)
+            running.append(pid)
+            os.close(write_end)
+        for w, pid in enumerate(list(running)):
+            data = pipes[w].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if not data:
+                raise RuntimeError(f"worker {w} ended with exit status {status} and sent no result")
+            sent = pickle.loads(data)
+            if isinstance(sent, BaseException):
+                raise sent
+            results[w::workers] = sent
+    except BaseException:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+    return results

@@ -469,20 +469,28 @@ def _running(pid):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
 def test_workers_exit_when_their_parent_is_killed():
-    # the parent is killed while its two workers walk their blocks (about a second each)
+    # the parent is killed while its two workers sleep in tasks that would
+    # outlast the wait below; the script finds them by wrapping os.fork
     script = (
-        "import multiprocessing, os, signal, threading, time\n"
-        "from chaoslab import mc\n"
-        f"cfg = mc.SimConfig(example='poisson', n_max=10_000, replications={2 * streams.BLOCK_SIZE})\n"
-        "threading.Thread(target=mc.run, args=(cfg,), daemon=True).start()\n"
-        "while len(kids := multiprocessing.active_children()) < 2:\n"
+        "import os, signal, threading, time\n"
+        "from chaoslab import workers\n"
+        "pids, fork = [], os.fork\n"
+        "def recording_fork():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        pids.append(pid)\n"
+        "    return pid\n"
+        "os.fork = recording_fork\n"
+        "tasks = [(60,), (60,)]\n"
+        "threading.Thread(target=workers.run_tasks, args=(time.sleep, tasks, 2), daemon=True).start()\n"
+        "deadline = time.monotonic() + 30\n"
+        "while len(pids) < 2 and time.monotonic() < deadline:\n"
         "    time.sleep(0.01)\n"
-        "print(*(k.pid for k in kids), flush=True)\n"
+        "print(*pids, flush=True)\n"
         "os.kill(os.getpid(), signal.SIGKILL)\n"
     )
     # not _python: a worker that outlives the parent would hold its output open
-    proc = subprocess.Popen([sys.executable, "-c", script], env=_env(CHAOSLAB_THREADS="2"),
-                            stdout=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-c", script], env=_env(), stdout=subprocess.PIPE)
     with proc.stdout:
         pids = [int(p) for p in proc.stdout.readline().split()]
     assert proc.wait(timeout=60) == -signal.SIGKILL
@@ -497,12 +505,24 @@ def test_workers_exit_when_their_parent_is_killed():
             os.kill(pid, signal.SIGKILL)
 
 
-def test_importing_the_cli_starts_no_process_pool():
-    # the pool modules are imported only by a run with more than one worker
-    proc = _python(["-c", "import sys, chaoslab.cli; print(sorted(set(sys.modules) & "
-                    "{'multiprocessing', 'concurrent.futures'}))"])
+def test_importing_the_cli_starts_no_process_pool(tmp_path):
+    # no import of the CLI, and no two-worker run of its blocks, loads the pool modules
+    pool_modules = "sorted(set(sys.modules) & {'multiprocessing', 'concurrent.futures'})"
+    proc = _python(["-c", f"import sys, chaoslab.cli; print({pool_modules})"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == b"[]"
+    script = (
+        "import os, sys\n"
+        "from chaoslab import cli\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"code = cli.main(['simulate', '--example', 'twopoint', '--n-max', '20', '--reps',"
+        f" '{2 * streams.BLOCK_SIZE}', '--out', {str(tmp_path / 'tp.csv')!r}])\n"
+        f"print(code, len(forks), {pool_modules})\n"
+    )
+    proc = _python(["-c", script], CHAOSLAB_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split(maxsplit=2)[1:] == [b"2", b"[]"]
 
 
 def test_exit_code_two_on_failed_row():

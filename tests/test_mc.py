@@ -74,26 +74,81 @@ def test_worker_count_follows_usable_cpus(monkeypatch):
     monkeypatch.setenv("CHAOSLAB_THREADS", "5")
     assert workers.worker_count(10) == 5
     assert workers.worker_count(4) == 4
+    for bad in ("0", "-2"):
+        monkeypatch.setenv("CHAOSLAB_THREADS", bad)
+        with pytest.raises(BadIndexError, match="at least 1"):
+            workers.worker_count(10)
     monkeypatch.delenv("CHAOSLAB_THREADS")
     monkeypatch.delattr(workers.os, "sched_getaffinity", raising=False)
     assert workers.worker_count(10) == 10
 
 
 def test_without_fork_the_blocks_run_in_process(monkeypatch):
-    import concurrent.futures
-    import multiprocessing
+    import os
 
     cfg = mc.SimConfig(example="poisson", n_max=30, replications=BLOCK_SIZE + 77, master_seed=8)
     monkeypatch.setenv("CHAOSLAB_THREADS", "1")
     serial = mc.run(cfg)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.delattr(os, "fork")
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    pids = []
+    walk = mc._walk_block
+
+    def recording(config, lo, hi):
+        pids.append(os.getpid())
+        return walk(config, lo, hi)
+
+    monkeypatch.setattr(mc, "_walk_block", recording)
     assert stats_equal(mc.run(cfg), serial)
+    assert pids == [os.getpid()] * 2
+
+
+class _TaskFailed(Exception):
+    pass
+
+
+def _task(i, parent, action):
+    """(i, this process's id), after the action: None, "raise", "sleep", or
+    "exit", which leaves a forked worker by os._exit(3)."""
+    import os
+    import time
+
+    if action == "raise":
+        raise _TaskFailed(f"task {i} failed in a worker")
+    if action == "exit" and os.getpid() != parent:
+        os._exit(3)
+    if action == "sleep":
+        time.sleep(30)
+    return i, os.getpid()
+
+
+@pytest.mark.parametrize("case", ["order", "raise", "exit"])
+def test_run_tasks_keeps_order_passes_errors_and_reaps_its_workers(case):
+    # in the error cases worker 1 fails while worker 2 sleeps: the caller
+    # gets the failure at once, and worker 2 is killed, not waited for
+    import os
+    import time
+
+    parent = os.getpid()
+    if case == "order":
+        for n_workers in range(1, 5):
+            for n_tasks in range(1, 10):
+                out = workers.run_tasks(_task, [(i, parent, None) for i in range(n_tasks)],
+                                        n_workers)
+                assert [i for i, _ in out] == list(range(n_tasks))
+                pids = {pid for _, pid in out}  # one process per worker, or this one
+                assert len(pids) == min(n_workers, n_tasks)
+                assert (parent in pids) == (min(n_workers, n_tasks) == 1)
+    else:
+        tasks = [(i, parent, {1: case, 2: "sleep"}.get(i)) for i in range(6)]
+        error, message = {"raise": (_TaskFailed, "task 1 failed in a worker"),
+                          "exit": (RuntimeError, "worker 1 ended with exit status 3")}[case]
+        start = time.monotonic()
+        with pytest.raises(error, match=message):
+            workers.run_tasks(_task, tasks, 3)
+        assert time.monotonic() - start < 15
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_run_builds_its_plan_once(monkeypatch):
@@ -116,52 +171,20 @@ def test_a_run_builds_its_plan_once(monkeypatch):
     assert calls == [30]
 
 
-def test_worker_tasks_carry_no_arrays(monkeypatch):
-    # the workers inherit the plan; the task sent to a worker must be the
-    # config and a range, not the pair tables
-    import concurrent.futures
-
-    sizes = []
-
-    class Sent(Exception):
-        pass
-
-    class RecordingPool:
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            sizes.extend(len(pickle.dumps((fn, *args))) for args in zip(*iterables))
-            raise Sent
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
-    cfg = mc.SimConfig(example="poisson", n_max=10_000, replications=2 * BLOCK_SIZE)
-    with pytest.raises(Sent):
-        mc.run(cfg)
-    assert len(sizes) == 2 and max(sizes) < 1024
-
-
 def test_worker_results_carry_no_plan():
     # a block's result holds what its draws determine, and nothing per
     # trajectory: the per-n tables are rebuilt from the config where they are
     # read, and the sup-exceedance counts are counts
     cfg = mc.SimConfig(example="poisson", n_max=2000, replications=BLOCK_SIZE,
                        thresholds=(0.5, 2.0, 9.0))
-    block = mc._block_task(cfg, (0, BLOCK_SIZE))
+    block = mc._walk_block(cfg, 0, BLOCK_SIZE)
     (sums,) = block.block_sums
     assert len(pickle.dumps(block)) <= sums.nbytes + 4 * 1024
 
 
 def test_a_wrapped_walk_block_runs_in_the_workers(monkeypatch, tmp_path):
-    # a tracer replaces _walk_block with a closure, which cannot be pickled;
-    # the pool pickles _block_task, which finds the wrapper in the forked worker
+    # a tracer replaces _walk_block with a closure; run_range passes the
+    # wrapper to run_tasks, and the forked workers inherit it
     import os
 
     cfg = mc.SimConfig(example="poisson", n_max=40, replications=2 * BLOCK_SIZE, master_seed=13)
@@ -818,9 +841,10 @@ def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):
     assert stats.grid == (2, 5, 10, 20, 50, 60)
     means = [est.mean for _, est in mc.tail_diagnostic(stats)]
     assert means == sorted(means, reverse=True)  # suffix sup shrinks with n0
-    monkeypatch.setenv("CHAOSLAB_THREADS", "many")
-    with pytest.raises(BadIndexError):
-        mc.run(cfg)
+    for bad in ("many", "0", "-2"):
+        monkeypatch.setenv("CHAOSLAB_THREADS", bad)
+        with pytest.raises(BadIndexError):
+            mc.run(cfg)
 
 
 def test_default_grid_and_windows():
