@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import pickle
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -84,8 +86,6 @@ def test_worker_count_follows_usable_cpus(monkeypatch):
 
 
 def test_without_fork_the_blocks_run_in_process(monkeypatch):
-    import os
-
     cfg = mc.SimConfig(example="poisson", n_max=30, replications=BLOCK_SIZE + 77, master_seed=8)
     monkeypatch.setenv("CHAOSLAB_THREADS", "1")
     serial = mc.run(cfg)
@@ -110,9 +110,6 @@ class _TaskFailed(Exception):
 def _task(i, parent, action):
     """(i, this process's id), after the action: None, "raise", "sleep", or
     "exit", which leaves a forked worker by os._exit(3)."""
-    import os
-    import time
-
     if action == "raise":
         raise _TaskFailed(f"task {i} failed in a worker")
     if action == "exit" and os.getpid() != parent:
@@ -126,9 +123,6 @@ def _task(i, parent, action):
 def test_run_tasks_keeps_order_passes_errors_and_reaps_its_workers(case):
     # in the error cases worker 1 fails while worker 2 sleeps: the caller
     # gets the failure at once, and worker 2 is killed, not waited for
-    import os
-    import time
-
     parent = os.getpid()
     if case == "order":
         for n_workers in range(1, 5):
@@ -185,8 +179,6 @@ def test_worker_results_carry_no_plan():
 def test_a_wrapped_walk_block_runs_in_the_workers(monkeypatch, tmp_path):
     # a tracer replaces _walk_block with a closure; run_range passes the
     # wrapper to run_tasks, and the forked workers inherit it
-    import os
-
     cfg = mc.SimConfig(example="poisson", n_max=40, replications=2 * BLOCK_SIZE, master_seed=13)
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
     plain = mc.run_range(cfg, 0, cfg.replications)
