@@ -172,9 +172,13 @@ def build_csv(stats: mc.TrajectoryStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _three_se(stderr: float) -> float:
-    """Tolerance of a Monte Carlo row; infinite when one replication gives no stderr."""
-    return 3.0 * stderr if not math.isnan(stderr) else math.inf
+def _mc_row(report: Report, label: str, mean: float, stderr: float, target: float,
+            below: bool = False) -> None:
+    """Row: a Monte Carlo mean within 3 stderr of an exact value, or with
+    below=True, under a bound plus 3 stderr.  A row without a stderr (nan:
+    one replication) passes."""
+    gap = mean - target if below else abs(mean - target)
+    report.add(label, mean, target, math.isnan(stderr) or gap <= 3.0 * stderr, stderr=stderr)
 
 
 def _exact_se(variance: float, replications: int) -> float:
@@ -188,15 +192,9 @@ def _exact_se(variance: float, replications: int) -> float:
 
 def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
     for w in mc.first_chaos_report(stats):
-        est = w.estimate
-        se = _exact_se(w.exact_prob * (1.0 - w.exact_prob), est.replications)
-        report.add(
-            f"window[{w.n_lo},{w.n_hi}) event prob vs exact",
-            est.mean,
-            w.exact_prob,
-            abs(est.mean - w.exact_prob) <= _three_se(se),
-            stderr=se,
-        )
+        se = _exact_se(w.exact_prob * (1.0 - w.exact_prob), stats.replications)
+        _mc_row(report, f"window[{w.n_lo},{w.n_hi}) event prob vs exact", w.estimate.mean, se,
+                w.exact_prob)
         if w.max_event_deviation is not None:
             report.add(
                 f"window[{w.n_lo},{w.n_hi}) first-chaos closed-form deviation",
@@ -254,21 +252,12 @@ def cmd_simulate(args) -> int:
         i = n - start
         target = model.second_moment(n)
         se = _exact_se(model.fourth_moment(n) - target * target, config.replications)
-        report.add(
-            f"E[F_{n}^2] vs exact", float(fsq_mean[i]), target,
-            abs(fsq_mean[i] - target) <= _three_se(se), stderr=se,
-        )
-        se = _exact_se(target, config.replications)
-        report.add(
-            f"E[F_{n}] vs 0", float(f_mean[i]), 0.0,
-            abs(f_mean[i]) <= _three_se(se), stderr=se,
-        )
+        _mc_row(report, f"E[F_{n}^2] vs exact", float(fsq_mean[i]), se, target)
+        _mc_row(report, f"E[F_{n}] vs 0", float(f_mean[i]),
+                _exact_se(target, config.replications), 0.0)
         if model.moment52_bound is not None:
-            bound = model.moment52_bound(n)
-            report.add(
-                f"E|F_{n}|^(5/2) vs decay bound", float(a52_mean[i]), bound,
-                a52_mean[i] <= bound + _three_se(a52_se[i]), stderr=float(a52_se[i]),
-            )
+            _mc_row(report, f"E|F_{n}|^(5/2) vs decay bound", float(a52_mean[i]),
+                    float(a52_se[i]), model.moment52_bound(n), below=True)
     _diagnostic_rows(report, stats)
     _window_rows(report, stats)
     return _emit(report, args.format)
@@ -349,15 +338,9 @@ def cmd_tail(args) -> int:
             )
             continue
         bound = poisson_pair.sup_tail_bound(t)
-        lower = est.mean - (3.0 * est.stderr if not math.isnan(est.stderr) else 0.0)
         vacuous = " (bound >= 1: vacuous)" if bound >= 1.0 else ""  # any estimate passes
-        report.add(
-            f"P(window sup > {t:g}) - 3se vs sup tail bound{vacuous}",
-            est.mean,
-            bound,
-            lower <= bound,
-            stderr=est.stderr,
-        )
+        _mc_row(report, f"P(window sup > {t:g}) - 3se vs sup tail bound{vacuous}", est.mean,
+                est.stderr, bound, below=True)
     return _emit(report, args.format)
 
 

@@ -99,12 +99,10 @@ class SimConfig:
 
 
 class McEstimate(NamedTuple):
-    """Monte Carlo point estimate with its standard error and provenance."""
+    """Monte Carlo point estimate with its standard error (nan for one replication)."""
 
     mean: float
     stderr: float
-    replications: int
-    seed: int
 
 
 def default_diagnostic_grid(start_n: int, n_max: int) -> tuple[int, ...]:
@@ -192,15 +190,16 @@ def _gap_counts(q: np.ndarray, width: int) -> np.ndarray:
     return (np.ceil(expected + _SPARE_SD * np.sqrt(expected)) + 1).astype(np.int64)
 
 
-def _nonzero_slots(stream, inv_log: np.ndarray, n_gaps: np.ndarray, width: int | np.ndarray):
+def _nonzero_slots(stream, q: np.ndarray, width: int | np.ndarray):
     """Positions of the nonzero slots, row-major, and their count per row.
 
-    Slot (j, r), r < width[j], is nonzero with probability q[j],
-    independently of every other slot; inv_log[j] is 1 / log(1 - q[j]), and
-    an int width is the width of every row.  Row j draws n_gaps[j] >= 1
-    geometric gaps; the gaps past the row's end are dropped, which the
-    memoryless gaps allow, and a row whose gaps end short of it draws more.
+    Slot (j, r), r < width[j], is nonzero with probability q[j] > 0,
+    independently of every other slot; an int width is the width of every
+    row.  Row j draws _gap_counts geometric gaps first; the gaps past the
+    row's end are dropped, which the memoryless gaps allow, and a row whose
+    gaps end short of it draws more.
     """
+    inv_log, n_gaps = 1.0 / np.log1p(-q), _gap_counts(q, width)
     ends = np.cumsum(n_gaps)
     widest = int(np.max(width))
     pos = _gaps(uniform_block(stream, int(ends[-1])), np.repeat(inv_log, n_gaps), widest)
@@ -322,27 +321,22 @@ def sparse_draws(
     skip = np.where(placed, q, q3)                 # P(C >= 1) or P(C >= 3) at Y_2n = 0
     low, p_low = np.where(placed, 1, 3), 1.0 / np.where(placed, g1, g3)
     drawn = skip > 0.0                             # the rows that skip
-    skip_inv = np.divide(1.0, np.log1p(-skip), out=np.zeros_like(skip), where=drawn)
-    skip_gaps = _gap_counts(skip, width) * drawn
     even_stream, odd_stream = (block_stream(master_seed, parity, block) for parity in (0, 1))
-    even_inv, even_gaps = 1.0 / np.log1p(-tables.q_even), _gap_counts(tables.q_even, width)
     # The variates of a row: its even gaps, about as many odd uniforms and
     # its odd skip gaps; for Poisson counts, also the even thinning gaps and
     # the values.  The per-row binomials are left out, as in layout 4, so a
     # two-point chunk keeps its rows.
-    cost = 2 * even_gaps + skip_gaps
+    cost = 2 * _gap_counts(tables.q_even, width) + _gap_counts(skip, width) * drawn
     if r_even is not None:
         cost += _gap_counts(r_even, width * tables.q_even) + np.ceil(
             width * (tables.q_even * (r_even + q2) + skip)).astype(np.int64)
     for j0, j1 in _chunk_bounds(cost):
         n = j1 - j0
-        pos, per_row = _nonzero_slots(even_stream, even_inv[j0:j1], even_gaps[j0:j1], width)
+        pos, per_row = _nonzero_slots(even_stream, tables.q_even[j0:j1], width)
         rows = np.repeat(np.arange(n), per_row)
         counts = np.ones(pos.size, dtype=np.int64)
         if r_even is not None:
-            r_rows = r_even[j0:j1]
-            k, per_row_multi = _nonzero_slots(
-                even_stream, 1.0 / np.log1p(-r_rows), _gap_counts(r_rows, per_row), per_row)
+            k, per_row_multi = _nonzero_slots(even_stream, r_even[j0:j1], per_row)
             multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
             at = rows[multi] + j0
             counts[multi] = _counts_at_least(even_stream, tables.rate_even[at], 2, p2_even[at])
@@ -361,7 +355,7 @@ def sparse_draws(
         z_rows = z_pos = np.zeros(0, dtype=np.int64)
         at = drawn[j0:j1].nonzero()[0] + j0
         if at.size:
-            z_pos, z_per_row = _nonzero_slots(odd_stream, skip_inv[at], skip_gaps[at], width)
+            z_pos, z_per_row = _nonzero_slots(odd_stream, skip[at], width)
             z_rows = np.repeat(at - j0, z_per_row)
             keep = ~_holds(rows * width + pos, z_rows * width + z_pos)  # drop Y_2n != 0
             z_rows, z_pos = z_rows[keep], z_pos[keep]
@@ -582,7 +576,7 @@ def _binomial_estimate(stats: TrajectoryStats, count: int) -> McEstimate:
     r = stats.replications
     p = count / r
     se = math.sqrt(p * (1.0 - p) / r) if r > 1 else math.nan
-    return McEstimate(p, se, r, stats.config.master_seed)
+    return McEstimate(p, se)
 
 
 def _sup_estimates(stats: TrajectoryStats, t: float) -> list[McEstimate]:

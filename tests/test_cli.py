@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import chaoslab
-from chaoslab.cli import build_csv, main
+from chaoslab.cli import _mc_row, build_csv, main
 from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
 from chaoslab.series import Series, tail_bound
@@ -152,6 +152,29 @@ def test_simulate_single_replication_has_empty_stderr(tmp_path, capsys):
     assert all(line.endswith(",") for line in lines)  # stderr column empty
     payload = json.loads(stdout)
     assert all(r["stderr"] is None for r in payload["rows"])
+
+
+@pytest.mark.parametrize("mean, stderr, two_sided, one_sided", [
+    (1.29, 0.1, True, True),       # inside 3 stderr above the target
+    (1.31, 0.1, False, False),     # outside it
+    (0.69, 0.1, False, True),      # far below: under the bound, off the exact value
+    (11.0, math.nan, True, True),  # no stderr (one replication): the row passes
+])
+def test_monte_carlo_rows_pass_within_three_stderr(mean, stderr, two_sided, one_sided):
+    report = Report("unit", {}, seed=None)
+    _mc_row(report, "exact", mean, stderr, 1.0)
+    _mc_row(report, "bound", mean, stderr, 1.0, below=True)
+    assert [r.passed for r in report.rows] == [two_sided, one_sided]
+    assert all(r.value == mean and r.bound == 1.0 for r in report.rows)
+    assert all(r.stderr == (None if math.isnan(stderr) else stderr) for r in report.rows)
+
+
+def test_tail_single_replication_rows_pass_without_stderr(capsys):
+    code, out, _ = run_cli(capsys, "tail", "--reps", "1", "--t-grid", "9,100", "--format", "json")
+    assert code == 0
+    checked = [r for r in json.loads(out)["rows"] if "vs sup tail bound" in r["label"]]
+    assert len(checked) == 2
+    assert all(r["pass"] is True and r["stderr"] is None for r in checked)
 
 
 def test_simulate_budget_exceeded(capsys):

@@ -229,7 +229,6 @@ def test_replication_count_and_estimates():
     assert np.all(np.isnan(se))
     est = mc.sup_exceedance(stats, 1.0)
     assert math.isnan(est.stderr)
-    assert est.replications == 1 and est.seed == 1
 
 
 def test_two_point_moment_estimates():
@@ -825,6 +824,40 @@ def test_thinned_counts_follow_the_truncated_law():
                 abs(hit.sum() - mean) / math.sqrt(2 * var))
     assert (len(p_values), len(pooled)) == (6 * 500, 6 + 8)
     assert holm_rejections(p_values, alpha=5e-4) == holm_rejections(pooled, alpha=5e-4) == []
+
+
+def odd_count_z_scores(seed: int) -> np.ndarray:
+    """z-scores of two odd-count totals over two Poisson blocks at threshold 1,
+    each against its exact mean and variance given the even draws.
+
+    (a) The odd counts >= 2 beside nonzero even counts: each such slot of row
+    j is a trial with P(C >= 2).  (b) The placed odd counts where Y_2n = 0 in
+    the rows not placed (n > 6), all >= 3: each of the width - m_j free slots
+    of row j is a trial with P(C >= 3).  The trials are independent, so each
+    total's variance is the sum of p (1 - p).
+    """
+    tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
+    law = scipy.stats.poisson(tables.rate_odd)
+    q2, q3 = law.sf(1), law.sf(2)
+    not_placed = tables.n_values > 6
+    seen, mean, var = np.zeros(2), np.zeros(2), np.zeros(2)
+    for block in (0, 1):
+        for j0, j1, even, odd in mc.sparse_draws(tables, seed, block, BLOCK_SIZE, 1.0):
+            beside = q2[even.rows + j0]
+            free, p_free = (BLOCK_SIZE - even.per_row) * not_placed[j0:j1], q3[j0:j1]
+            seen += [(odd.on_even_counts >= 2).sum(), (odd.placed.per_row * not_placed[j0:j1]).sum()]
+            mean += [beside.sum(), (free * p_free).sum()]
+            var += [(beside * (1 - beside)).sum(), (free * p_free * (1 - p_free)).sum()]
+    return (seen - mean) / np.sqrt(var)
+
+
+def test_odd_count_law_has_no_bias_pooled_over_two_blocks():
+    # a bias of a few percent in P(C >= 2) beside a nonzero even count or in
+    # P(C >= 3) where Y_2n = 0 shows in no single row; pooled over two blocks
+    # a 3% bias moves its z by about 5.  |z| < 3.48 for both is a family-wise
+    # false-failure rate of 2 x 5e-4 = 1e-3.
+    z = odd_count_z_scores(11)
+    assert np.all(np.abs(z) < 3.48), z
 
 
 def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):
