@@ -165,10 +165,12 @@ def build_csv(stats: mc.TrajectoryStats) -> str:
                  for name, vals, ses in columns]
         lines += [f"{n},{cell}" for n, *row in zip(n_values[part].tolist(), *cells)
                   for cell in row]
-    diag = [(f"{n0},sup_exceed_prob", est) for n0, est in mc.tail_diagnostic(stats)]
-    diag += [(f"{w.n_lo},window_event_prob", w.estimate) for w in mc.first_chaos_report(stats)]
-    cells = _cells([est.mean for _, est in diag], [est.stderr for _, est in diag])
-    lines += [f"{head},{cell}" for (head, _), cell in zip(diag, cells)]
+    sup, sup_se = stats.sup_exceedance(stats.config.thresholds[0])
+    win, win_se = stats.proportion(stats.win_hits)
+    heads = ([f"{n0},sup_exceed_prob" for n0 in stats.grid]
+             + [f"{w_lo},window_event_prob" for w_lo, _ in stats.windows])
+    cells = _cells(sup[1:].tolist() + win.tolist(), sup_se[1:].tolist() + win_se.tolist())
+    lines += [f"{head},{cell}" for head, cell in zip(heads, cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -176,41 +178,29 @@ def _mc_row(report: Report, label: str, mean: float, stderr: float, target: floa
             below: bool = False) -> None:
     """Row: a Monte Carlo mean within 3 stderr of an exact value, or with
     below=True, under a bound plus 3 stderr.  A row without a stderr (nan:
-    one replication) passes."""
+    one replication) passes.  Against an exact value, the stderr is that of
+    the exact variance (mc.standard_error), not the sample stderr, which
+    heavy tails bias low."""
     gap = mean - target if below else abs(mean - target)
     report.add(label, mean, target, math.isnan(stderr) or gap <= 3.0 * stderr, stderr=stderr)
 
 
-def _exact_se(variance: float, replications: int) -> float:
-    """Standard error of a mean of independent draws of known variance.
-
-    Rows that compare a Monte Carlo mean with its exact value use it instead
-    of the sample stderr, which heavy tails bias low; nan for one draw.
-    """
-    return math.sqrt(variance / replications) if replications > 1 else math.nan
-
-
 def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
-    for w in mc.first_chaos_report(stats):
-        se = _exact_se(w.exact_prob * (1.0 - w.exact_prob), stats.replications)
-        _mc_row(report, f"window[{w.n_lo},{w.n_hi}) event prob vs exact", w.estimate.mean, se,
-                w.exact_prob)
-        if w.max_event_deviation is not None:
-            report.add(
-                f"window[{w.n_lo},{w.n_hi}) first-chaos closed-form deviation",
-                w.max_event_deviation,
-                1e-9,
-                w.max_event_deviation <= 1e-9,
-            )
+    win, _ = stats.proportion(stats.win_hits)
+    for (w_lo, w_hi), mean, (exact, deviation) in zip(stats.windows, win.tolist(),
+                                                      stats.window_law()):
+        se = mc.standard_error(exact * (1.0 - exact), stats.replications)
+        _mc_row(report, f"window[{w_lo},{w_hi}) event prob vs exact", mean, se, exact)
+        if deviation is not None:
+            report.add(f"window[{w_lo},{w_hi}) first-chaos closed-form deviation", deviation,
+                       1e-9, deviation <= 1e-9)
 
 
 def _diagnostic_rows(report: Report, stats: mc.TrajectoryStats) -> None:
-    for n0, est in mc.tail_diagnostic(stats):
-        report.add(
-            f"P(sup_(n>={n0}) |F| > {stats.config.thresholds[0]:g})",
-            est.mean,
-            stderr=est.stderr,
-        )
+    t = stats.config.thresholds[0]
+    sup, sup_se = stats.sup_exceedance(t)
+    for n0, mean, se in zip(stats.grid, sup[1:].tolist(), sup_se[1:].tolist()):
+        report.add(f"P(sup_(n>={n0}) |F| > {t:g})", mean, stderr=se)
 
 
 def cmd_simulate(args) -> int:
@@ -251,10 +241,10 @@ def cmd_simulate(args) -> int:
     for n in probes:
         i = n - start
         target = model.second_moment(n)
-        se = _exact_se(model.fourth_moment(n) - target * target, config.replications)
+        se = mc.standard_error(model.fourth_moment(n) - target * target, config.replications)
         _mc_row(report, f"E[F_{n}^2] vs exact", float(fsq_mean[i]), se, target)
         _mc_row(report, f"E[F_{n}] vs 0", float(f_mean[i]),
-                _exact_se(target, config.replications), 0.0)
+                mc.standard_error(target, config.replications), 0.0)
         if model.moment52_bound is not None:
             _mc_row(report, f"E|F_{n}|^(5/2) vs decay bound", float(a52_mean[i]),
                     float(a52_se[i]), model.moment52_bound(n), below=True)
@@ -329,18 +319,14 @@ def cmd_tail(args) -> int:
         passed=math.isfinite(moment) and moment > 0,
     )
     for t in t_grid:
-        est = mc.sup_exceedance(stats, t)
+        p, se = (a[0] for a in stats.sup_exceedance(t))  # over the whole range, n0 = start_n
         if t < 9.0:
-            report.add(
-                f"P(window sup > {t:g}): bound not applicable (t < 9)",
-                est.mean,
-                stderr=est.stderr,
-            )
+            report.add(f"P(window sup > {t:g}): bound not applicable (t < 9)", p, stderr=se)
             continue
         bound = poisson_pair.sup_tail_bound(t)
         vacuous = " (bound >= 1: vacuous)" if bound >= 1.0 else ""  # any estimate passes
-        _mc_row(report, f"P(window sup > {t:g}) - 3se vs sup tail bound{vacuous}", est.mean,
-                est.stderr, bound, below=True)
+        _mc_row(report, f"P(window sup > {t:g}) - 3se vs sup tail bound{vacuous}", p, se, bound,
+                below=True)
     return _emit(report, args.format)
 
 

@@ -30,12 +30,13 @@ the placed count where Y_2n = 0, plus each row's unplaced 1s and 2s times
 the powers of b_n and 2 b_n; and the recurrence events {Y_2n = 1}.  A
 block also keeps, per threshold t of SimConfig.thresholds and per
 trajectory, the last n with |F_n| > t, which gives
-P(sup_(n >= n0) |F_n| > t) as one count per n0 of the diagnostic grid and
-per t (sup_exceedance is the n0 = start_n count, tail_diagnostic the grid
-counts of the first threshold); and per window the count of trajectories
-with an event in it.  run_range and merge join contiguous parts with the
-same _assemble; across blocks the per-n sums are combined by an exactly
-rounded compensated sum, and counts add.
+P(sup_(n0 <= n <= n_max) |F_n| > t) as one count per n0 in (start_n, *grid)
+and per t; and per window the count of trajectories with an event in it.
+run_range and merge join contiguous parts with the same _assemble; across
+blocks the per-n sums are combined by an exactly rounded compensated sum,
+and counts add.  TrajectoryStats turns the sums and counts into estimates,
+arrays aligned with the rows, the grid or the windows, and standard_error
+gives every standard error.
 
 run_range walks the blocks with workers.run_tasks: worker w of W forked
 processes walks blocks w, w + W, ..., W as workers.worker_count allows
@@ -98,11 +99,11 @@ class SimConfig:
         return MODELS[self.example].start_n
 
 
-class McEstimate(NamedTuple):
-    """Monte Carlo point estimate with its standard error (nan for one replication)."""
-
-    mean: float
-    stderr: float
+def standard_error(variance, replications: int):
+    """sqrt(variance / replications), the standard error of a mean of that
+    many independent draws, for a float or an array; nan for one draw."""
+    se = np.sqrt(np.divide(variance, replications))
+    return se if replications > 1 else se * math.nan  # nan in the shape of se
 
 
 def default_diagnostic_grid(start_n: int, n_max: int) -> tuple[int, ...]:
@@ -503,15 +504,40 @@ class TrajectoryStats:
     def mean_with_stderr(self, stat: str) -> tuple[np.ndarray, np.ndarray]:
         r = self.replications
         mean = self.sums(stat) / r
-        if r < 2:
+        if r < 2:  # the sample variance divides by r - 1
             return mean, np.full_like(mean, np.nan)
         sq = self.sums(_SQ_OF[stat])
-        var = np.maximum(sq - r * mean * mean, 0.0) / (r - 1)
-        return mean, np.sqrt(var / r)
+        return mean, standard_error(np.maximum(sq - r * mean * mean, 0.0) / (r - 1), r)
 
     def j1_mean(self):
         mean, se = self.mean_with_stderr("x_even")
         return self.tables.coef * mean, self.tables.coef * se
+
+    def proportion(self, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fractions of the trajectories, from their counts, with binomial stderrs."""
+        p = hits / self.replications
+        return p, standard_error(p * (1.0 - p), self.replications)
+
+    def sup_exceedance(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """P(sup_(n0 <= n <= n_max) |F_n| > t) for n0 in (start_n, *grid), with
+        stderrs; t is one of the run's thresholds.  [1:] aligns with grid."""
+        if t not in self.config.thresholds:
+            raise BadIndexError(f"threshold {t:g} is not one of the run's {self.config.thresholds}")
+        return self.proportion(self.sup_hits[self.config.thresholds.index(t)])
+
+    def window_law(self) -> list[tuple[float, float | None]]:
+        """Per window: the exact P(event somewhere in it), 1 - prod(1 - P(event
+        at n)), and the largest deviation of the degree-one part from its
+        closed form over the rows where some trajectory had the event (None
+        where none had)."""
+        start, tables, events = self.config.start_n, self.tables, self.sums("events")
+        law = []
+        for w_lo, w_hi in self.windows:
+            rows = slice(w_lo - start, w_hi - start)
+            seen = events[rows] > 0
+            law.append((1.0 - float(np.prod(1.0 - tables.event_prob[rows])),
+                        float(tables.rel_dev[rows][seen].max()) if seen.any() else None))
+        return law
 
 
 def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
@@ -570,67 +596,3 @@ def merge(a: TrajectoryStats, b: TrajectoryStats) -> TrajectoryStats:
     if a.hi != b.lo or b.lo % BLOCK_SIZE != 0 or a.lo % BLOCK_SIZE != 0:
         raise BadIndexError("ranges must be contiguous and block-aligned")
     return _assemble([a, b])
-
-
-def _binomial_estimate(stats: TrajectoryStats, count: int) -> McEstimate:
-    r = stats.replications
-    p = count / r
-    se = math.sqrt(p * (1.0 - p) / r) if r > 1 else math.nan
-    return McEstimate(p, se)
-
-
-def _sup_estimates(stats: TrajectoryStats, t: float) -> list[McEstimate]:
-    """P(sup_(n >= n0) |F_n| > t) for n0 in (start_n, *grid); t one of the run's thresholds."""
-    if t not in stats.config.thresholds:
-        raise BadIndexError(f"threshold {t:g} is not one of the run's {stats.config.thresholds}")
-    hits = stats.sup_hits[stats.config.thresholds.index(t)]
-    return [_binomial_estimate(stats, int(h)) for h in hits]
-
-
-def sup_exceedance(stats: TrajectoryStats, t: float) -> McEstimate:
-    """P(max over the simulated range of |F_n| > t), with binomial stderr."""
-    return _sup_estimates(stats, t)[0]
-
-
-def tail_diagnostic(stats: TrajectoryStats) -> list[tuple[int, McEstimate]]:
-    """P(sup_{n0 <= n <= n_max} |F_n| > t) for each n0 of the run's grid.
-
-    The grid is default_diagnostic_grid; t is the run's first threshold.
-    Almost-sure convergence to 0 is equivalent to these probabilities
-    vanishing as n0 grows, for every t.
-    """
-    return list(zip(stats.grid, _sup_estimates(stats, stats.config.thresholds[0])[1:]))
-
-
-@dataclass(frozen=True)
-class WindowReport:
-    """Recurrence evidence for one dyadic window [n_lo, n_hi)."""
-
-    n_lo: int
-    n_hi: int
-    estimate: McEstimate       # empirical P(event occurs somewhere in window)
-    exact_prob: float          # 1 - prod (1 - P(event at n))
-    max_event_deviation: float | None  # of the degree-one part from its closed form
-
-
-def first_chaos_report(stats: TrajectoryStats) -> list[WindowReport]:
-    """Per-window recurrence frequencies and degree-one magnitudes."""
-    tables = stats.tables
-    start = stats.config.start_n
-    p_event = tables.event_prob
-    events = stats.sums("events")
-    reports = []
-    for w, (w_lo, w_hi) in enumerate(stats.windows):
-        rows = slice(w_lo - start, w_hi - start)
-        exact = 1.0 - float(np.prod(1.0 - p_event[rows]))
-        seen = events[rows] > 0  # rows n where some trajectory has the event
-        reports.append(
-            WindowReport(
-                n_lo=w_lo,
-                n_hi=w_hi,
-                estimate=_binomial_estimate(stats, int(stats.win_hits[w])),
-                exact_prob=exact,
-                max_event_deviation=float(tables.rel_dev[rows][seen].max()) if seen.any() else None,
-            )
-        )
-    return reports

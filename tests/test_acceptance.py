@@ -145,9 +145,9 @@ def test_l52_decay_bound(l52_run):
 def test_sup_tail_bound(big_poisson_run):
     with criterion("supremum tail bound"):
         for t in SUP_TAIL_T:
-            est = mc.sup_exceedance(big_poisson_run, t)
+            p, se = (a[0] for a in big_poisson_run.sup_exceedance(t))
             bound = poisson_pair.sup_tail_bound(t)
-            assert est.mean - 3 * est.stderr <= bound
+            assert p - 3 * se <= bound
 
 
 def exact_sup_tail(t: float, n_max: int, cutoff: float = 1e-30) -> float:
@@ -219,11 +219,12 @@ def test_divergence_of_projection_evidence():
             example="twopoint", n_max=20, replications=100_000, master_seed=SEED
         )
         stats = mc.run(cfg)
-        w = mc.first_chaos_report(stats)[0]
-        assert (w.n_lo, w.n_hi) == (10, 20)
-        assert abs(w.exact_prob - float(exact)) <= 1e-12
-        assert abs(w.estimate.mean - float(exact)) <= 3 * w.estimate.stderr
-        assert stats.sums("events")[10 - 2 : 20 - 2].sum() > 0 and w.max_event_deviation <= 1e-9
+        exact_prob, deviation = stats.window_law()[0]
+        p, se = (a[0] for a in stats.proportion(stats.win_hits))
+        assert stats.windows[0] == (10, 20)
+        assert abs(exact_prob - float(exact)) <= 1e-12
+        assert abs(p - float(exact)) <= 3 * se
+        assert stats.sums("events")[10 - 2 : 20 - 2].sum() > 0 and deviation <= 1e-9
 
         # the first doubling n where each closed form on the event exceeds 10
         n_tp, n_po = two_point.START_N, poisson_pair.START_N

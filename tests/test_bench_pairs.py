@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,14 @@ def test_each_side_names_its_stream_layout(tmp_path):
     streams.write_text("BLOCK_SIZE = 1 << 14\n")
     assert bench_pairs.layout_version(tmp_path) is None
     assert bench_pairs.layout_version(bench_pairs.ROOT) == chaoslab.streams.LAYOUT_VERSION
+
+
+def test_effective_parallelism_is_the_median_cpu_over_wall_of_two_burners(monkeypatch):
+    ratio = bench_pairs.burn_ratio(0.02)
+    # two processes can use at most twice the wall time; each burned its 0.02 s
+    assert 0.0 < ratio <= 2.05
+    with pytest.raises(ChildProcessError):  # both burners were reaped
+        os.waitpid(-1, os.WNOHANG)
+    readings = iter([1.5, 0.95, 1.05, 1.98, 1.0])
+    monkeypatch.setattr(bench_pairs, "burn_ratio", lambda: next(readings))
+    assert bench_pairs.effective_parallelism() == 1.05

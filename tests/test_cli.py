@@ -289,7 +289,10 @@ FROZEN_POISSON = ("simulate", "--example", "poisson", "--n-max", "300", "--reps"
      "8aae72508026b811cf163630baec00623c774726e4a73b7b67ad98945e53f075"),
     (FROZEN_POISSON, "text", "csv",
      "8f52a7e182b0e2d5545d64e7280faa0798db04432cd278de32d9fb9a17d573d5"),
-], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv", "twopoint-csv", "poisson-csv"])
+    (FROZEN_POISSON, "json", "stdout",
+     "54f1e637317a0f647f3eded6688bc1b3c35e3dd72b0099eccb593e0e8a84060f"),
+], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv", "twopoint-csv", "poisson-csv",
+        "poisson-json"])
 def test_monte_carlo_bytes_are_frozen(capsys, tmp_path, argv, fmt, output, digest):
     # sha256 of the output: the sup-exceedance, tail-diagnostic and window rows
     # print the same bytes from one version of the engine to the next; the
@@ -574,8 +577,8 @@ def test_reports_carry_stream_layout_and_exact_stderr(capsys):
     assert rows["E[F_4^2] vs exact"]["stderr"] == pytest.approx(math.sqrt(var4 / 3000), rel=1e-12)
     assert rows["E[F_4] vs 0"]["stderr"] == pytest.approx(
         math.sqrt(model.second_moment(4) / 3000), rel=1e-12)
-    p = next(w.exact_prob for w in mc.first_chaos_report(
-        mc.run(mc.SimConfig(example="poisson", n_max=20, replications=3000, master_seed=5))))
+    p = mc.run(mc.SimConfig(example="poisson", n_max=20, replications=3000,
+                            master_seed=5)).window_law()[0][0]
     assert rows["window[10,20) event prob vs exact"]["stderr"] == pytest.approx(
         math.sqrt(p * (1 - p) / 3000), rel=1e-12)
     code, out, _ = run_cli(

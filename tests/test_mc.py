@@ -159,8 +159,8 @@ def test_a_run_builds_its_plan_once(monkeypatch):
     mc._plan.cache_clear()
     cfg = mc.SimConfig(example="poisson", n_max=30, replications=2 * BLOCK_SIZE + 1, master_seed=2)
     stats = mc.run(cfg)
-    mc.first_chaos_report(stats)
-    mc.tail_diagnostic(stats)
+    stats.window_law()
+    stats.sup_exceedance(1.0)
     mc._plan.cache_clear()  # no later test reads the plan of the wrapped tables
     assert calls == [30]
 
@@ -227,8 +227,27 @@ def test_replication_count_and_estimates():
     assert stats.replications == 1
     _, se = stats.mean_with_stderr("f_sq")
     assert np.all(np.isnan(se))
-    est = mc.sup_exceedance(stats, 1.0)
-    assert math.isnan(est.stderr)
+    _, se = stats.sup_exceedance(1.0)
+    assert math.isnan(se[0])
+
+
+def test_proportions_match_the_scalar_binomial_formula_bit_for_bit():
+    # every sup and window count of a two-block run, against the scalar
+    # count / r and sqrt(p (1 - p) / r) that the estimates were once built from
+    cfg = mc.SimConfig(example="poisson", n_max=40, replications=BLOCK_SIZE + 3000,
+                       master_seed=5, thresholds=(0.5, 1.0, 9.0))
+    stats = mc.run(cfg)
+    r = stats.replications
+    cases = [(stats.sup_exceedance(t), hits) for t, hits in zip(cfg.thresholds, stats.sup_hits)]
+    cases.append((stats.proportion(stats.win_hits), stats.win_hits))
+    assert stats.win_hits.size == 2
+    for (p, se), hits in cases:
+        for count, p_k, se_k in zip(hits.tolist(), p.tolist(), se.tolist()):
+            scalar = count / r
+            assert p_k == scalar and se_k == math.sqrt(scalar * (1.0 - scalar) / r)
+    assert math.isnan(mc.standard_error(0.25, 1))
+    assert np.isnan(mc.standard_error(np.array([0.0, 0.25]), 1)).all()
+    assert mc.standard_error(0.25, 4) == 0.25
 
 
 def test_two_point_moment_estimates():
@@ -260,13 +279,13 @@ def test_sup_exceedance_monotone():
     cfg = mc.SimConfig(example="poisson", n_max=100, replications=20_000, master_seed=23,
                        thresholds=thresholds)
     stats = mc.run(cfg)
-    values = [mc.sup_exceedance(stats, t).mean for t in thresholds]
+    values = [stats.sup_exceedance(t)[0][0] for t in thresholds]
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert values[0] > 0.0 and values[-1] == 0.0
     # counts are kept for the configured thresholds only
     for t in (0.0, 3.0, 1e13):
         with pytest.raises(BadIndexError):
-            mc.sup_exceedance(stats, t)
+            stats.sup_exceedance(t)
 
 
 def test_tail_diagnostic_two_point_separation():
@@ -274,17 +293,16 @@ def test_tail_diagnostic_two_point_separation():
         example="twopoint", n_max=1000, replications=20_000, master_seed=29, thresholds=(0.1,)
     )
     stats = mc.run(cfg)
-    diag = dict(mc.tail_diagnostic(stats))
-    lo, hi = diag[200], diag[10]
-    assert lo.mean + 3 * (lo.stderr + hi.stderr) < hi.mean
+    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.sup_exceedance(0.1))
+    assert p[200] + 3 * (se[200] + se[10]) < p[10]
 
 
 def test_tail_diagnostic_poisson_trend():
     cfg = mc.SimConfig(example="poisson", n_max=1000, replications=20_000, master_seed=31)
     stats = mc.run(cfg)
-    diag = dict(mc.tail_diagnostic(stats))
-    assert diag[1000].mean <= diag[10].mean + 3 * (diag[1000].stderr + diag[10].stderr)
-    assert diag[100].mean <= diag[10].mean + 3 * (diag[100].stderr + diag[10].stderr)
+    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.sup_exceedance(1.0))
+    assert p[1000] <= p[10] + 3 * (se[1000] + se[10])
+    assert p[100] <= p[10] + 3 * (se[100] + se[10])
 
 
 def sparse_counts(cfg):
@@ -296,30 +314,29 @@ def sparse_counts(cfg):
 def test_tail_diagnostic_last_point_is_single_term():
     cfg = mc.SimConfig(example="poisson", n_max=50, replications=8192, master_seed=37)
     stats = mc.run(cfg)
-    (n0, est) = mc.tail_diagnostic(stats)[-1]
+    n0, p = stats.grid[-1], stats.sup_exceedance(1.0)[0][-1]
     assert n0 == 50
     # recompute |F_50| directly from the same draws
     ye, yo = (c[-1] for c in sparse_counts(cfg))
     lam_e = poisson_pair.intensity(100)
     f = (ye - lam_e) / math.sqrt(lam_e) * yo
-    assert est.mean == (np.abs(f) > 1.0).mean()
+    assert p == (np.abs(f) > 1.0).mean()
 
 
 def test_first_chaos_report_two_point():
     cfg = mc.SimConfig(example="twopoint", n_max=40, replications=100_000, master_seed=41)
     stats = mc.run(cfg)
-    reports = mc.first_chaos_report(stats)
-    assert [(w.n_lo, w.n_hi) for w in reports] == [(10, 20), (20, 40)]
-    w = reports[0]
+    law, (p, se) = stats.window_law(), stats.proportion(stats.win_hits)
+    assert stats.windows == ((10, 20), (20, 40)) and len(law) == p.size == 2
+    exact_prob, deviation = law[0]
     exact = 1 - math.prod(1 - Fraction(1, n) for n in range(10, 20))
     assert exact == Fraction(10, 19)
-    assert w.exact_prob == pytest.approx(float(exact), abs=1e-12)
-    assert abs(w.estimate.mean - w.exact_prob) <= 3 * w.estimate.stderr
+    assert exact_prob == pytest.approx(float(exact), abs=1e-12)
+    assert abs(p[0] - exact_prob) <= 3 * se[0]
     assert stats.sums("events")[10 - 2 : 20 - 2].sum() > 0
-    assert w.max_event_deviation <= 1e-9
-    w2 = reports[1]
+    assert deviation <= 1e-9
     exact2 = 1 - math.prod(1 - Fraction(1, n) for n in range(20, 40))
-    assert w2.exact_prob == pytest.approx(float(exact2), abs=1e-12)
+    assert law[1][0] == pytest.approx(float(exact2), abs=1e-12)
     # the closed form on the event peaks at each window's last n, and later
     # windows carry larger degree-one magnitudes
     for lo, hi in ((10, 20), (20, 40)):
@@ -332,12 +349,13 @@ def test_first_chaos_report_two_point():
 def test_first_chaos_report_poisson():
     cfg = mc.SimConfig(example="poisson", n_max=40, replications=100_000, master_seed=43)
     stats = mc.run(cfg)
-    w = mc.first_chaos_report(stats)[0]
+    exact_prob, deviation = stats.window_law()[0]
+    est, est_se = (a[0] for a in stats.proportion(stats.win_hits))
     lam = np.asarray(poisson_pair.intensity(2 * np.arange(10, 20)))
     p = np.exp(-lam) * lam  # P(Y_2n = 1)
-    assert w.exact_prob == pytest.approx(1 - np.prod(1 - p), rel=1e-12)
-    assert abs(w.estimate.mean - w.exact_prob) <= 3 * w.estimate.stderr
-    assert w.max_event_deviation <= 1e-9
+    assert exact_prob == pytest.approx(1 - np.prod(1 - p), rel=1e-12)
+    assert abs(est - exact_prob) <= 3 * est_se
+    assert deviation <= 1e-9
     closed = poisson_pair.first_chaos_at_one(np.arange(10, 20))
     assert closed.max() == closed[-1] == pytest.approx(
         poisson_pair.first_chaos_at_one(19), rel=1e-12)
@@ -404,13 +422,13 @@ def assert_counts_match(stats, f_by_n, event_by_n, on_event):
     """
     cfg = stats.config
     reps, start = cfg.replications, cfg.start_n
-    (w,) = mc.first_chaos_report(stats)
-    assert (w.n_lo, w.n_hi) == (10, 20)
+    ((_, deviation),) = stats.window_law()
+    assert stats.windows == ((10, 20),)
     events = event_by_n[10 - start : 20 - start]
     assert stats.sums("events")[10 - start : 20 - start].sum() == events.sum() > 0
-    assert w.estimate.mean == events.any(axis=0).sum() / reps
+    assert stats.proportion(stats.win_hits)[0][0] == events.any(axis=0).sum() / reps
     on = [on_event(n) for n in range(10, 20) if events[n - 10].any()]
-    assert w.max_event_deviation == pytest.approx(
+    assert deviation == pytest.approx(
         max(abs(v - c) / c for v, c in on), abs=1e-12
     )
     abs_f = np.abs(f_by_n)
@@ -418,10 +436,10 @@ def assert_counts_match(stats, f_by_n, event_by_n, on_event):
     expected = np.array([[(s > t).sum() for s in suffix_sups] for t in cfg.thresholds])
     assert np.array_equal(stats.sup_hits, expected)
     for t, hits in zip(cfg.thresholds, expected):
-        assert mc.sup_exceedance(stats, t).mean == hits[0] / reps
-    diag = mc.tail_diagnostic(stats)
-    assert [n0 for n0, _ in diag] == list(stats.grid)
-    assert [est.mean for _, est in diag] == [h / reps for h in expected[0, 1:]]
+        assert stats.sup_exceedance(t)[0][0] == hits[0] / reps
+    diag = stats.sup_exceedance(cfg.thresholds[0])[0][1:]
+    assert diag.size == len(stats.grid)
+    assert diag.tolist() == [h / reps for h in expected[0, 1:]]
 
 
 def test_engine_matches_scalar_reconstruction_twopoint():
@@ -864,7 +882,7 @@ def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):
     cfg = mc.SimConfig(example="poisson", n_max=60, replications=4000, master_seed=7)
     stats = mc.run(cfg)
     assert stats.grid == (2, 5, 10, 20, 50, 60)
-    means = [est.mean for _, est in mc.tail_diagnostic(stats)]
+    means = stats.sup_exceedance(1.0)[0][1:].tolist()
     assert means == sorted(means, reverse=True)  # suffix sup shrinks with n0
     for bad in ("many", "0", "-2"):
         monkeypatch.setenv("CHAOSLAB_THREADS", bad)

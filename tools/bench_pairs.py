@@ -13,7 +13,11 @@ workload and end-to-end metric, the median and inclusive quartiles of each
 side, every sample and the pairs in which the change reads lower; then the
 Tier-1 wall time and pass count of each side (two alternated runs each), the
 ``src/chaoslab/*.py`` line counts and ``streams.LAYOUT_VERSION`` of each side,
-and the core count with the Python and numpy versions.  A claim
+and the core count with the Python and numpy versions.  It also records the
+host's effective parallelism before and after the pairs: the median, over
+five burns, of the CPU/wall ratio of two forked CPU burners of 0.2 s each,
+near 2 where the host runs two processes side by side and near 1 where it
+runs them one at a time, which the core count alone does not tell.  A claim
 ``workload:metric`` holds when there are at least ten pairs, the change reads
 lower in at least 9 of 10 of them and its median is below the parent's by
 more than the parent's interquartile range.
@@ -42,6 +46,8 @@ SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 TIER1_RUNS = 2  # per side
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+BURNS = 5
+BURN_S = 0.2  # CPU seconds of each of a burn's two processes
 
 
 def export(rev: str, dest: Path) -> str:
@@ -65,6 +71,29 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
     if not lines:
         raise RuntimeError(f"{tree.name} {workload} seed {seed}: no output\n{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def burn_ratio(seconds: float = BURN_S) -> float:
+    """CPU time over wall time of two forked processes that each spin for
+    `seconds` of CPU time; two processes, never more."""
+    start, pids = time.perf_counter(), []
+    for _ in range(2):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                end = time.process_time() + seconds
+                while time.process_time() < end:
+                    pass
+            finally:
+                os._exit(0)
+        pids.append(pid)
+    cpu = sum(ru.ru_utime + ru.ru_stime for ru in (os.wait4(pid, 0)[2] for pid in pids))
+    return cpu / (time.perf_counter() - start)
+
+
+def effective_parallelism(burns: int = BURNS) -> float:
+    """The median burn_ratio of `burns` burns, one after another."""
+    return round(statistics.median(burn_ratio() for _ in range(burns)), 2)
 
 
 def quartiles(samples: list[float]) -> dict:
@@ -160,6 +189,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export(getattr(args, side), trees[side]) for side in trees}
+        parallelism = {"before": effective_parallelism()}
+        workloads = {w: bench_pairs(trees, w, args.seed + 100 * k) for k, w in enumerate(WORKLOADS)}
+        parallelism["after"] = effective_parallelism()
         bench = {
             "description": (
                 f"Alternated parent/change pairs of perfbench/run.py --seconds {SECONDS:g} "
@@ -171,10 +203,9 @@ def main(argv=None) -> int:
             "change_commit": commits["change"],
             "change": args.note,
             "machine": {"nproc": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
+                        "effective_parallelism": parallelism,
                         "python": platform.python_version(), "numpy": np.__version__},
-            "workloads": {
-                w: bench_pairs(trees, w, args.seed + 100 * k) for k, w in enumerate(WORKLOADS)
-            },
+            "workloads": workloads,
             "tier1": {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                       **tier1(trees)},
             "src_lines": {"command": "wc -l src/chaoslab/*.py",
