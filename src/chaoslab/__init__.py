@@ -9,22 +9,4 @@ truncated series, series convergence by integral-test brackets, and the
 stochastic claims by reproducible Monte Carlo.
 """
 
-from .errors import (
-    BadIndexError,
-    ChaosLabError,
-    DivergentSeriesError,
-    DomainError,
-    OutOfRangeError,
-    ResourceLimitError,
-)
-from .poisson_moments import (
-    CertifiedValue,
-    abs_central_moment,
-    central_moment_4,
-    poisson_tail,
-    raw_abs_moment,
-    raw_moment_4,
-    tail_factorial_bound,
-)
-
 __version__ = "0.1.0"

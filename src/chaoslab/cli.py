@@ -16,7 +16,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import mc, point_process, poisson_moments, poisson_pair, series, streams
-from .errors import BadIndexError, ChaosLabError, DomainError, ResourceLimitError
+from .errors import BadIndexError, ChaosLabError, ResourceLimitError
 from .report import Report, render_json, render_text
 
 _SLACK = 1e-14  # additive slack absorbing rounding in strict analytic inequalities
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, BadIndexError, DomainError) as exc:
+    except (UsageError, BadIndexError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -232,22 +232,16 @@ _G_TERMS = {m: tuple(float(math.factorial(m)) / math.factorial(k + m) for k in r
 
 
 def _g(m: int, rate: np.ndarray) -> np.ndarray:
-    """g_m(rate), so that P(C >= m) = e^-rate rate^m g_m(rate) / m! for C ~ Poisson(rate).
-
-    Summed term by term for rate <= 1, so that no digits cancel at small rates.
-    """
+    """g_m(rate), so that P(C >= m) = e^-rate rate^m g_m(rate) / m! for C ~ Poisson(rate),
+    0 <= rate <= 1; summed term by term, so that no digits cancel at small rates."""
     g = np.zeros_like(rate)
     for c in _G_TERMS[m]:
         g = g * rate + c
-    large = rate > 1.0
-    x = rate[large]
-    head = sum(x**k / math.factorial(k) for k in range(1, m))  # e^x - 1 before x^m
-    g[large] = math.factorial(m) * (np.expm1(x) - head) / x**m
     return g
 
 
 def _count_law(rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) for C ~ Poisson(rate), rate > 0."""
+    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) for C ~ Poisson(rate), 0 < rate <= 1."""
     g = _g(2, rate)
     return 0.5 * rate * rate * g / np.expm1(rate), 1.0 / g
 
@@ -306,8 +300,8 @@ def sparse_draws(
     odd counts of 1 and 2 there are only counted, in odd.ones and odd.twos.
     """
     rates = (tables.rate_even, tables.rate_odd)
-    if any(rate.any() and not rate.all() for rate in rates):
-        raise ValueError("a parity's truncated-Poisson rates must be all 0 or all positive")
+    if any((rate.any() and not rate.all()) or rate.max() > 1.0 for rate in rates):
+        raise ValueError("a parity's truncated-Poisson rates must be all 0 or all in (0, 1]")
     r_even, p2_even = _count_law(tables.rate_even) if tables.rate_even.any() else (None, None)
     lam, q = tables.rate_odd, tables.q_odd
     poisson_odd = bool(lam.any())  # else every nonzero odd count is 1

@@ -12,7 +12,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import OutOfRangeError
+from .errors import BadIndexError
 
 _EPS = sys.float_info.epsilon
 # Largest intensity whose first pmf term exp(-lam) is a normal double; above
@@ -31,7 +31,7 @@ class CertifiedValue(NamedTuple):
 def tail_factorial_bound(lam: float, j: int) -> float:
     """The factorial tail bound lam^(j+1)/(j+1)! for P(Y > j)."""
     if j < 0:
-        raise OutOfRangeError(f"j must be a nonnegative integer, got {j}")
+        raise BadIndexError(f"j must be a nonnegative integer, got {j}")
     try:
         return lam ** (j + 1) / math.factorial(j + 1)
     except OverflowError:
@@ -47,9 +47,9 @@ def poisson_tail(lam: float, j: int) -> CertifiedValue:
     complement.
     """
     if not 0.0 < lam <= MAX_RATE:
-        raise OutOfRangeError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
+        raise BadIndexError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
     if j < 0:
-        raise OutOfRangeError(f"j must be a nonnegative integer, got {j}")
+        raise BadIndexError(f"j must be a nonnegative integer, got {j}")
     pmf = math.exp(-lam)
     terms = [pmf]
     for k in range(1, j + 1):
@@ -78,9 +78,9 @@ def _truncated_moment(lam: float, q: float, centered: bool) -> CertifiedValue:
     |k-lam|^q <= k^q for k >= lam/2, satisfied beyond the floor k >= 3*lam.
     """
     if not 0.0 < lam <= MAX_RATE:
-        raise OutOfRangeError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
+        raise BadIndexError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
     if q < 1.0:
-        raise OutOfRangeError(f"moment order must be >= 1, got {q}")
+        raise BadIndexError(f"moment order must be >= 1, got {q}")
     k_floor = max(8, math.ceil(2.0 * q), math.ceil(3.0 * lam))
     pmf = math.exp(-lam)
     terms = [abs(0.0 - lam) ** q * pmf if centered else 0.0]

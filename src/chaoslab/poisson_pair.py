@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import BadIndexError, DomainError
+from .errors import BadIndexError
 from .pair_model import PairModel, PairTables
 from .poisson_moments import abs_central_moment, raw_abs_moment, raw_moment_4
 from .series import Series, limit_constant
@@ -32,15 +32,11 @@ def intensity(k) -> np.ndarray | float:
         raise BadIndexError(f"intensities are defined for k >= {2 * START_N}")
     n = (k_arr // 2).astype(np.float64)
     out = np.where((k_arr % 2) == 0, np.power(n, -0.75), np.power(n, -5.0 / 16.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out[()]
 
 
 def term(n: int, y_even: int, y_odd: int) -> float:
     """F_n in collapsed form X_2n * Y_2n+1; a zero F_n is 0.0, never -0.0."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
     lam = intensity(2 * n)
     x_even = (float(y_even) - lam) / math.sqrt(lam)
     return x_even * y_odd if y_odd else 0.0
@@ -54,8 +50,6 @@ def second_moment(n: int) -> float:
 
 def fourth_moment(n: int) -> float:
     """E(F_n^4) = E(X_2n^4) E(Y_2n+1^4), with E(X^4) = 3 + 1/lambda_2n."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
     return (3.0 + 1.0 / intensity(2 * n)) * raw_moment_4(intensity(2 * n + 1))
 
 
@@ -65,9 +59,7 @@ def moment52_bound(n) -> np.ndarray | float:
     if np.any(x < START_N):
         raise BadIndexError(f"pair index must be >= {START_N}")
     out = math.sqrt(120.0) * np.power(x, -0.125)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out[()]
 
 
 def moment52_exact(n: int) -> float:
@@ -92,7 +84,7 @@ def sup_tail_bound(t: float) -> float:
     upper brackets of the two intensity series.
     """
     if t < 9.0:
-        raise DomainError(f"sup tail bound is stated for t >= 9, got {t}")
+        raise BadIndexError(f"sup tail bound is stated for t >= 9, got {t}")
     a = limit_constant(Series.INTENSITY_FOURTH).upper
     b = limit_constant(Series.INTENSITY_CROSS).upper
     return (
@@ -113,7 +105,7 @@ def sup_moment_bound(delta: float = 1.0 / 48.0) -> float:
     delta < 1/24 for the middle term to be integrable.
     """
     if not 0.0 < delta < 1.0 / 24.0:
-        raise DomainError(f"moment order must lie in (0, 1/24), got {delta}")
+        raise BadIndexError(f"moment order must lie in (0, 1/24), got {delta}")
     a = limit_constant(Series.INTENSITY_FOURTH).upper
     b = limit_constant(Series.INTENSITY_CROSS).upper
     first = b * 9.0 ** (delta - 0.25) / (0.25 - delta)
@@ -132,18 +124,16 @@ def first_chaos_at_one(n) -> np.ndarray | float:
     if np.any(x < START_N):
         raise BadIndexError(f"pair index must be >= {START_N}")
     out = np.power(x, 1.0 / 16.0) - np.power(x, -11.0 / 16.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out[()]
 
 
 def pair_tables(n: np.ndarray) -> PairTables:
     """Engine tables; the event is {Y_2n = 1} and C_2n+1 = Y_2n+1."""
-    lam_even = np.asarray(intensity(2 * n))
-    lam_odd = np.asarray(intensity(2 * n + 1))
+    lam_even = intensity(2 * n)
+    lam_odd = intensity(2 * n + 1)
     sqrt_lam_even = np.sqrt(lam_even)
     cond_obs = lam_odd * ((1.0 - lam_even) / sqrt_lam_even)
-    closed = np.asarray(first_chaos_at_one(n))
+    closed = first_chaos_at_one(n)
     safe = np.where(closed == 0.0, 1.0, closed)  # the closed form vanishes at n = 1
     return PairTables(
         n_values=n, coef=lam_odd, rel_dev=np.abs(np.abs(cond_obs) - closed) / np.abs(safe),

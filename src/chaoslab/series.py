@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadIndexError, DivergentSeriesError
+from .errors import BadIndexError
 
 _CHUNK = 1 << 20
 # Indices come _TILE at a time from a ramp: a chunk of them would be a second buffer.
@@ -72,9 +72,7 @@ def term(series: Series, n) -> np.ndarray | float:
     if np.any(x < START[series]):
         raise BadIndexError(f"{series.value} starts at n={START[series]}")
     out = _evaluate(series, x, np.empty_like(x))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out[()]
 
 
 def partial_sum(series: Series, n_terms: int) -> float:
@@ -111,7 +109,7 @@ def tail_bound(series: Series, n_terms: int) -> float:
     bound needs N >= 3.
     """
     if series is Series.EVEN_HARMONIC:
-        raise DivergentSeriesError("the even-index harmonic series has no finite tail")
+        raise BadIndexError("the even-index harmonic series has no finite tail")
     if series is Series.TWO_POINT_JOINT:
         if n_terms < 3:
             raise BadIndexError("joint-sign tail bound requires N >= 3")

@@ -32,13 +32,7 @@ of how the replications are split along block boundaries; a full block's
 draws do not depend on the total replication count.
 
 LAYOUT_VERSION names this layout and changes whenever the same seed would
-give different draws.  Version 1 gave every (variable index, block) pair
-its own stream and one uniform per trajectory; version 2 drew the
-positions, then one uniform for every nonzero Poisson count; version 3
-placed every nonzero odd count; version 4 placed the odd counts of at
-least 2 by skipping and counted the 1s where Y_2n = 0 per row, drawing
-one uniform per nonzero even count for the 1s beside it.  Version 5
-gives the same two-point draws as version 4 where no row is placed.
+give different draws; README's Reproducibility section keeps the history.
 """
 
 from __future__ import annotations

@@ -31,22 +31,16 @@ def prob(k) -> np.ndarray | float:
     even = (k_arr % 2) == 0
     x = n.astype(np.float64)
     out = np.where(even, 1.0 / x, np.exp(-np.sqrt(np.log(x))))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out[()]
 
 
 def second_moment(n: int) -> float:
     """E(F_n^2); equals the odd sign probability p_(2n+1)."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
     return prob(2 * n + 1)
 
 
 def fourth_moment(n: int) -> float:
     """E(F_n^4) = E(X_2n^4) p_(2n+1), with E(X^4) = (1-p)^2/p + p^2/(1-p) at p = p_2n."""
-    if n < START_N:
-        raise BadIndexError(f"pair index must be >= {START_N}")
     p = prob(2 * n)
     return ((1.0 - p) ** 2 / p + p * p / (1.0 - p)) * prob(2 * n + 1)
 
@@ -60,18 +54,16 @@ def first_chaos_on_plus(n) -> np.ndarray | float:
     if np.any(x < START_N):
         raise BadIndexError(f"pair index must be >= {START_N}")
     out = np.sqrt(x - 1.0) * np.exp(-np.sqrt(np.log(x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out[()]
 
 
 def pair_tables(n: np.ndarray) -> PairTables:
     """Engine tables; the counts are the indicators of +1 signs, so the event
     is {Y_2n = 1} and C_2n+1 = 1{Y_2n+1 = 1}."""
-    p_even = np.asarray(prob(2 * n))
-    p_odd = np.asarray(prob(2 * n + 1))
+    p_even = prob(2 * n)
+    p_odd = prob(2 * n + 1)
     cond_obs = p_odd * np.sqrt((1.0 - p_even) / p_even)
-    closed = np.asarray(first_chaos_on_plus(n))
+    closed = first_chaos_on_plus(n)
     one = np.zeros_like(p_even)  # truncated-Poisson rate 0: a nonzero count is 1
     return PairTables(
         n_values=n, coef=p_odd, rel_dev=np.abs(cond_obs - closed) / closed, event_prob=p_even,

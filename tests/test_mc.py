@@ -746,8 +746,8 @@ def test_count_law_has_no_cancellation():
         exact_r, exact_p = exact_count_law(float(lam))
         assert abs(Fraction(float(r_j)) / exact_r - 1) <= 1e-14
         assert abs(Fraction(float(p_j)) / exact_p - 1) <= 1e-14
-    # the same law where it is evaluated from expm1 directly, and at the switch
-    lams = np.array([0.5, 1.0, 2.0, 9.0])
+    # the same law against scipy's Poisson pmf, up to the largest rate, 1
+    lams = np.array([0.5, 1.0])
     r, p_two = mc._count_law(lams)
     for lam, r_j, p_j in zip(lams, r, p_two):
         pmf = scipy.stats.poisson.pmf(np.arange(3), lam)
@@ -759,17 +759,32 @@ def test_count_law_has_no_cancellation():
 def test_g_has_no_cancellation():
     # g_m(lam) = m! sum_k lam^k / (k + m)!, which gives P(C >= m), against its
     # exact partial sums at small rates (omitted terms below 1e-30 of the
-    # kept ones), and against scipy's Poisson tail at and above the switch
+    # kept ones), and against scipy's Poisson tail up to the largest rate, 1
     lams = np.array([1e-3, 1e-6])
     for m in (1, 2, 3):
         for lam, g in zip(lams, mc._g(m, lams)):
             x = Fraction(float(lam))
             exact = math.factorial(m) * sum(x**k / math.factorial(k + m) for k in range(12))
             assert abs(Fraction(float(g)) / exact - 1) <= 1e-14
-        lams_big = np.array([0.5, 1.0, 2.0, 9.0])
+        lams_big = np.array([0.5, 1.0])
         tail = scipy.stats.poisson.sf(m - 1, lams_big)
         expected = tail * np.exp(lams_big) * math.factorial(m) / lams_big**m
         assert mc._g(m, lams_big) == pytest.approx(expected, rel=1e-13)
+
+
+def test_sparse_draws_rejects_rates_outside_its_count_law():
+    # _g sums its series only for rates in [0, 1], so a parity whose rates mix
+    # 0 and positive values, or pass 1, must fail before any draw
+    tables = poisson_pair.pair_tables(np.arange(1, 51))
+    next(mc.sparse_draws(tables, 5, 0, 64, 1.0))  # the construction's own rates pass
+    mixed = tables.rate_odd.copy()
+    mixed[3] = 0.0
+    above_one = tables.rate_even.copy()
+    above_one[0] = 1.5
+    for bad in (dataclasses.replace(tables, rate_odd=mixed),
+                dataclasses.replace(tables, rate_even=above_one)):
+        with pytest.raises(ValueError, match="all 0 or all in"):
+            next(mc.sparse_draws(bad, 5, 0, 64, 1.0))
 
 
 def binomial_p(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:

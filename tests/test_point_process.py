@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaoslab import streams
-from chaoslab.errors import OutOfRangeError
+from chaoslab.errors import BadIndexError
 from chaoslab.point_process import (
     ChaosParts,
     decompose_term,
@@ -35,14 +35,14 @@ def batch_counts(lengths, rng, size: int) -> np.ndarray:
 
 
 def test_poisson_spec_validation():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
         sample_poisson(-1.0, streams.generator(0, 0))
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
         sample_poisson(1e12, streams.generator(0, 0))  # O(rate) table is capped
     for lam in (800.0, 1000.0):  # exp(-lam) would underflow the cdf table
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
             sample_poisson(lam, streams.generator(0, 0))
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
             poisson_from_uniform(np.array([0.5]), lam)
     assert list(poisson_from_uniform(np.array([0.1, 0.5, 0.9]), 700.0)) == [666, 700, 734]
 
