@@ -6,7 +6,7 @@ class ChaosLabError(Exception):
 
 
 class BadIndexError(ChaosLabError):
-    """Sequence, parameter, or interval index outside the defined domain."""
+    """Sequence index, parameter, interval index or command-line flag outside its domain."""
 
 
 class ResourceLimitError(ChaosLabError):

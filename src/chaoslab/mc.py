@@ -341,11 +341,10 @@ def sparse_draws(
         u = uniform_block(odd_stream, pos.size)
         on_even = (u < np.repeat(q[j0:j1], per_row)).nonzero()[0]
         on_even_counts = np.ones(on_even.size, dtype=np.int64)
-        if poisson_odd:
-            at = rows[on_even] + j0
-            multi = (u[on_even] < q2[at]).nonzero()[0]
-            at = at[multi]
-            on_even_counts[multi] = _counts_at_least(odd_stream, lam[at], 2, 1.0 / g2[at])
+        at = rows[on_even] + j0
+        multi = (u[on_even] < q2[at]).nonzero()[0]  # none for two-point counts: q2 = 0
+        at = at[multi]
+        on_even_counts[multi] = _counts_at_least(odd_stream, lam[at], 2, 1.0 / g2[at])
         # 2. the placed counts where Y_2n = 0: skips over every slot
         z_rows = z_pos = np.zeros(0, dtype=np.int64)
         at = drawn[j0:j1].nonzero()[0] + j0
@@ -360,9 +359,9 @@ def sparse_draws(
         z_per_row = np.bincount(z_rows, minlength=n)
         # 3. the other counts of 1 and 2 there, in the rows not placed
         free = (width - per_row - z_per_row) * ~placed[j0:j1]
-        ones = odd_stream.binomial(free, one[j0:j1])  # n = 0 draws nothing
-        twos = (odd_stream.binomial(free - ones, two[j0:j1]) if poisson_odd
-                else np.zeros(n, dtype=np.int64))
+        # n = 0 or p = 0 draws nothing; for two-point counts two = 0, so twos is 0
+        ones = odd_stream.binomial(free, one[j0:j1])
+        twos = odd_stream.binomial(free - ones, two[j0:j1])
         yield j0, j1, even, OddDraws(on_even, on_even_counts,
                                      Draws(z_rows, z_pos, z_per_row, z_counts), ones, twos)
 

@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import streams
-from .errors import BadIndexError
-from .poisson_moments import MAX_RATE
+from .poisson_moments import check_rate
 from .poisson_pair import intensity
 
 # Cumulative pmf values are cached per intensity; the table ends where the
@@ -27,8 +26,7 @@ _TAIL_CUTOFF = 1e-25
 
 @lru_cache(maxsize=None)
 def _poisson_cdf(lam: float) -> np.ndarray:
-    if not 0.0 < lam <= MAX_RATE:
-        raise BadIndexError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
+    check_rate(lam)
     pmf = math.exp(-lam)
     levels = [pmf]
     k = 0

@@ -28,6 +28,12 @@ class CertifiedValue(NamedTuple):
     remainder_bound: float
 
 
+def check_rate(lam: float) -> None:
+    """Raise BadIndexError unless 0 < lam <= MAX_RATE."""
+    if not 0.0 < lam <= MAX_RATE:
+        raise BadIndexError(f"intensity {lam:g} outside the supported range (0, {MAX_RATE:g}]")
+
+
 def tail_factorial_bound(lam: float, j: int) -> float:
     """The factorial tail bound lam^(j+1)/(j+1)! for P(Y > j)."""
     if j < 0:
@@ -46,8 +52,7 @@ def poisson_tail(lam: float, j: int) -> CertifiedValue:
     covers the pmf recurrence, the compensated sum, and the final
     complement.
     """
-    if not 0.0 < lam <= MAX_RATE:
-        raise BadIndexError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
+    check_rate(lam)
     if j < 0:
         raise BadIndexError(f"j must be a nonnegative integer, got {j}")
     pmf = math.exp(-lam)
@@ -77,8 +82,7 @@ def _truncated_moment(lam: float, q: float, centered: bool) -> CertifiedValue:
     (b) the geometric tail 2*(K+1)^q*pmf(K+1) is below 1e-13 of the sum.
     |k-lam|^q <= k^q for k >= lam/2, satisfied beyond the floor k >= 3*lam.
     """
-    if not 0.0 < lam <= MAX_RATE:
-        raise BadIndexError(f"Poisson intensity must lie in (0, {MAX_RATE:g}], got {lam}")
+    check_rate(lam)
     if q < 1.0:
         raise BadIndexError(f"moment order must be >= 1, got {q}")
     k_floor = max(8, math.ceil(2.0 * q), math.ceil(3.0 * lam))

@@ -8,20 +8,12 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class ReportRow:
-    label: str
-    value: float | None
-    bound: float | None = None
-    passed: bool | None = None   # None marks an informational row
-    stderr: float | None = None
-
-
-@dataclass
 class Report:
     experiment: str
     params: dict
     seed: int | None
-    rows: list[ReportRow] = field(default_factory=list)
+    # each row is the JSON object render_json prints; a pass of None marks an informational row
+    rows: list[dict] = field(default_factory=list)
 
     def add(
         self,
@@ -33,18 +25,16 @@ class Report:
     ) -> None:
         if stderr is not None and math.isnan(stderr):
             stderr = None
-        self.rows.append(
-            ReportRow(
-                label,
-                None if value is None else float(value),
-                None if bound is None else float(bound),
-                None if passed is None else bool(passed),
-                None if stderr is None else float(stderr),
-            )
-        )
+        self.rows.append({
+            "label": label,
+            "value": None if value is None else float(value),
+            "bound": None if bound is None else float(bound),
+            "pass": None if passed is None else bool(passed),
+            "stderr": None if stderr is None else float(stderr),
+        })
 
     def exit_code(self) -> int:
-        return 2 if any(r.passed is False for r in self.rows) else 0
+        return 2 if any(r["pass"] is False for r in self.rows) else 0
 
 
 def _fmt(x: float | None) -> str:
@@ -61,19 +51,19 @@ def render_text(report: Report) -> str:
         )
     if report.seed is not None:
         lines.append(f"seed: {report.seed}")
-    width = max([52, *(len(r.label) for r in report.rows)])  # the label column
-    se_width = max([12, *(len(_fmt(r.stderr)) for r in report.rows)])  # the stderr column
+    width = max([52, *(len(r["label"]) for r in report.rows)])  # the label column
+    se_width = max([12, *(len(_fmt(r["stderr"])) for r in report.rows)])  # the stderr column
     lines.append(
         f"{'label':<{width}} {'value':>20} {'bound':>20} {'status':>6} {'stderr':>{se_width}}"
     )
     for r in report.rows:
-        status = "" if r.passed is None else ("PASS" if r.passed else "FAIL")
+        status = "" if r["pass"] is None else ("PASS" if r["pass"] else "FAIL")
         lines.append(
-            f"{r.label:<{width}} {_fmt(r.value):>20} {_fmt(r.bound):>20} "
-            f"{status:>6} {_fmt(r.stderr):>{se_width}}"
+            f"{r['label']:<{width}} {_fmt(r['value']):>20} {_fmt(r['bound']):>20} "
+            f"{status:>6} {_fmt(r['stderr']):>{se_width}}"
         )
-    n_checked = sum(r.passed is not None for r in report.rows)
-    n_failed = sum(r.passed is False for r in report.rows)
+    n_checked = sum(r["pass"] is not None for r in report.rows)
+    n_failed = sum(r["pass"] is False for r in report.rows)
     lines.append(f"checks: {n_checked - n_failed}/{n_checked} passed")
     return "\n".join(lines)
 
@@ -83,15 +73,6 @@ def render_json(report: Report) -> str:
         "experiment": report.experiment,
         "params": report.params,
         "seed": report.seed,
-        "rows": [
-            {
-                "label": r.label,
-                "value": r.value,
-                "bound": r.bound,
-                "pass": r.passed,
-                "stderr": r.stderr,
-            }
-            for r in report.rows
-        ],
+        "rows": report.rows,
     }
     return json.dumps(payload, indent=2)

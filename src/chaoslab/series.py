@@ -85,7 +85,7 @@ def partial_sum(series: Series, n_terms: int) -> float:
     """
     start = START[series]
     if n_terms < start:
-        raise BadIndexError(f"{series.value} starts at n={start}, got N={n_terms}")
+        raise BadIndexError(f"{series.value} starts at n={start}")
     ramp = np.arange(_TILE, dtype=np.float64)
     terms, tile = np.empty(_CHUNK), np.empty(_TILE)
     sums = []

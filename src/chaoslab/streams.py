@@ -20,13 +20,13 @@ P(C >= 3) in the others (a row whose probability is 0 draws nothing),
 dropping those on a nonzero even count; for Poisson counts one uniform
 for each, inverted on its law given C >= 1 or C >= 3; then one numpy
 binomial per row, the number of the other counts of 1 in the row's free
-slots, with P(C = 1 | C <= 2); and for Poisson counts one more, the number
-of counts of 2 in the slots left, with P(C = 2 | C in {0, 2}).  Placed
-rows draw binomials over no slots, which take no draws.  A row is placed
-when its largest unplaced F_n, b_n for two-point and 2 b_n for Poisson
-counts, exceeds min(thresholds) in size, b_n = -x_loc / x_scale being
-F_n at Y_2n = 0, C_2n+1 = 1 (see mc.sparse_draws).  The draws of a block
-are therefore a function of the seed, the construction, n_max, the
+slots, with P(C = 1 | C <= 2); and one more, the number of counts of 2 in
+the slots left, with P(C = 2 | C in {0, 2}), 0 for two-point counts.  No
+binomial over no slots or with p = 0, and no request for no uniforms, takes
+a draw.  A row is placed when its largest unplaced F_n, b_n for two-point
+and 2 b_n for Poisson counts, exceeds min(thresholds) in size, b_n being
+-x_loc / x_scale, F_n at Y_2n = 0, C_2n+1 = 1 (see mc.sparse_draws).  A
+block's draws are thus a function of the seed, the construction, n_max, the
 smallest threshold, the block and its width, never of the worker count or
 of how the replications are split along block boundaries; a full block's
 draws do not depend on the total replication count.

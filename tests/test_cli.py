@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chaoslab
@@ -124,6 +125,16 @@ def test_series_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("moments", "--lambda-grid", "0.5,800", "--j-max", "1"),
+     "usage error: intensity 800 outside the supported range (0, 700]\n"),
+    (("series", "--series", "all", "--n", "1"), "usage error: bc_twopoint starts at n=2\n"),
+])
+def test_library_domain_errors_reach_the_cli_verbatim(capsys, argv, err):
+    # the library's checks, not the CLI's, reject these; no row is printed first
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--example", "twopoint", "--n-max", "25", "--reps", "2000",
@@ -164,9 +175,9 @@ def test_monte_carlo_rows_pass_within_three_stderr(mean, stderr, two_sided, one_
     report = Report("unit", {}, seed=None)
     _mc_row(report, "exact", mean, stderr, 1.0)
     _mc_row(report, "bound", mean, stderr, 1.0, below=True)
-    assert [r.passed for r in report.rows] == [two_sided, one_sided]
-    assert all(r.value == mean and r.bound == 1.0 for r in report.rows)
-    assert all(r.stderr == (None if math.isnan(stderr) else stderr) for r in report.rows)
+    assert [r["pass"] for r in report.rows] == [two_sided, one_sided]
+    assert all(r["value"] == mean and r["bound"] == 1.0 for r in report.rows)
+    assert all(r["stderr"] == (None if math.isnan(stderr) else stderr) for r in report.rows)
 
 
 def test_tail_single_replication_rows_pass_without_stderr(capsys):
@@ -472,17 +483,15 @@ def test_simulate_bytes_do_not_depend_on_worker_processes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_series_and_tail_bytes_do_not_depend_on_worker_threads():
-    # tail's two blocks run forked at two workers; series runs in this process
-    commands = (["series", "--series", "all"],
-                ["tail", "--n-max", "300", "--reps", str(2 * streams.BLOCK_SIZE)])
-    for argv in commands:
-        outputs = []
-        for workers in ("1", "2"):
-            proc = _python(["-m", "chaoslab.cli", *argv], CHAOSLAB_THREADS=workers)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1], argv
+def test_tail_bytes_do_not_depend_on_worker_threads():
+    # tail's two blocks run in two forked workers, or one after the other at one worker
+    argv = ["tail", "--n-max", "300", "--reps", str(2 * streams.BLOCK_SIZE)]
+    outputs = []
+    for workers in ("1", "2"):
+        proc = _python(["-m", "chaoslab.cli", *argv], CHAOSLAB_THREADS=workers)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _running(pid):
@@ -549,6 +558,43 @@ def test_importing_the_cli_starts_no_process_pool(tmp_path):
     proc = _python(["-c", script], CHAOSLAB_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split(maxsplit=2)[1:] == [b"2", b"[]"]
+
+
+def test_report_rows_are_their_json_objects():
+    report = Report("unit", {"a": 1, "b": "x"}, seed=7)
+    report.add("info", np.float64(0.1))
+    report.add("pass", 1.0, np.float64(2.0), np.bool_(True), stderr=np.float64(0.25))
+    report.add("fail", 3, 2.0, False)
+    report.add("no stderr", 1.5, 2.0, True, stderr=math.nan)
+    assert render_text(report) == "\n".join([
+        "experiment: unit",
+        "params: a=1 b=x",
+        "seed: 7",
+        "label                                                               value"
+        "                bound status       stderr",
+        "info                                                                  0.1"
+        "                                         ",
+        "pass                                                                    1"
+        "                    2   PASS         0.25",
+        "fail                                                                    3"
+        "                    2   FAIL             ",
+        "no stderr                                                             1.5"
+        "                    2   PASS             ",
+        "checks: 2/3 passed",
+    ])
+    rows = json.loads(render_json(report))["rows"]
+    assert rows == [
+        {"label": "info", "value": 0.1, "bound": None, "pass": None, "stderr": None},
+        {"label": "pass", "value": 1.0, "bound": 2.0, "pass": True, "stderr": 0.25},
+        {"label": "fail", "value": 3.0, "bound": 2.0, "pass": False, "stderr": None},
+        {"label": "no stderr", "value": 1.5, "bound": 2.0, "pass": True, "stderr": None},
+    ]
+    assert rows == report.rows
+    for row in report.rows:
+        assert list(row) == ["label", "value", "bound", "pass", "stderr"]
+        assert {type(row[k]) for k in ("value", "bound", "stderr")} <= {float, type(None)}
+        assert type(row["pass"]) in (bool, type(None))
+    assert report.exit_code() == 2
 
 
 def test_exit_code_two_on_failed_row():

@@ -634,6 +634,22 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     assert sum(drawn) == sum(slot_draws) + even_nonzero > even_nonzero
 
 
+def test_empty_and_zero_probability_draws_leave_a_block_stream_as_it_was():
+    # sparse_draws relies on this numpy behaviour, which numpy does not
+    # promise: for two-point counts it draws the values of no odd counts
+    # (random(0)) and counts the 2s with p = 0
+    def frozen(state):
+        return {k: frozen(v) if isinstance(v, dict) else np.asarray(v).tolist()
+                for k, v in state.items()}
+
+    stream = mc.block_stream(97, 1, 3)
+    stream.random(5)
+    before = frozen(stream.bit_generator.state)
+    assert stream.random(0).size == 0
+    assert stream.binomial([5, 7, 0], [0.0, 0.0, 0.3]).tolist() == [0, 0, 0]
+    assert frozen(stream.bit_generator.state) == before
+
+
 @pytest.mark.parametrize("example", ["poisson", "twopoint"])
 def test_draws_depend_on_the_thresholds_only_through_the_placed_rows(example):
     # |b_n| <= 1 in both constructions, and an unplaced F_n is b_n or, for

@@ -56,7 +56,7 @@ def test_tail_matches_scipy():
 
 
 def test_tail_validation():
-    with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
+    with pytest.raises(BadIndexError, match="outside the supported range"):
         poisson_tail(0.0, 1)
     with pytest.raises(BadIndexError, match="j must be a nonnegative integer"):
         poisson_tail(1.0, -1)
@@ -141,16 +141,16 @@ def test_tail_bound_holds_everywhere(lam):
 
 
 def test_validation():
-    with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
+    with pytest.raises(BadIndexError, match="outside the supported range"):
         abs_central_moment(-0.5, 2.5)
     with pytest.raises(BadIndexError, match="moment order"):
         raw_abs_moment(0.5, 0.5)
-    with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
+    with pytest.raises(BadIndexError, match="outside the supported range"):
         raw_abs_moment(1e12, 2.0)  # O(rate) series walk is capped
     for lam in (800.0, 1000.0):  # exp(-lam) would underflow the pmf recurrence
-        with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
+        with pytest.raises(BadIndexError, match="outside the supported range"):
             raw_abs_moment(lam, 2.5)
-        with pytest.raises(BadIndexError, match="Poisson intensity must lie"):
+        with pytest.raises(BadIndexError, match="outside the supported range"):
             abs_central_moment(lam, 2.5)
     assert raw_abs_moment(700.0, 2.5).value == pytest.approx(1.2999e7, rel=1e-4)
     assert raw_abs_moment(30.0, 2.0).value == pytest.approx(30.0 + 900.0, rel=1e-12)
