@@ -16,7 +16,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import mc, point_process, poisson_moments, poisson_pair, series, streams
-from .errors import BadIndexError, ChaosLabError, ResourceLimitError
+from .errors import BadIndexError, ResourceLimitError
 from .report import Report, render_json, render_text
 
 _SLACK = 1e-14  # additive slack absorbing rounding in strict analytic inequalities
@@ -377,9 +377,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except ChaosLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

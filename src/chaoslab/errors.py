@@ -1,13 +1,9 @@
 """Exception types shared across the package."""
 
 
-class ChaosLabError(Exception):
-    """Base class for all chaoslab errors."""
-
-
-class BadIndexError(ChaosLabError):
+class BadIndexError(Exception):
     """Sequence index, parameter, interval index or command-line flag outside its domain."""
 
 
-class ResourceLimitError(ChaosLabError):
+class ResourceLimitError(Exception):
     """Requested simulation exceeds the configured work budget."""

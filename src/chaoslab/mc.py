@@ -16,12 +16,14 @@ nonzero even count is drawn by inversion, one uniform each, so it sits
 beside its even count with no search.  Where Y_2n = 0, F_n is C_2n+1 b_n,
 b_n = -x_loc / x_scale; an odd count there is placed only where F_n may
 pass a threshold: where it is at least 3, or in a row where the largest
-count not placed, 1 for two-point and 2 for Poisson counts, times |b_n|
+count not placed, 2 where a count of 2 can occur and else 1, times |b_n|
 exceeds min(SimConfig.thresholds).  Of the other odd counts only their
 number per row is drawn, of 1s and of 2s.  So the draws depend on the
-smallest threshold; at 1 only the Poisson rows n <= 6 are placed.  Results
-are bitwise identical for any worker count and any replication split along
-block boundaries.
+smallest threshold; at 1 only the Poisson rows n <= 6 are placed.  A draw
+whose law is degenerate takes no variate (see streams), so the two-point
+tables, all of rate 0, run the same code as the Poisson ones, and rows of
+rate 0 and of positive rate may mix.  Results are bitwise identical for
+any worker count and any replication split along block boundaries.
 
 Per chunk the draws reduce to per-n sums (STAT_NAMES): X_2n sums from the
 integer sums of the even counts, F_n sums over the placed odd counts row by
@@ -186,20 +188,24 @@ def _top_up(stream, inv_log: float, last: int, width: int, batch: int) -> np.nda
 
 def _gap_counts(q: np.ndarray, width: int) -> np.ndarray:
     """Gaps a row draws first: its expected nonzero count, _SPARE_SD standard
-    deviations more, and one."""
+    deviations more, and one; none where q = 0."""
     expected = width * q
-    return (np.ceil(expected + _SPARE_SD * np.sqrt(expected)) + 1).astype(np.int64)
+    return ((np.ceil(expected + _SPARE_SD * np.sqrt(expected)) + 1) * (q > 0)).astype(np.int64)
 
 
 def _nonzero_slots(stream, q: np.ndarray, width: int | np.ndarray):
     """Positions of the nonzero slots, row-major, and their count per row.
 
-    Slot (j, r), r < width[j], is nonzero with probability q[j] > 0,
+    Slot (j, r), r < width[j], is nonzero with probability q[j],
     independently of every other slot; an int width is the width of every
-    row.  Row j draws _gap_counts geometric gaps first; the gaps past the
-    row's end are dropped, which the memoryless gaps allow, and a row whose
-    gaps end short of it draws more.
+    row.  A row with q[j] = 0 draws nothing.  Row j draws _gap_counts
+    geometric gaps first; the gaps past the row's end are dropped, which the
+    memoryless gaps allow, and a row whose gaps end short of it draws more.
     """
+    live, counts = np.flatnonzero(q > 0), np.zeros(q.size, dtype=np.int64)
+    if not live.size:
+        return counts[:0], counts
+    q, width = q[live], width[live] if np.ndim(width) else width
     inv_log, n_gaps = 1.0 / np.log1p(-q), _gap_counts(q, width)
     ends = np.cumsum(n_gaps)
     widest = int(np.max(width))
@@ -222,7 +228,8 @@ def _nonzero_slots(stream, q: np.ndarray, width: int | np.ndarray):
         order = np.argsort(rows * widest + pos)
         pos = pos[order]
         per_row = np.bincount(rows, minlength=n_gaps.size)
-    return pos, per_row
+    counts[live] = per_row
+    return pos, counts
 
 
 # Terms of g_m(x) = m! sum_k x^k / (k + m)!, highest first: for x <= 1 the
@@ -241,19 +248,24 @@ def _g(m: int, rate: np.ndarray) -> np.ndarray:
 
 
 def _count_law(rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) for C ~ Poisson(rate), 0 < rate <= 1."""
+    """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) for C ~ Poisson(rate), 0 <= rate <= 1;
+    at rate 0 a nonzero count is 1."""
     g = _g(2, rate)
-    return 0.5 * rate * rate * g / np.expm1(rate), 1.0 / g
+    return np.divide(0.5 * rate * rate * g, np.expm1(rate), out=np.zeros_like(rate),
+                     where=rate > 0), 1.0 / g
 
 
 def _counts_at_least(stream, rate: np.ndarray, low, p_low: np.ndarray) -> np.ndarray:
-    """Counts of C ~ Poisson(rate[j]) given C >= low[j], by inversion, one uniform each.
+    """Counts of C ~ Poisson(rate[j]) given C >= low[j], by inversion, one
+    uniform each where rate[j] > 0; at rate 0 the count is low[j] and takes none.
 
     p_low[j] is P(C = low[j] | C >= low[j]); low is an array or one int.
     """
-    u = uniform_block(stream, rate.size)
     counts = np.array(np.broadcast_to(low, rate.shape), dtype=np.int64)
-    live = (u >= p_low).nonzero()[0]  # the counts above low
+    live = np.flatnonzero(rate > 0)
+    u = uniform_block(stream, live.size)
+    up = u >= p_low[live]
+    live, u = live[up], u[up]  # the counts above low
     lam, k = rate[live], counts[live]
     term = cdf = p_low[live]
     while live.size:
@@ -263,8 +275,8 @@ def _counts_at_least(stream, rate: np.ndarray, low, p_low: np.ndarray) -> np.nda
         if not term.any():  # the rest of the tail is below the smallest double
             break
         cdf = cdf + term
-        up = u[live] >= cdf
-        live, lam, k, term, cdf = live[up], lam[up], k[up], term[up], cdf[up]
+        up = u >= cdf
+        live, u, lam, k, term, cdf = live[up], u[up], lam[up], k[up], term[up], cdf[up]
     return counts
 
 
@@ -299,42 +311,38 @@ def sparse_draws(
     row where no unplaced count can pass t_min, the smallest threshold, the
     odd counts of 1 and 2 there are only counted, in odd.ones and odd.twos.
     """
-    rates = (tables.rate_even, tables.rate_odd)
-    if any((rate.any() and not rate.all()) or rate.max() > 1.0 for rate in rates):
-        raise ValueError("a parity's truncated-Poisson rates must be all 0 or all in (0, 1]")
-    r_even, p2_even = _count_law(tables.rate_even) if tables.rate_even.any() else (None, None)
+    rates = np.concatenate([tables.rate_even, tables.rate_odd])
+    if not ((0.0 <= rates) & (rates <= 1.0)).all():  # NaN fails too
+        raise ValueError("each truncated-Poisson rate must lie in [0, 1]")
+    r_even, p2_even = _count_law(tables.rate_even)
     lam, q = tables.rate_odd, tables.q_odd
-    poisson_odd = bool(lam.any())  # else every nonzero odd count is 1
     g1, g2, g3 = (_g(m, lam) for m in (1, 2, 3))
     p_two = q * lam / (2.0 * g1)                   # P(C = 2)
     q2, q3 = p_two * g2, p_two * lam * g3 / 3.0    # P(C >= 2), P(C >= 3)
     one = q / g1 / (1.0 - q3)                      # P(C = 1 | C <= 2), q at rate 0
-    two = p_two / (1.0 - q + p_two)                # P(C = 2 | C in {0, 2})
+    two = p_two / (1.0 - q + p_two)                # P(C = 2 | C in {0, 2}), 0 at rate 0
     b = -tables.x_loc / tables.x_scale             # the expression _Block.add uses
-    # a placed row is one where the largest count left unplaced, 2 or 1, times b_n passes t_min
-    placed = np.abs(b * (2 if poisson_odd else 1)) > t_min
+    # placed: the largest count left unplaced, 2 where one can occur or 1, times b_n passes t_min
+    placed = np.abs(b * np.where(two > 0, 2, 1)) > t_min
     skip = np.where(placed, q, q3)                 # P(C >= 1) or P(C >= 3) at Y_2n = 0
     low, p_low = np.where(placed, 1, 3), 1.0 / np.where(placed, g1, g3)
-    drawn = skip > 0.0                             # the rows that skip
     even_stream, odd_stream = (block_stream(master_seed, parity, block) for parity in (0, 1))
-    # The variates of a row: its even gaps, about as many odd uniforms and
-    # its odd skip gaps; for Poisson counts, also the even thinning gaps and
-    # the values.  The per-row binomials are left out, as in layout 4, so a
-    # two-point chunk keeps its rows.
-    cost = 2 * _gap_counts(tables.q_even, width) + _gap_counts(skip, width) * drawn
-    if r_even is not None:
-        cost += _gap_counts(r_even, width * tables.q_even) + np.ceil(
-            width * (tables.q_even * (r_even + q2) + skip)).astype(np.int64)
+    # The variates of a row: its even gaps, about as many odd uniforms, its
+    # odd skip gaps, its even thinning gaps and its values.  The per-row
+    # binomials are left out, as in layout 4.  At rate 0 the thinning gaps
+    # and the values cost nothing, so a two-point chunk keeps its rows.
+    cost = (2 * _gap_counts(tables.q_even, width) + _gap_counts(skip, width)
+            + _gap_counts(r_even, width * tables.q_even)
+            + np.ceil(width * (tables.q_even * (r_even + q2) + skip * (lam > 0))).astype(np.int64))
     for j0, j1 in _chunk_bounds(cost):
         n = j1 - j0
         pos, per_row = _nonzero_slots(even_stream, tables.q_even[j0:j1], width)
         rows = np.repeat(np.arange(n), per_row)
         counts = np.ones(pos.size, dtype=np.int64)
-        if r_even is not None:
-            k, per_row_multi = _nonzero_slots(even_stream, r_even[j0:j1], per_row)
-            multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
-            at = rows[multi] + j0
-            counts[multi] = _counts_at_least(even_stream, tables.rate_even[at], 2, p2_even[at])
+        k, per_row_multi = _nonzero_slots(even_stream, r_even[j0:j1], per_row)
+        multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
+        at = rows[multi] + j0
+        counts[multi] = _counts_at_least(even_stream, tables.rate_even[at], 2, p2_even[at])
         even = Draws(rows, pos, per_row, counts)
 
         # 1. the odd count beside each nonzero even count, by inversion
@@ -342,24 +350,20 @@ def sparse_draws(
         on_even = (u < np.repeat(q[j0:j1], per_row)).nonzero()[0]
         on_even_counts = np.ones(on_even.size, dtype=np.int64)
         at = rows[on_even] + j0
-        multi = (u[on_even] < q2[at]).nonzero()[0]  # none for two-point counts: q2 = 0
+        multi = (u[on_even] < q2[at]).nonzero()[0]  # none at rate 0: q2 = 0
         at = at[multi]
         on_even_counts[multi] = _counts_at_least(odd_stream, lam[at], 2, 1.0 / g2[at])
         # 2. the placed counts where Y_2n = 0: skips over every slot
-        z_rows = z_pos = np.zeros(0, dtype=np.int64)
-        at = drawn[j0:j1].nonzero()[0] + j0
-        if at.size:
-            z_pos, z_per_row = _nonzero_slots(odd_stream, skip[at], width)
-            z_rows = np.repeat(at - j0, z_per_row)
-            keep = ~_holds(rows * width + pos, z_rows * width + z_pos)  # drop Y_2n != 0
-            z_rows, z_pos = z_rows[keep], z_pos[keep]
+        z_pos, z_per_row = _nonzero_slots(odd_stream, skip[j0:j1], width)
+        z_rows = np.repeat(np.arange(n), z_per_row)
+        keep = ~_holds(rows * width + pos, z_rows * width + z_pos)  # drop Y_2n != 0
+        z_rows, z_pos = z_rows[keep], z_pos[keep]
         at = z_rows + j0
-        z_counts = (_counts_at_least(odd_stream, lam[at], low[at], p_low[at]) if poisson_odd
-                    else np.ones(at.size, dtype=np.int64))
+        z_counts = _counts_at_least(odd_stream, lam[at], low[at], p_low[at])
         z_per_row = np.bincount(z_rows, minlength=n)
         # 3. the other counts of 1 and 2 there, in the rows not placed
         free = (width - per_row - z_per_row) * ~placed[j0:j1]
-        # n = 0 or p = 0 draws nothing; for two-point counts two = 0, so twos is 0
+        # n = 0 or p = 0 draws nothing; at rate 0 two = 0, so twos is 0
         ones = odd_stream.binomial(free, one[j0:j1])
         twos = odd_stream.binomial(free - ones, two[j0:j1])
         yield j0, j1, even, OddDraws(on_even, on_even_counts,

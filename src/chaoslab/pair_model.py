@@ -9,10 +9,10 @@ a PairModel; the Monte Carlo engine and `simulate` reach it only that way.
 The engine sees each variable as a count that is zero except on a rare
 event: a Poisson count itself, or the indicator of a +1 sign.  A count is
 nonzero with probability q_n, and a nonzero count follows a zero-truncated
-Poisson law of rate nu_n, where nu_n = 0 is the point mass at 1.  The
-rates of one parity are all 0 or all in (0, 1], and mc.sparse_draws rejects
-any others: the two-point rates are 0, and the Poisson rates n^(-3/4) and
-n^(-5/16) are at most 1.  The even count Y maps to
+Poisson law of rate nu_n, where nu_n = 0 is the point mass at 1.  Each
+rate lies in [0, 1], and mc.sparse_draws rejects any other; rows of rate 0
+and of positive rate may mix.  The two-point rates are 0, and the Poisson
+rates n^(-3/4) and n^(-5/16) are at most 1.  The even count Y maps to
 X_2n = (Y - x_loc_n) / x_scale_n, the odd count is C_2n+1, and the
 recurrence event is {Y = 1}.
 """

@@ -5,26 +5,29 @@ Trajectory ``r`` lives in block ``r // BLOCK_SIZE`` at offset
 counter-based Philox streams, one for the even variables Y_2n (parity 0)
 and one for the odd variables Y_2n+1 (parity 1), keyed directly by
 ``(master seed, 2 * block + parity)`` without a SeedSequence.  Each stream
-is consumed in ascending n, chunk by chunk.  Per chunk the even stream
-gives, in this order: the positions of the nonzero counts, by geometric
-skipping over the trajectories of each row; for Poisson counts, which of
-them are at least 2, by skipping over each row's nonzero counts; and one
-uniform per count of at least 2, inverted on its law given C >= 2.  The
-odd stream gives: one uniform per nonzero even count, in ascending (row,
-trajectory), the odd count there being at least 1 when it is below
-P(C >= 1) and at least 2 when it is below P(C >= 2); for Poisson counts,
-one uniform per such count of at least 2, inverted on its law given
-C >= 2; then, where Y_2n = 0, the positions of the placed counts, by
-skipping over all the slots of a row with P(C >= 1) in a placed row and
-P(C >= 3) in the others (a row whose probability is 0 draws nothing),
-dropping those on a nonzero even count; for Poisson counts one uniform
-for each, inverted on its law given C >= 1 or C >= 3; then one numpy
-binomial per row, the number of the other counts of 1 in the row's free
-slots, with P(C = 1 | C <= 2); and one more, the number of counts of 2 in
-the slots left, with P(C = 2 | C in {0, 2}), 0 for two-point counts.  No
-binomial over no slots or with p = 0, and no request for no uniforms, takes
-a draw.  A row is placed when its largest unplaced F_n, b_n for two-point
-and 2 b_n for Poisson counts, exceeds min(thresholds) in size, b_n being
+is consumed in ascending n, chunk by chunk, under one rule: a draw whose
+law is degenerate takes no variate.  So a row whose probability is 0 draws
+no skips, a count whose truncated-Poisson rate is 0 draws no value (it is
+its lower bound), a binomial over no slots or with p = 0 takes no draw, and
+neither does a request for no uniforms.  Per chunk the even stream gives,
+in this order: the positions of the nonzero counts, by geometric skipping
+over the trajectories of each row; which of them are at least 2, by
+skipping over each row's nonzero counts; and one uniform per count of at
+least 2, inverted on its law given C >= 2.  The odd stream gives: one
+uniform per nonzero even count, in ascending (row, trajectory), the odd
+count there being at least 1 when it is below P(C >= 1) and at least 2 when
+it is below P(C >= 2); one uniform per such count of at least 2, inverted
+on its law given C >= 2; then, where Y_2n = 0, the positions of the placed
+counts, by skipping over all the slots of a row with P(C >= 1) in a placed
+row and P(C >= 3) in the others, dropping those on a nonzero even count;
+one uniform for each, inverted on its law given C >= 1 or C >= 3; then one
+numpy binomial per row, the number of the other counts of 1 in the row's
+free slots, with P(C = 1 | C <= 2); and one more, the number of counts of 2
+in the slots left, with P(C = 2 | C in {0, 2}).  A two-point block, all of
+rate 0, thus draws its positions, one odd uniform per nonzero even count,
+in a placed row its odd skips and in the others the binomial count of 1s.
+A row is placed when its largest unplaced F_n, 2 b_n where a count of 2 can
+occur and b_n elsewhere, exceeds min(thresholds) in size, b_n being
 -x_loc / x_scale, F_n at Y_2n = 0, C_2n+1 = 1 (see mc.sparse_draws).  A
 block's draws are thus a function of the seed, the construction, n_max, the
 smallest threshold, the block and its width, never of the worker count or
@@ -44,11 +47,8 @@ BLOCK_SIZE = 1 << 14
 
 
 def block_bounds(lo: int, hi: int) -> list[tuple[int, int]]:
-    """Split the trajectory range [lo, hi) along the fixed block grid."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad trajectory range [{lo}, {hi})")
-    cuts = sorted({lo, hi, *range((lo // BLOCK_SIZE + 1) * BLOCK_SIZE, hi, BLOCK_SIZE)})
-    return list(zip(cuts, cuts[1:]))
+    """Split the trajectory range [lo, hi), lo on the block grid, into its blocks."""
+    return [(b, min(b + BLOCK_SIZE, hi)) for b in range(lo, hi, BLOCK_SIZE)]
 
 
 def generator(master_seed: int, *key: int) -> np.random.Generator:

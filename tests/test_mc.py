@@ -621,7 +621,8 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     assert above_one > 0
     assert sum(drawn) <= 0.5 * nonzero
     # with no placed row, a two-point chunk draws its even gaps, then one odd
-    # uniform per nonzero even count: one skip, and no skip for the odd counts
+    # uniform per nonzero even count: of its three skips, the even thinning at
+    # rate 0 and the odd skips with P(C >= 3) = 0 draw nothing
     drawn.clear(), slot_draws.clear()
     tables = mc.MODELS["twopoint"].tables(np.arange(2, 2001))
     chunks = even_nonzero = 0
@@ -630,14 +631,14 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
         even_nonzero += even.pos.size
         assert np.all(even.counts == 1) and np.all(odd.on_even_counts == 1)
         assert odd.placed.pos.size == odd.twos.sum() == 0
-    assert len(slot_draws) == chunks
+    assert sum(map(bool, slot_draws)) == chunks
     assert sum(drawn) == sum(slot_draws) + even_nonzero > even_nonzero
 
 
 def test_empty_and_zero_probability_draws_leave_a_block_stream_as_it_was():
     # sparse_draws relies on this numpy behaviour, which numpy does not
-    # promise: for two-point counts it draws the values of no odd counts
-    # (random(0)) and counts the 2s with p = 0
+    # promise: it asks for no uniforms where no count at rate > 0 needs a
+    # value (random(0)), and at rate 0 counts the 2s with p = 0
     def frozen(state):
         return {k: frozen(v) if isinstance(v, dict) else np.asarray(v).tolist()
                 for k, v in state.items()}
@@ -789,18 +790,42 @@ def test_g_has_no_cancellation():
 
 
 def test_sparse_draws_rejects_rates_outside_its_count_law():
-    # _g sums its series only for rates in [0, 1], so a parity whose rates mix
-    # 0 and positive values, or pass 1, must fail before any draw
+    # _g sums its series only for rates in [0, 1], so a rate above 1, below 0
+    # or NaN must fail before any draw
     tables = poisson_pair.pair_tables(np.arange(1, 51))
     next(mc.sparse_draws(tables, 5, 0, 64, 1.0))  # the construction's own rates pass
-    mixed = tables.rate_odd.copy()
-    mixed[3] = 0.0
-    above_one = tables.rate_even.copy()
-    above_one[0] = 1.5
-    for bad in (dataclasses.replace(tables, rate_odd=mixed),
-                dataclasses.replace(tables, rate_even=above_one)):
-        with pytest.raises(ValueError, match="all 0 or all in"):
-            next(mc.sparse_draws(bad, 5, 0, 64, 1.0))
+    for parity, row, rate in (("rate_even", 0, 1.5), ("rate_odd", 3, -0.25),
+                              ("rate_even", 7, math.nan)):
+        bad = getattr(tables, parity).copy()
+        bad[row] = rate
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            next(mc.sparse_draws(dataclasses.replace(tables, **{parity: bad}), 5, 0, 64, 1.0))
+
+
+def test_rate_zero_rows_draw_ones_in_a_mixed_table(monkeypatch):
+    # a table may mix rate-0 and positive rows in either parity: the even
+    # rates are 0 where n = 0 (mod 3), the odd rates at even n.  Every nonzero
+    # count of a rate-0 row is 1, and the aggregates match a dense
+    # aggregation of the same draws, with placed and unplaced rows of both kinds
+    model = mc.MODELS["poisson"]
+
+    def tables(n_values):
+        t = model.tables(n_values)
+        return dataclasses.replace(t, rate_even=np.where(n_values % 3 == 0, 0.0, t.rate_even),
+                                   rate_odd=np.where(n_values % 2 == 0, 0.0, t.rate_odd))
+
+    monkeypatch.setitem(mc.MODELS, "poisson", dataclasses.replace(model, tables=tables))
+    monkeypatch.setenv("CHAOSLAB_THREADS", "1")
+    mc._plan.cache_clear()
+    cfg = mc.SimConfig(example="poisson", n_max=60, replications=BLOCK_SIZE + 300,
+                       master_seed=101, thresholds=(0.5, 2.0))
+    mixed = tables(np.arange(1, 61))
+    y_even, c_odd = dense_oracle.sparse_counts(cfg, mixed, 0, BLOCK_SIZE)
+    for counts, rate in ((y_even, mixed.rate_even), (c_odd, mixed.rate_odd)):
+        assert counts[rate == 0].max() == 1
+        assert counts[rate > 0].max() > 1
+    assert_equals_dense_aggregation(mc.run(cfg))
+    mc._plan.cache_clear()  # no later test reads the plan of the wrapped tables
 
 
 def binomial_p(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:

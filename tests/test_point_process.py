@@ -10,6 +10,7 @@ from chaoslab import streams
 from chaoslab.errors import BadIndexError
 from chaoslab.point_process import (
     ChaosParts,
+    _poisson_cdf,
     decompose_term,
     poisson_from_uniform,
     realize,
@@ -54,6 +55,11 @@ def test_sample_poisson_matches_vector_inversion():
     scalar = [sample_poisson(0.7, QueuedRng([ui])) for ui in u]
     assert np.array_equal(vec, scalar)
     assert poisson_from_uniform(np.array([0.0]), 0.7)[0] == 0
+    # at u equal to a level of the table, "<=" counts that level
+    levels = _poisson_cdf(0.7)[:6]
+    at_levels = [sample_poisson(0.7, QueuedRng([level])) for level in levels]
+    assert np.array_equal(poisson_from_uniform(levels, 0.7), at_levels)
+    assert at_levels == list(range(1, 7))
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
