@@ -7,20 +7,21 @@ and one for the odd variables Y_2n+1 (parity 1), keyed directly by
 ``(master seed, 2 * block + parity)`` without a SeedSequence.  Each stream
 is consumed in ascending n, chunk by chunk, under one rule: a draw whose
 law is degenerate takes no variate.  So a row whose probability is 0 draws
-no skips, a count whose truncated-Poisson rate is 0 draws no value (it is
-its lower bound), a binomial over no slots or with p = 0 takes no draw, and
-neither does a request for no uniforms.  Per chunk the even stream gives,
-in this order: the positions of the nonzero counts, by geometric skipping
-over the trajectories of each row; which of them are at least 2, by
-skipping over each row's nonzero counts; and one uniform per count of at
-least 2, inverted on its law given C >= 2.  The odd stream gives: one
-uniform per nonzero even count, in ascending (row, trajectory), the odd
-count there being at least 1 when it is below P(C >= 1) and at least 2 when
-it is below P(C >= 2); one uniform per such count of at least 2, inverted
-on its law given C >= 2; then, where Y_2n = 0, the positions of the placed
-counts, by skipping over all the slots of a row with P(C >= 1) in a placed
-row and P(C >= 3) in the others, dropping those on a nonzero even count;
-one uniform for each, inverted on its law given C >= 1 or C >= 3; then one
+no skips (one of no slots still draws its first gap), a count whose
+truncated-Poisson rate is 0 draws no value (it is its lower bound), a
+binomial over no slots or with p = 0 takes no draw, and neither does a
+request for no uniforms.  Per chunk the even stream gives, in this order:
+the positions of the nonzero counts, by geometric skipping over the
+trajectories of each row; which of them are at least 2, by skipping over
+each row's nonzero counts; and one uniform per count of at least 2,
+inverted on its law given C >= 2.  The odd stream gives: one uniform per
+nonzero even count, in ascending (row, trajectory), the odd count there
+being at least 1 when it is below P(C >= 1) and at least 2 when it is below
+P(C >= 2); one uniform per such count of at least 2, inverted on its law
+given C >= 2; then, where Y_2n = 0, the positions of the placed counts, by
+skipping over all the slots of a row with P(C >= 1) in a placed row and
+P(C >= 3) in the others, dropping those on a nonzero even count; one
+uniform for each, inverted on its law given C >= 1 or C >= 3; then one
 numpy binomial per row, the number of the other counts of 1 in the row's
 free slots, with P(C = 1 | C <= 2); and one more, the number of counts of 2
 in the slots left, with P(C = 2 | C in {0, 2}).  A two-point block, all of
