@@ -10,51 +10,45 @@ kept statistic follows from the nonzero counts alone.
 Trajectories are simulated in fixed blocks of BLOCK_SIZE.  A block walks
 the pair indices upward in chunks of rows that draw about _CHUNK_DRAWS
 variates, each from the block's two streams in the order of stream
-layout 5 (see streams).  The even counts are all placed: their positions,
-which of them exceed 1 and the values of those.  The odd count beside each
-nonzero even count is drawn by inversion, one uniform each, so it sits
-beside its even count with no search.  Where Y_2n = 0, F_n is C_2n+1 b_n,
-b_n = -x_loc / x_scale; an odd count there is placed only where F_n may
-pass a threshold: where it is at least 3, or in a row where the largest
-count not placed, 2 where a count of 2 can occur and else 1, times |b_n|
-exceeds min(SimConfig.thresholds).  Of the other odd counts only their
-number per row is drawn, of 1s and of 2s.  So the draws depend on the
-smallest threshold; at 1 only the Poisson rows n <= 6 are placed.  A draw
-whose law is degenerate takes no variate (see streams), so the two-point
-tables, all of rate 0, run the same code as the Poisson ones, and rows of
-rate 0 and of positive rate may mix.  Results are bitwise identical for
-any worker count and any replication split along block boundaries.
+layout 5 (see streams).  The even counts are all placed, and the odd count
+beside each nonzero one is drawn by inversion, one uniform each.  Where
+Y_2n = 0, F_n is C_2n+1 b_n, b_n = -x_loc / x_scale, and an odd count there
+is placed only where F_n may pass min(SimConfig.thresholds) (see
+sparse_draws); of the others only their number per row is drawn, of 1s and
+of 2s.  So the draws depend on the smallest threshold; at 1 only the
+Poisson rows n <= 6 are placed.  A draw whose law is degenerate takes no
+variate, so the two-point tables, all of rate 0, run the same code as the
+Poisson ones.  Results are bitwise identical for any worker count and any
+replication split along block boundaries.
 
-Per chunk the draws reduce to per-n sums (STAT_NAMES): X_2n sums from the
-integer sums of the even counts, F_n sums over the placed odd counts row by
-row, X_2n times the odd count beside a nonzero even count and b_n times
-the placed count where Y_2n = 0, plus each row's unplaced 1s and 2s times
-the powers of b_n and 2 b_n; and the recurrence events {Y_2n = 1}.  A
+Per chunk the draws reduce to integer counts of cells (n, Y_2n, C_2n+1):
+each nonzero even count with the odd count beside it, each placed odd count
+at Y_2n = 0, a row's unplaced 1s and 2s, and the rest of its width at
+(n, 0, 0).  Each per-n statistic (STATS) is a function of a cell's X_2n,
+F_n = X_2n C_2n+1 and Y_2n.  A
 block also keeps, per threshold t of SimConfig.thresholds and per
 trajectory, the last n with |F_n| > t, which gives
 P(sup_(n0 <= n <= n_max) |F_n| > t) as one count per n0 in (start_n, *grid)
 and per t; and per window the count of trajectories with an event in it.
-run_range and merge join contiguous parts with the same _assemble; across
-blocks the per-n sums are combined by an exactly rounded compensated sum,
-and counts add.  TrajectoryStats turns the sums and counts into estimates,
-arrays aligned with the rows, the grid or the windows, and standard_error
-gives every standard error.
+Integers add exactly in any order, so _assemble folds each block into a
+running total as soon as it is walked, and merge joins ranges with it too.
+TrajectoryStats evaluates each statistic on the cells, in their fixed order.
 
 run_range walks the blocks with workers.run_tasks: worker w of W forked
 processes walks blocks w, w + W, ..., W as workers.worker_count allows
 (CHAOSLAB_THREADS, by default the CPUs this process may run on).  The plan
 (_plan: the per-n tables, the diagnostic grid and the windows) is built
 once per config, before the fork, so the workers inherit it; a worker sends
-back only its blocks' TrajectoryStats, which hold only what the draws
-determine.
+back only the total of its blocks, a TrajectoryStats whose size follows the
+distinct cells seen, not the number of blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -68,9 +62,12 @@ from .workers import run_tasks, worker_count as _worker_count  # perfbench hooks
 MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_pair.MODEL}
 EXAMPLES = tuple(MODELS)
 
-# Per-n trajectory sums kept by the engine, in storage order.
-STAT_NAMES = ("x_even", "x_even_sq", "f", "f_sq", "f_quad", "f_abs52", "f_abs5", "events")
-_SQ_OF = {"x_even": "x_even_sq", "f": "f_sq", "f_sq": "f_quad", "f_abs52": "f_abs5"}
+STATS = {"x_even": lambda x, f, y: x, "f": lambda x, f, y: f, "f_sq": lambda x, f, y: f * f,
+         "f_abs52": lambda x, f, y: np.sqrt(np.abs(f)) * (f * f), "events": lambda x, f, y: y == 1}
+STAT_NAMES = tuple(STATS)
+# A cell (row, y, c) is the int64 key row << 42 | y << 21 | c, which sorts as (row, y, c):
+# rows are below MAX_N < 2^20, and counts below 2^21, as _counts_at_least stops at underflow.
+_CELL_BITS = 21
 WORK_BUDGET = 2_000_000_000  # largest trajectories x n_max that run_range simulates
 MAX_N = 10**6  # largest n_max: the per-n tables and the CSV grow with n_max alone
 
@@ -370,68 +367,52 @@ def sparse_draws(
                                      Draws(z_rows, z_pos, z_per_row, z_counts), ones, twos)
 
 
-def _row_sums(values: np.ndarray, per_row: np.ndarray) -> np.ndarray:
-    """Sums along the last axis over consecutive runs of per_row[j] entries."""
-    out = np.zeros(values.shape[:-1] + per_row.shape, dtype=values.dtype)
-    full = per_row.nonzero()[0]
-    if full.size:
-        out[..., full] = np.add.reduceat(values, (per_row.cumsum() - per_row)[full], axis=-1)
-    return out
-
-
-def _powers(f: np.ndarray) -> np.ndarray:
-    """F, F^2, F^4, |F|^(5/2) and |F|^5: the sums' columns f to f_abs5."""
-    f_sq = f * f
-    a52 = np.sqrt(np.abs(f)) * f_sq
-    return np.stack([f, f_sq, f_sq * f_sq, a52, a52 * a52])
-
-
 class _Block:
-    """One block's accumulators: per-n sums, last exceedances, window hits."""
+    """One block's accumulators: cell counts, last exceedances, window hits."""
 
     def __init__(self, config: SimConfig, tables: PairTables, windows, width: int) -> None:
         self.config, self.tables, self.width = config, tables, width
-        rows = len(tables.n_values)
-        self.sums = np.zeros((rows, len(STAT_NAMES)))
+        self.cells, self.counts = [], []  # per chunk: the sorted keys of its cells, their counts
         # [threshold, trajectory]: last row with |F_n| > thresholds[k], -1 if none
         self.last_above = np.full((len(config.thresholds), width), -1)
-        self.window_of = np.full(rows, -1)
+        self.window_of = np.full(len(tables.n_values), -1)
         for w, (w_lo, w_hi) in enumerate(windows):
             self.window_of[w_lo - config.start_n : w_hi - config.start_n] = w
         self.ev_or = np.zeros((len(windows), width), dtype=bool)  # event seen in the window
 
     def add(self, j0: int, j1: int, even: Draws, odd: OddDraws) -> None:
-        """Reduce the draws of rows [j0, j1)."""
-        width = self.width
-        loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
-        y = even.counts
-        sum_y, sum_y2 = _row_sums(np.stack([y, y * y]), even.per_row).astype(np.float64)
+        """Count the cells of rows [j0, j1) and follow their exceedances and events."""
+        y, zero = even.counts, odd.placed
+        beside = np.zeros(y.size, dtype=np.int64)  # the odd count beside each nonzero even one
+        beside[odd.on_even] = odd.on_even_counts
+        ny = y.max(initial=0) + 1
+        nc = max(beside.max(initial=0), zero.counts.max(initial=0), 2) + 1
+        at = np.concatenate([(even.rows * ny + y) * nc + beside, zero.rows * ny * nc + zero.counts])
+        cells = np.bincount(at, minlength=(j1 - j0) * ny * nc).reshape(j1 - j0, ny, nc)
+        cells[:, 0, 1:3] += np.stack([odd.ones, odd.twos], axis=1)  # the unplaced 1s and 2s
+        cells[:, 0, 0] = self.width - cells.sum(axis=(1, 2))
+        seen = np.flatnonzero(cells)
+        row, y_seen, c_seen = np.unravel_index(seen, cells.shape)
+        self.cells.append((row + j0) << 2 * _CELL_BITS | y_seen << _CELL_BITS | c_seen)
+        self.counts.append(cells.ravel()[seen])
         # F_n at the placed odd counts: the count times X_2n, which is b_n at Y_2n = 0
-        b = -loc / scale
+        loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
         rows = even.rows[odd.on_even]
         f = (y[odd.on_even] - loc[rows]) / scale[rows] * odd.on_even_counts
-        zero = odd.placed
-        f_zero = b[zero.rows] * zero.counts
-        block = self.sums[j0:j1]
-        block[:, 0] = (sum_y - width * loc) / scale
-        block[:, 1] = (sum_y2 - 2.0 * loc * sum_y + width * loc * loc) / (scale * scale)
-        block[:, 2:7] = (_row_sums(_powers(f), np.bincount(rows, minlength=j1 - j0))
-                         + _row_sums(_powers(f_zero), zero.per_row)
-                         + odd.ones * _powers(b) + odd.twos * _powers(2.0 * b)).T
-        event = (y == 1).nonzero()[0]
-        block[:, 7] = np.bincount(even.rows[event], minlength=j1 - j0)
+        f_zero = -loc[zero.rows] / scale[zero.rows] * zero.counts
         abs_f = np.abs(np.concatenate([f, f_zero]))
         f_pos = np.concatenate([even.pos[odd.on_even], zero.pos])
         f_rows = np.concatenate([rows, zero.rows]) + j0
         for last, t in zip(self.last_above, self.config.thresholds):
             big = (abs_f > t).nonzero()[0]
             np.maximum.at(last, f_pos[big], f_rows[big])
+        event = (y == 1).nonzero()[0]
         w = self.window_of[even.rows[event] + j0]
         self.ev_or[w[w >= 0], even.pos[event][w >= 0]] = True
 
 
 def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
-    """One block's per-n sums, sup-exceedance and window hits."""
+    """One block's cell counts, sup-exceedance and window hits."""
     tables, grid, windows = _plan(config)
     acc = _Block(config, tables, windows, hi - lo)
     for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo,
@@ -440,8 +421,13 @@ def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
         del even, odd  # free this chunk's draws before the next is drawn
     sup_hits = [[(last >= n0 - config.start_n).sum() for n0 in (config.start_n, *grid)]
                 for last in acc.last_above]
-    return TrajectoryStats(config, lo, hi, [acc.sums], np.array(sup_hits, dtype=np.int64),
-                           acc.ev_or.sum(axis=1))
+    return TrajectoryStats(config, lo, hi, np.concatenate(acc.cells), np.concatenate(acc.counts),
+                           np.array(sup_hits, dtype=np.int64), acc.ev_or.sum(axis=1))
+
+
+def _walk_blocks(config: SimConfig, bounds: list[tuple[int, int]]) -> TrajectoryStats:
+    """The total of the blocks `bounds`, each folded in as soon as it is walked."""
+    return _assemble(_walk_block(config, lo, hi) for lo, hi in bounds)
 
 
 class Plan(NamedTuple):
@@ -472,7 +458,8 @@ class TrajectoryStats:
     config: SimConfig
     lo: int
     hi: int
-    block_sums: list[np.ndarray]   # per block: [n_rows, n_stats]
+    cells: np.ndarray        # the cells (row, y, c) seen, as ascending keys (see _CELL_BITS)
+    cell_counts: np.ndarray  # the trajectories in each cell
     # [threshold, n0 in (start_n, *grid)]: count of sup_(n >= n0) |F_n| > threshold
     sup_hits: np.ndarray
     win_hits: np.ndarray           # [n_windows]: count of the event somewhere in the window
@@ -486,25 +473,29 @@ class TrajectoryStats:
     def replications(self) -> int:
         return self.hi - self.lo
 
-    @cached_property
-    def _totals(self) -> np.ndarray:
-        """[n_stats, n_rows]: each cell the exactly rounded sum over the blocks, in order."""
-        return np.array([
-            [math.fsum(vals) for vals in zip(*(b[:, j].tolist() for b in self.block_sums))]
-            for j in range(len(STAT_NAMES))
-        ])
+    def cell_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row n - start_n, Y_2n and C_2n+1 of each cell."""
+        low = (1 << _CELL_BITS) - 1
+        return self.cells >> 2 * _CELL_BITS, self.cells >> _CELL_BITS & low, self.cells & low
+
+    def _values(self, stat: str) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each cell and the statistic's value there."""
+        row, y, c = self.cell_values()
+        x = (y - self.tables.x_loc[row]) / self.tables.x_scale[row]
+        return row, STATS[stat](x, x * c, y)
 
     def sums(self, stat: str) -> np.ndarray:
-        """Per-n sums of one statistic over the whole range."""
-        return self._totals[STAT_NAMES.index(stat)]
+        """Per-n sums of one statistic over the whole range, added in cell order."""
+        row, values = self._values(stat)
+        return np.bincount(row, self.cell_counts * values, len(self.tables.n_values))
 
     def mean_with_stderr(self, stat: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-n means, with the stderrs of the centred sample variances."""
         r = self.replications
         mean = self.sums(stat) / r
-        if r < 2:  # the sample variance divides by r - 1
-            return mean, np.full_like(mean, np.nan)
-        sq = self.sums(_SQ_OF[stat])
-        return mean, standard_error(np.maximum(sq - r * mean * mean, 0.0) / (r - 1), r)
+        row, values = self._values(stat)
+        sq = np.bincount(row, self.cell_counts * (values - mean[row]) ** 2, mean.size)
+        return mean, standard_error(sq / max(r - 1, 1), r)  # nan for one draw
 
     def j1_mean(self):
         mean, se = self.mean_with_stderr("x_even")
@@ -542,9 +533,9 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
 
     The cost guard, the streams, and the aggregates all see absolute
     trajectory indices, so disjoint ranges combine exactly via merge().
-    The blocks run through workers.run_tasks, which returns them in block
-    order: on forked workers, or one after another in this process with one
-    worker or where fork is not available.
+    Worker w of W walks blocks w, w + W, ... as one task of workers.run_tasks:
+    on a forked process, or in this process with one worker or where fork is
+    not available.
     """
     if not 0 <= lo < hi:
         raise BadIndexError(f"need 0 <= lo < hi, got [{lo}, {hi})")
@@ -558,21 +549,26 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
         raise ResourceLimitError(f"n_max={config.n_max} exceeds MAX_N={MAX_N}")
     bounds = block_bounds(lo, hi)
     _plan(config)  # built once, before the workers fork, so that they inherit it
-    blocks = run_tasks(_walk_block, [(config, *b) for b in bounds], _worker_count(len(bounds)))
-    return _assemble(blocks)
+    w = _worker_count(len(bounds))
+    return _assemble(run_tasks(_walk_blocks, [(config, bounds[k::w]) for k in range(w)]))
 
 
-def _assemble(parts: list[TrajectoryStats]) -> TrajectoryStats:
-    """Join contiguous parts, in order; the per-block sums are kept as they are."""
-    first = parts[0]
-    return TrajectoryStats(
-        config=first.config,
-        lo=first.lo,
-        hi=parts[-1].hi,
-        block_sums=[s for p in parts for s in p.block_sums],
-        sup_hits=sum(p.sup_hits for p in parts),
-        win_hits=sum(p.win_hits for p in parts),
-    )
+def _assemble(parts: Iterable[TrajectoryStats]) -> TrajectoryStats:
+    """Add parts that together cover one replication range, in any order: the
+    counts are integers, so each part is folded in exactly as it arrives, and
+    an iterator's parts are never held together."""
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:  # part's cells added to total's, the new ones inserted in order
+        pos = total.cells.searchsorted(part.cells)
+        new = total.cells[np.minimum(pos, total.cells.size - 1)] != part.cells
+        counts = np.insert(total.cell_counts, pos[new], 0)
+        counts[pos + np.cumsum(new) - new] += part.cell_counts  # where part's cells now are
+        total = TrajectoryStats(total.config, min(total.lo, part.lo), max(total.hi, part.hi),
+                                np.insert(total.cells, pos[new], part.cells[new]), counts,
+                                total.sup_hits + part.sup_hits, total.win_hits + part.win_hits)
+        del part, pos, new  # not held while the next part is made
+    return total
 
 
 def run(config: SimConfig) -> TrajectoryStats:
@@ -584,9 +580,8 @@ def merge(a: TrajectoryStats, b: TrajectoryStats) -> TrajectoryStats:
     """Combine two contiguous, block-aligned replication ranges exactly.
 
     The replication ranges of the parts must meet at a block boundary;
-    then the per-block sums of the union are literally the union of the
-    parts' sums, and every derived quantity matches a single run
-    over the full range bit for bit.
+    then the cell counts of the union are those of a single run over the
+    full range, and so is every derived quantity, bit for bit.
     """
     if a.config != b.config:
         raise BadIndexError("cannot merge stats from different configurations")

@@ -19,9 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadIndexError
+from .errors import BadIndexError, ResourceLimitError
 
 _CHUNK = 1 << 20
+MAX_TERMS = 10**10  # largest n_terms of a partial sum: about a minute, and far below 2^53
 # Indices come _TILE at a time from a ramp: a chunk of them would be a second buffer.
 _TILE = 1 << 14
 
@@ -81,11 +82,13 @@ def partial_sum(series: Series, n_terms: int) -> float:
     Chunks of 2^20 indices (the last one shorter) are evaluated in place in
     one buffer and reduced by numpy's pairwise sum; math.fsum, exactly
     rounded, adds the chunk sums, so the chunk width fixes the bits.  The
-    float64 indices are a ramp plus an integer offset, exact below 2^53.
+    float64 indices, a ramp plus an integer offset, are exact up to MAX_TERMS.
     """
     start = START[series]
     if n_terms < start:
         raise BadIndexError(f"{series.value} starts at n={start}")
+    if n_terms > MAX_TERMS:
+        raise ResourceLimitError(f"{n_terms} terms exceed the budget MAX_TERMS={MAX_TERMS}")
     ramp = np.arange(_TILE, dtype=np.float64)
     terms, tile = np.empty(_CHUNK), np.empty(_TILE)
     sums = []
@@ -157,7 +160,7 @@ def limit_constant(series: Series) -> ConstantEstimate:
     return ConstantEstimate(total - rounding, omitted + 2.0 * rounding)
 
 
-def scan_partial_exceeds(series: Series, threshold: float, n_cap: int = 2**40) -> int:
+def scan_partial_exceeds(series: Series, threshold: float, n_cap: int = MAX_TERMS) -> int:
     """Smallest doubling depth whose partial sum exceeds the threshold."""
     n = max(START[series], 2)
     while n <= n_cap:

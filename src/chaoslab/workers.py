@@ -1,9 +1,9 @@
 """How many workers the Monte Carlo engine may use, and how its tasks run on them.
 
 Only mc runs tasks here: the blocks of a Monte Carlo run are the one parallel step.
-A worker is a plain fork of the caller, with no pool: worker w of W runs tasks w,
-w + W, ..., having inherited the function and all built before the fork, and
-pickles its results, or the exception it raised, into its own pipe.
+A worker is a plain fork of the caller, with no pool: it runs one task, having
+inherited the function and all built before the fork, and pickles its result,
+or the exception it raised, into its own pipe.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ def _init_worker(parent: int) -> None:
     threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
-def _work(fn, tasks: list[tuple], pipe: int, parent: int):
-    """A forked worker: run its tasks, send their results or the exception raised, and exit."""
+def _work(fn, task: tuple, pipe: int, parent: int):
+    """A forked worker: run its task, send its result or the exception raised, and exit."""
     try:
         _init_worker(parent)
         try:
-            sent = [fn(*task) for task in tasks]
+            sent = fn(*task)
         except BaseException as exc:
             sent = exc
         data = pickle.dumps(sent, pickle.HIGHEST_PROTOCOL)  # all of it, or nothing is sent
@@ -60,24 +60,23 @@ def _work(fn, tasks: list[tuple], pipe: int, parent: int):
         os._exit(0)  # never into the caller's frames
 
 
-def run_tasks(fn, tasks: list[tuple], workers: int) -> list:
-    """[fn(*task) for task in tasks], on up to `workers` forked processes.
+def run_tasks(fn, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks], each task on its own forked process.
 
-    With one worker, or where the platform cannot fork, the tasks run in this
+    With one task, or where the platform cannot fork, the tasks run in this
     process.  A worker's exception is raised here, and a worker that sends no
     result raises RuntimeError; on any exception every worker is killed and reaped.
     """
-    workers = min(workers, len(tasks))
-    if workers < 2 or not hasattr(os, "fork"):
+    if len(tasks) < 2 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
     parent, running, pipes, results = os.getpid(), [], [], [None] * len(tasks)
     try:
-        for w in range(workers):
+        for task in tasks:
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             pid = os.fork()
             if pid == 0:
-                _work(fn, tasks[w::workers], write_end, parent)
+                _work(fn, task, write_end, parent)
             running.append(pid)
             os.close(write_end)
         for w, pid in enumerate(list(running)):
@@ -89,7 +88,7 @@ def run_tasks(fn, tasks: list[tuple], workers: int) -> list:
             sent = pickle.loads(data)
             if isinstance(sent, BaseException):
                 raise sent
-            results[w::workers] = sent
+            results[w] = sent
     except BaseException:
         for pid in running:
             os.kill(pid, signal.SIGKILL)

@@ -4,9 +4,10 @@ The dense sampler draws one uniform per (trajectory, variable) from its own
 stream keyed by (master seed, variable index, block), then inverts it per
 row: the engine's sampler before it drew only the nonzero counts.  The
 aggregator reduces full [n, trajectory] count matrices to the engine's
-per-n sums and window hit counts, and to each trajectory's suprema of |F_n|
-over n >= n0, from which sup_hits gives the engine's sup-exceedance counts,
-with plain dense numpy operations.
+cell counts, as a [row, Y_2n, C_2n+1] table, and window hit counts, and to
+each trajectory's suprema of |F_n| over n >= n0, from which sup_hits gives
+the engine's sup-exceedance counts, with plain dense numpy operations;
+cell_moments evaluates the per-n statistics on a cell table.
 
 It also keeps the two-point F_n in its defining, un-collapsed form, the
 reference for the collapsed tables and the engine.
@@ -14,6 +15,7 @@ reference for the collapsed tables and the engine.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -97,8 +99,8 @@ def sparse_counts(config: mc.SimConfig, tables, block: int, width: int):
 
     A row's unplaced odd counts, 1s then 2s where the even count is 0, go to
     its lowest slots that hold neither a nonzero even count nor a placed odd
-    one: the per-n sums and the counts above the thresholds of the config do
-    not depend on which such slots they take, but the per-trajectory sups do.
+    one: the cells and the counts above the thresholds of the config do not
+    depend on which such slots they take, but the per-trajectory sups do.
     """
     rows = len(tables.n_values)
     y_even = np.zeros((rows, width), dtype=np.int64)
@@ -117,24 +119,38 @@ def sparse_counts(config: mc.SimConfig, tables, block: int, width: int):
     return y_even, c_odd
 
 
+def cell_table(rows, y, c, counts, n_rows: int) -> np.ndarray:
+    """[row, y, c]: the trajectories with Y_2n = y and C_2n+1 = c at each row,
+    from cell coordinates and their counts."""
+    table = np.zeros((n_rows, y.max() + 1, c.max() + 1), dtype=np.int64)
+    np.add.at(table, (rows, y, c), counts)
+    return table
+
+
+def cell_moments(config: mc.SimConfig, cells: np.ndarray, stat: str):
+    """Per-n mean and sample variance of one of mc.STAT_NAMES over the
+    trajectories of a [row, y, c] table, from X_2n, F_n and Y_2n at each cell."""
+    tables = mc.MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
+    y, c = np.arange(cells.shape[1])[None, :, None], np.arange(cells.shape[2])
+    x = (y - tables.x_loc[:, None, None]) / tables.x_scale[:, None, None]
+    value = {"x_even": x, "f": x * c, "f_sq": (x * c) ** 2, "f_abs52": np.abs(x * c) ** 2.5,
+             "events": (y == 1) * 1.0}[stat]
+    r = cells.sum(axis=(1, 2))
+    mean = (cells * value).sum(axis=(1, 2)) / r
+    return mean, (cells * (value - mean[:, None, None]) ** 2).sum(axis=(1, 2)) / (r - 1)
+
+
 def aggregate(config: mc.SimConfig, tables, y_even: np.ndarray, c_odd: np.ndarray) -> dict:
     """The engine's aggregates of one block, computed densely."""
     start = config.start_n
-    x = (y_even - tables.x_loc[:, None]) / tables.x_scale[:, None]
-    f = x * c_odd
-    a52 = np.abs(f) ** 2.5
-    per_n = {
-        "x_even": x.sum(axis=1), "x_even_sq": (x * x).sum(axis=1),
-        "f": f.sum(axis=1), "f_sq": (f * f).sum(axis=1), "f_quad": (f**4).sum(axis=1),
-        "f_abs52": a52.sum(axis=1), "f_abs5": (a52 * a52).sum(axis=1),
-        "events": (y_even == 1).sum(axis=1).astype(np.float64),
-    }
+    f = (y_even - tables.x_loc[:, None]) / tables.x_scale[:, None] * c_odd
+    rows = np.repeat(np.arange(y_even.shape[0]), y_even.shape[1])
     grid = mc.default_diagnostic_grid(start, config.n_max)
     windows = mc.dyadic_windows(config.n_max)
     event = y_even == 1
     abs_f = np.abs(f)
     return {
-        "sums": per_n,
+        "cells": cell_table(rows, y_even.ravel(), c_odd.ravel(), 1, y_even.shape[0]),
         "window_max": abs_f.max(axis=0),
         # [n0 in (start_n, *grid), trajectory]: sup over n >= n0 of |F_n|
         "suffix_max": np.array([abs_f[n0 - start :].max(axis=0) for n0 in (start, *grid)]),
@@ -142,6 +158,14 @@ def aggregate(config: mc.SimConfig, tables, y_even: np.ndarray, c_odd: np.ndarra
             event[lo - start : hi - start].any(axis=0).sum() for lo, hi in windows
         ], dtype=np.int64),
     }
+
+
+def _add_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of two [row, y, c] tables of one run, padded to the larger y and c."""
+    out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.int64)
+    for t in (a, b):
+        out[:, : t.shape[1], : t.shape[2]] += t
+    return out
 
 
 def run(config: mc.SimConfig, counts=dense_counts) -> dict:
@@ -152,7 +176,7 @@ def run(config: mc.SimConfig, counts=dense_counts) -> dict:
         for lo, hi in block_bounds(0, config.replications)
     ]
     return {
-        "sums": {k: sum(p["sums"][k] for p in parts) for k in mc.STAT_NAMES},
+        "cells": functools.reduce(_add_cells, (p["cells"] for p in parts)),
         "window_max": np.concatenate([p["window_max"] for p in parts]),
         "suffix_max": np.concatenate([p["suffix_max"] for p in parts], axis=1),
         "win_hits": sum(p["win_hits"] for p in parts),

@@ -6,6 +6,7 @@ in a couple of minutes on a laptop core.
 """
 
 import math
+import pickle
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -19,6 +20,7 @@ from chaoslab import mc, poisson_moments, poisson_pair, series, two_point
 from chaoslab.cli import main
 from chaoslab.point_process import decompose_term
 from chaoslab.poisson_pair import intensity
+from chaoslab.streams import BLOCK_SIZE
 
 SEED = 20240601
 
@@ -187,6 +189,75 @@ def test_sup_tail_matches_the_exact_law(big_poisson_run):
             p_value = min(1.0, 2.0 * min(law.cdf(hits), law.sf(hits - 1)))
             print(f"  t={t:g}: {hits}/{r} against exact {exact:.6g}, p = {p_value:.3g}")
             assert p_value >= 2e-3 / len(SUP_TAIL_T)
+
+
+def binned_cells(stats, rows: np.ndarray, y_top: int, c_top: int) -> np.ndarray:
+    """[row, y, c]: the trajectories of each cell at the given rows, with the
+    counts y >= y_top and c >= c_top pooled in the last bins."""
+    row, y, c = stats.cell_values()
+    at = np.isin(row, rows)
+    table = np.zeros((rows.size, y_top + 1, c_top + 1), dtype=np.int64)
+    np.add.at(table, (np.searchsorted(rows, row[at]), np.minimum(y[at], y_top),
+                      np.minimum(c[at], c_top)), stats.cell_counts[at])
+    return table
+
+
+def pearson(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
+    """Pearson's chi-square over [row, ...] tables, each row with its cells
+    summing to R: the statistic, the degrees of freedom and the p-value."""
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    df = observed.shape[0] * (observed[0].size - 1)
+    return chi2, df, float(scipy.stats.chi2.sf(chi2, df))
+
+
+def poisson_pmf(lam: float, k: int) -> float:
+    return math.exp(-lam) * lam**k / math.factorial(k)
+
+
+def test_poisson_cells_follow_their_exact_law(big_poisson_run):
+    # The engine's counts of the cells (n, Y_2n, C_2n+1) against
+    # R P(Y_2n) P(C_2n+1), y in {0, >=1} x c in {0, 1, 2, >=3} at n = 1..20:
+    # one Pearson chi-square with 20 x 7 = 140 df, failing at p < 1e-4.  The
+    # smallest threshold, 9, places no row, so every row's 1s and 2s where
+    # Y_2n = 0 are the unplaced counts of the per-row binomials.
+    with criterion("Poisson cells against their exact law"):
+        r = big_poisson_run.replications
+        expected = []
+        for n in range(1, 21):
+            lam_e, lam_o = float(intensity(2 * n)), float(intensity(2 * n + 1))
+            p_y = [poisson_pmf(lam_e, 0), 1.0 - poisson_pmf(lam_e, 0)]
+            p_c = [poisson_pmf(lam_o, k) for k in range(3)]
+            expected.append(r * np.outer(p_y, [*p_c, 1.0 - sum(p_c)]))
+        observed = binned_cells(big_poisson_run, np.arange(20), 1, 3)
+        chi2, df, p = pearson(observed, np.array(expected))
+        print(f"  chi2 = {chi2:.1f} on {df} df, p = {p:.3g}")
+        assert df == 140 and p >= 1e-4
+
+
+def test_two_point_cells_follow_their_exact_law():
+    # The same test on a two-point run, y, c in {0, 1}, p_2n = 1/n and
+    # p_2n+1 = exp(-sqrt(log n)), over the rows whose expected counts are
+    # all at least 5 (here every row: 299 x 3 = 897 df).
+    with criterion("two-point cells against their exact law"):
+        cfg = mc.SimConfig(example="twopoint", n_max=300, replications=40_000, master_seed=SEED)
+        stats = mc.run(cfg)
+        n = np.arange(cfg.start_n, cfg.n_max + 1)
+        p_y = 1.0 / n
+        p_c = np.array([math.exp(-math.sqrt(math.log(k))) for k in n])
+        expected = cfg.replications * np.stack([np.outer([1 - a, a], [1 - b, b])
+                                                for a, b in zip(p_y, p_c)])
+        rows = np.flatnonzero(expected.min(axis=(1, 2)) >= 5)
+        chi2, df, p = pearson(binned_cells(stats, rows, 1, 1), expected[rows])
+        print(f"  chi2 = {chi2:.1f} on {df} df, p = {p:.3g}")
+        assert df == 897 and p >= 1e-4
+
+
+def test_a_run_result_does_not_grow_with_its_blocks(big_poisson_run):
+    # its 7 blocks' cell counts add into one set of the distinct cells seen,
+    # under twice the size of its first block's
+    with criterion("run result flat in the number of blocks"):
+        first = mc._walk_block(big_poisson_run.config, 0, BLOCK_SIZE)
+        assert len(pickle.dumps(big_poisson_run)) < 2 * len(pickle.dumps(first))
 
 
 def test_series_certificates():

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,17 @@ def test_effective_parallelism_is_the_median_cpu_over_wall_of_two_burners(monkey
     readings = iter([1.5, 0.95, 1.05, 1.98, 1.0])
     monkeypatch.setattr(bench_pairs, "burn_ratio", lambda: next(readings))
     assert bench_pairs.effective_parallelism() == 1.05
+
+
+def test_child_usage_reads_the_child_and_not_the_runner():
+    # the runner's own high-water mark rises by 64 MB; a child that allocates
+    # nothing still reads small, and one that allocates 64 MB reads that more
+    ballast = b"x" * (64 << 20)
+    small = bench_pairs.child_usage([sys.executable, "-c", "pass"])
+    big = bench_pairs.child_usage([sys.executable, "-c", "b = b'x' * (64 << 20)"])
+    failed = bench_pairs.child_usage([sys.executable, "-c", "raise SystemExit(3)"])
+    del ballast
+    assert small["exit_code"] == big["exit_code"] == 0 and failed["exit_code"] == 3
+    assert small["peak_rss_mb"] < 48
+    assert big["peak_rss_mb"] >= small["peak_rss_mb"] + 60
+    assert big["cpu_s"] > 0 and big["wall_s"] > 0

@@ -16,7 +16,7 @@ from chaoslab.cli import _mc_row, build_csv, main
 from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
 from chaoslab.series import Series, tail_bound
-from chaoslab import mc, poisson_moments, poisson_pair, streams
+from chaoslab import mc, poisson_moments, poisson_pair, series, streams
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +206,16 @@ def test_simulate_beyond_max_n_is_a_resource_limit(capsys):
     assert err.startswith("resource limit:") and "Traceback" not in err
 
 
+def test_series_beyond_its_term_budget_is_a_resource_limit(capsys):
+    # above series.MAX_TERMS a partial sum would run for hours, and above 2^53
+    # its float64 indices would skip terms; no term is summed first
+    for n in (series.MAX_TERMS + 1, 10**16):
+        code, out, err = run_cli(capsys, "series", "--n", str(n))
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit:") and "MAX_TERMS" in err
+    assert series.scan_partial_exceeds(series.Series.EVEN_HARMONIC, 5.0) <= series.MAX_TERMS
+
+
 def test_decompose_manual_counts(capsys):
     code, out, _ = run_cli(
         capsys, "decompose", "--n", "16", "--counts", "2,1", "--format", "json"
@@ -293,21 +303,23 @@ FROZEN_POISSON = ("simulate", "--example", "poisson", "--n-max", "300", "--reps"
     (FROZEN_TAIL, "json", "stdout",
      "248772aab650a9ac2195c7deb9d9486d5edfd18ec3c1cda729e57163c0c91be8"),
     (FROZEN_SIMULATE, "json", "stdout",
-     "05b753e6b804db9689357ee50563277908e004a69b67865b3a9e63e39ce3c8aa"),
+     "0987e347d3fb7c921e8a7c0ecb215b08067b2d7a6b5ede07a3126a0532587686"),
     (FROZEN_SIMULATE, "json", "csv",
-     "2c2c945c9062d9da3a8392e3a317a1c725e48aa1a4abeea38c97514a05f9073c"),
+     "93d65c5c425f9f36f0a4814f9219449b530f0c113e711633865ea7e439929bdf"),
     (FROZEN_TWOPOINT, "json", "csv",
-     "8aae72508026b811cf163630baec00623c774726e4a73b7b67ad98945e53f075"),
+     "50849107ba7d9617340f9e51da9d8abe2a7d5fa4c553f15bc6090a5e50d56b70"),
     (FROZEN_POISSON, "text", "csv",
-     "8f52a7e182b0e2d5545d64e7280faa0798db04432cd278de32d9fb9a17d573d5"),
+     "f9817715b539473ca53d3719bbbb9e2bc1219724aaf0fc78889c13100b66a986"),
     (FROZEN_POISSON, "json", "stdout",
-     "54f1e637317a0f647f3eded6688bc1b3c35e3dd72b0099eccb593e0e8a84060f"),
+     "7b309e7d1d3e16320d3dca1e2c0b0f2bf4446a820db28dddbba8420277e3440c"),
 ], ids=["tail-text", "tail-json", "simulate-json", "simulate-csv", "twopoint-csv", "poisson-csv",
         "poisson-json"])
 def test_monte_carlo_bytes_are_frozen(capsys, tmp_path, argv, fmt, output, digest):
     # sha256 of the output: the sup-exceedance, tail-diagnostic and window rows
     # print the same bytes from one version of the engine to the next; the
-    # digests are retaken only when the stream layout changes (now 5)
+    # digests are retaken only when the stream layout changes (now 5) or when
+    # an announced change to the aggregation moves the per-n values (last: the
+    # per-n sums became sums over the cell counts)
     csv = tmp_path / "out.csv"
     out_flag = ("--out", str(csv)) if argv[0] == "simulate" else ()
     code, out, _ = run_cli(capsys, *argv, *out_flag, "--format", fmt)
@@ -517,7 +529,7 @@ def test_workers_exit_when_their_parent_is_killed():
         "    return pid\n"
         "os.fork = recording_fork\n"
         "tasks = [(60,), (60,)]\n"
-        "threading.Thread(target=workers.run_tasks, args=(time.sleep, tasks, 2), daemon=True).start()\n"
+        "threading.Thread(target=workers.run_tasks, args=(time.sleep, tasks), daemon=True).start()\n"
         "deadline = time.monotonic() + 30\n"
         "while len(pids) < 2 and time.monotonic() < deadline:\n"
         "    time.sleep(0.01)\n"

@@ -16,10 +16,14 @@ from chaoslab.point_process import decompose_term
 from chaoslab.streams import BLOCK_SIZE
 
 
+def cells_equal(a: mc.TrajectoryStats, b: mc.TrajectoryStats) -> bool:
+    return np.array_equal(a.cells, b.cells) and np.array_equal(a.cell_counts, b.cell_counts)
+
+
 def stats_equal(a: mc.TrajectoryStats, b: mc.TrajectoryStats) -> bool:
     return (
         np.array_equal(a.sup_hits, b.sup_hits)
-        and all(np.array_equal(x, y) for x, y in zip(a.block_sums, b.block_sums))
+        and cells_equal(a, b)
         and np.array_equal(a.win_hits, b.win_hits)
     )
 
@@ -125,21 +129,19 @@ def test_run_tasks_keeps_order_passes_errors_and_reaps_its_workers(case):
     # gets the failure at once, and worker 2 is killed, not waited for
     parent = os.getpid()
     if case == "order":
-        for n_workers in range(1, 5):
-            for n_tasks in range(1, 10):
-                out = workers.run_tasks(_task, [(i, parent, None) for i in range(n_tasks)],
-                                        n_workers)
-                assert [i for i, _ in out] == list(range(n_tasks))
-                pids = {pid for _, pid in out}  # one process per worker, or this one
-                assert len(pids) == min(n_workers, n_tasks)
-                assert (parent in pids) == (min(n_workers, n_tasks) == 1)
+        for n_tasks in range(1, 6):
+            out = workers.run_tasks(_task, [(i, parent, None) for i in range(n_tasks)])
+            assert [i for i, _ in out] == list(range(n_tasks))
+            pids = {pid for _, pid in out}  # one process per task, or this one
+            assert len(pids) == n_tasks
+            assert (parent in pids) == (n_tasks == 1)
     else:
         tasks = [(i, parent, {1: case, 2: "sleep"}.get(i)) for i in range(6)]
         error, message = {"raise": (_TaskFailed, "task 1 failed in a worker"),
                           "exit": (RuntimeError, "worker 1 ended with exit status 3")}[case]
         start = time.monotonic()
         with pytest.raises(error, match=message):
-            workers.run_tasks(_task, tasks, 3)
+            workers.run_tasks(_task, tasks)
         assert time.monotonic() - start < 15
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -172,13 +174,12 @@ def test_worker_results_carry_no_plan():
     cfg = mc.SimConfig(example="poisson", n_max=2000, replications=BLOCK_SIZE,
                        thresholds=(0.5, 2.0, 9.0))
     block = mc._walk_block(cfg, 0, BLOCK_SIZE)
-    (sums,) = block.block_sums
-    assert len(pickle.dumps(block)) <= sums.nbytes + 4 * 1024
+    assert len(pickle.dumps(block)) <= block.cells.nbytes + block.cell_counts.nbytes + 4 * 1024
 
 
 def test_a_wrapped_walk_block_runs_in_the_workers(monkeypatch, tmp_path):
-    # a tracer replaces _walk_block with a closure; run_range passes the
-    # wrapper to run_tasks, and the forked workers inherit it
+    # a tracer replaces _walk_block with a closure; the forked workers
+    # inherit it, and _walk_blocks looks it up there
     cfg = mc.SimConfig(example="poisson", n_max=40, replications=2 * BLOCK_SIZE, master_seed=13)
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
     plain = mc.run_range(cfg, 0, cfg.replications)
@@ -485,11 +486,17 @@ def test_engine_matches_scalar_reconstruction_poisson():
 
 
 def assert_equals_dense_aggregation(stats):
-    """The engine's aggregates against a dense aggregation of the same draws."""
+    """The engine's aggregates against a dense aggregation of the same draws:
+    the cell counts exactly, and the per-n statistics evaluated on them."""
     dense = dense_oracle.run(stats.config, counts=dense_oracle.sparse_counts)
+    n_rows = len(stats.tables.n_values)
+    cells = dense_oracle.cell_table(*stats.cell_values(), stats.cell_counts, n_rows)
+    assert np.array_equal(cells, dense["cells"])
     for stat in mc.STAT_NAMES:
-        assert np.allclose(stats.sums(stat), dense["sums"][stat], rtol=1e-10, atol=1e-10), stat
-    assert np.array_equal(stats.sums("events"), dense["sums"]["events"])
+        mean, var = dense_oracle.cell_moments(stats.config, dense["cells"], stat)
+        got = stats.mean_with_stderr(stat)
+        assert np.allclose(got[0], mean, rtol=1e-10, atol=1e-10), stat
+        assert np.allclose(got[1], mc.standard_error(var, stats.replications), rtol=1e-10), stat
     thresholds = stats.config.thresholds
     whole_range = [(dense["window_max"] > t).sum() for t in thresholds]
     assert np.array_equal(stats.sup_hits[:, 0], whole_range)
@@ -662,12 +669,11 @@ def test_draws_depend_on_the_thresholds_only_through_the_placed_rows(example):
                        master_seed=59, thresholds=(2.0, 9.0))
     low = mc.run(cfg)
     high = mc.run(dataclasses.replace(cfg, thresholds=(9.0, 16.0, 25.0, 100.0)))
-    assert all(np.array_equal(a, b) for a, b in zip(low.block_sums, high.block_sums))
+    assert cells_equal(low, high)
     assert np.array_equal(low.sup_hits[1], high.sup_hits[0]) and high.sup_hits[0, 0] > 0
     assert np.array_equal(low.win_hits, high.win_hits)
     one = mc.run(dataclasses.replace(cfg, thresholds=(1.0, 9.0)))
-    same = all(np.array_equal(a, b) for a, b in zip(one.block_sums, low.block_sums))
-    assert same == (example == "twopoint")
+    assert cells_equal(one, low) == (example == "twopoint")
 
 
 def test_pooled_moments_over_every_n_match_the_exact_values():
@@ -727,14 +733,13 @@ def test_sparse_engine_matches_dense_oracle_in_distribution(example):
     r = cfg.replications
     p_values = {}
     for stat in ("f", "f_sq", "f_abs52", "x_even"):
-        sq = mc._SQ_OF[stat]
-        m_a, m_b = stats.sums(stat) / r, dense["sums"][stat] / r
-        v_a = stats.sums(sq) / r - m_a**2
-        v_b = dense["sums"][sq] / r - m_b**2
+        m_a, se_a = stats.mean_with_stderr(stat)
+        m_b, v_b = dense_oracle.cell_moments(oracle_cfg, dense["cells"], stat)
         for i, n in enumerate(stats.tables.n_values):
-            p_values[f"{stat}[{n}]"] = two_sample_p(m_a[i], v_a[i], m_b[i], v_b[i], r)
+            p_values[f"{stat}[{n}]"] = two_sample_p(m_a[i], se_a[i] ** 2 * r, m_b[i], v_b[i], r)
+    dense_events = dense["cells"][:, 1].sum(axis=1)
     for i, n in enumerate(stats.tables.n_values):
-        p_values[f"events[{n}]"] = count_p(stats.sums("events")[i], dense["sums"]["events"][i], r)
+        p_values[f"events[{n}]"] = count_p(stats.sums("events")[i], dense_events[i], r)
     (dense_hits,) = dense_oracle.sup_hits(dense, cfg.thresholds)
     for n0, a, b in zip((cfg.start_n, *stats.grid), stats.sup_hits[0], dense_hits):
         p_values[f"sup_hits[{n0}]"] = count_p(a, b, r)

@@ -7,9 +7,10 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaoslab.errors import BadIndexError
+from chaoslab.errors import BadIndexError, ResourceLimitError
 from chaoslab.series import (
     _CHUNK,
+    MAX_TERMS,
     START,
     ConstantEstimate,
     Series,
@@ -103,6 +104,8 @@ def test_partial_sum_examples():
 def test_partial_sum_validation():
     with pytest.raises(BadIndexError):
         partial_sum(Series.TWO_POINT_JOINT, 1)
+    with pytest.raises(ResourceLimitError, match="MAX_TERMS"):
+        partial_sum(Series.EVEN_HARMONIC, MAX_TERMS + 1)
     with pytest.raises(BadIndexError):
         term(Series.EVEN_HARMONIC, 1)
 

@@ -13,7 +13,13 @@ workload and end-to-end metric, the median and inclusive quartiles of each
 side, every sample and the pairs in which the change reads lower; then the
 Tier-1 wall time and pass count of each side (two alternated runs each), the
 ``src/chaoslab/*.py`` line counts and ``streams.LAYOUT_VERSION`` of each side,
-and the core count with the Python and numpy versions.  It also records the
+and the core count with the Python and numpy versions.  It also runs
+``chaoslab tail`` and ``chaoslab simulate --example poisson --out <tmp>`` at
+their default sizes, five alternated runs a side with ``CHAOSLAB_THREADS``
+unset and at 1, and records the wall time, CPU time and peak RSS of each run,
+read by a small helper process from its child's ``wait4``: a forked child
+starts with the high-water mark of the process that forked it, so the
+runner's own mark stays out of the number.  It also records the
 host's effective parallelism before and after the pairs: the median, over
 five burns, of the CPU/wall ratio of two forked CPU burners of 0.2 s each,
 near 2 where the host runs two processes side by side and near 1 where it
@@ -48,6 +54,24 @@ TIER1_RUNS = 2  # per side
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 BURNS = 5
 BURN_S = 0.2  # CPU seconds of each of a burn's two processes
+DEFAULT_COMMANDS = {"tail": ["tail"],
+                    "simulate-poisson": ["simulate", "--example", "poisson", "--out", "{out}"]}
+DEFAULT_RUNS = 5  # per side, command and CHAOSLAB_THREADS setting
+DEFAULT_THREADS = ("unset", "1")
+# Run as `python -c CHILD_USAGE command...`: fork and exec the command with
+# stdout to /dev/null, wait4 for it, print its usage as JSON.
+CHILD_USAGE = """
+import json, os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execvp(sys.argv[1], sys.argv[1:])
+_, status, ru = os.wait4(pid, 0)
+print(json.dumps({"wall_s": time.perf_counter() - start, "cpu_s": ru.ru_utime + ru.ru_stime,
+                  "peak_rss_mb": ru.ru_maxrss / 1024,
+                  "exit_code": os.waitstatus_to_exitcode(status)}))
+"""
 
 
 def export(rev: str, dest: Path) -> str:
@@ -146,6 +170,42 @@ def bench_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int = P
     }
 
 
+def child_usage(command: list[str], cwd=None, env=None) -> dict:
+    """Wall time, CPU time, peak RSS (MB) and exit code of one run of `command`,
+    taken by the CHILD_USAGE helper; the peak is the largest of the command's
+    process and the workers it waited for."""
+    proc = subprocess.run([sys.executable, "-c", CHILD_USAGE, *command], cwd=cwd, env=env,
+                          check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def default_commands(trees: dict[str, Path], out_dir: Path) -> dict:
+    """DEFAULT_RUNS alternated runs a side of each DEFAULT_COMMANDS entry, per
+    DEFAULT_THREADS setting: each metric compared as in the workloads, plus
+    every exit code."""
+    out = {}
+    for name, args in DEFAULT_COMMANDS.items():
+        for threads in DEFAULT_THREADS:
+            runs = {"parent": [], "change": []}
+            for i in range(DEFAULT_RUNS):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    env = dict(os.environ, PYTHONPATH="src")
+                    env.pop("CHAOSLAB_THREADS", None)
+                    if threads != "unset":
+                        env["CHAOSLAB_THREADS"] = threads
+                    command = [sys.executable, "-m", "chaoslab.cli",
+                               *(a.format(out=out_dir / f"{side}.csv") for a in args)]
+                    runs[side].append(child_usage(command, cwd=trees[side], env=env))
+            out[f"{name} CHAOSLAB_THREADS={threads}"] = {
+                "exit_codes": {side: [r["exit_code"] for r in rs] for side, rs in runs.items()},
+                **{metric: compare(*([round(r[metric], 4) for r in runs[side]]
+                                     for side in ("parent", "change")))
+                   for metric in ("wall_s", "cpu_s", "peak_rss_mb")},
+            }
+            print(f"{name} CHAOSLAB_THREADS={threads}: done", file=sys.stderr)
+    return out
+
+
 def tier1(trees: dict[str, Path]) -> dict:
     """Alternated Tier-1 runs: wall time from outside, and the pass count."""
     out = {side: {"passed": None, "failed": 0, "wall_s": []} for side in trees}
@@ -191,6 +251,7 @@ def main(argv=None) -> int:
         commits = {side: export(getattr(args, side), trees[side]) for side in trees}
         parallelism = {"before": effective_parallelism()}
         workloads = {w: bench_pairs(trees, w, args.seed + 100 * k) for k, w in enumerate(WORKLOADS)}
+        defaults = default_commands(trees, Path(tmp))
         parallelism["after"] = effective_parallelism()
         bench = {
             "description": (
@@ -206,6 +267,12 @@ def main(argv=None) -> int:
                         "effective_parallelism": parallelism,
                         "python": platform.python_version(), "numpy": np.__version__},
             "workloads": workloads,
+            "default_commands": {
+                "description": (
+                    f"chaoslab tail and simulate --example poisson at their default sizes, "
+                    f"{DEFAULT_RUNS} alternated runs a side per CHAOSLAB_THREADS setting; peak "
+                    "RSS from the command's wait4 in a small helper process"),
+                **defaults},
             "tier1": {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                       **tier1(trees)},
             "src_lines": {"command": "wc -l src/chaoslab/*.py",
