@@ -195,11 +195,8 @@ def binned_cells(stats, rows: np.ndarray, y_top: int, c_top: int) -> np.ndarray:
     """[row, y, c]: the trajectories of each cell at the given rows, with the
     counts y >= y_top and c >= c_top pooled in the last bins."""
     row, y, c = stats.cell_values()
-    at = np.isin(row, rows)
-    table = np.zeros((rows.size, y_top + 1, c_top + 1), dtype=np.int64)
-    np.add.at(table, (np.searchsorted(rows, row[at]), np.minimum(y[at], y_top),
-                      np.minimum(c[at], c_top)), stats.cell_counts[at])
-    return table
+    return dense_oracle.cell_table(row, np.minimum(y, y_top), np.minimum(c, c_top),
+                                   stats.cell_counts, len(stats.tables.n_values))[rows]
 
 
 def pearson(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:

@@ -269,7 +269,7 @@ def main(argv=None) -> int:
             "workloads": workloads,
             "default_commands": {
                 "description": (
-                    f"chaoslab tail and simulate --example poisson at their default sizes, "
+                    "chaoslab tail and simulate --example poisson at their default sizes, "
                     f"{DEFAULT_RUNS} alternated runs a side per CHAOSLAB_THREADS setting; peak "
                     "RSS from the command's wait4 in a small helper process"),
                 **defaults},
