@@ -3,6 +3,8 @@
 Exit codes: 0 all checks passed, 1 usage error, 2 at least one check
 failed, 3 work budget exceeded.  Every command is a pure function of its
 flags; rerunning with identical flags reproduces identical bytes.
+
+numpy and the Monte Carlo engine load only in the commands that run them.
 """
 
 from __future__ import annotations
@@ -11,15 +13,22 @@ import argparse
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 # Before numpy loads: chaoslab makes no BLAS call, and an idle OpenBLAS pool costs CPU.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import mc, point_process, poisson_moments, poisson_pair, series, streams
+from . import poisson_moments, series
 from .errors import BadIndexError, ResourceLimitError
+from .pair_model import EXAMPLES
 from .report import Report, render_json, render_text
 
+if TYPE_CHECKING:
+    from . import mc
+
 _SLACK = 1e-14  # additive slack absorbing rounding in strict analytic inequalities
+# Largest total of pmf terms that moments' tail rows sum, grid size x (j_max + 1)(j_max + 2)/2.
+MAX_TAIL_TERMS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +71,11 @@ def cmd_moments(args) -> int:
     )
     if args.j_max < 0:
         raise BadIndexError("--j-max must be >= 0")
+    tail_terms = len(lam_grid) * (args.j_max + 1) * (args.j_max + 2) // 2
+    if tail_terms > MAX_TAIL_TERMS:
+        raise ResourceLimitError(
+            f"{len(lam_grid)} intensities x --j-max {args.j_max} sum {tail_terms} pmf terms,"
+            f" over the budget MAX_TAIL_TERMS={MAX_TAIL_TERMS}")
     report = Report(
         "moments",
         {"lambda_grid": f"{lam_grid[0]:g}..{lam_grid[-1]:g}({len(lam_grid)})", "j_max": args.j_max},
@@ -134,14 +148,14 @@ def _cells(values: list[float], stderrs: list[float]) -> list[str]:
     return [f"{v},{se}" for v, se in zip(map(repr, values), se_cells)]
 
 
-def build_csv(stats: mc.TrajectoryStats) -> str:
-    """Fixed 4-column per-n series; stderr is empty on degenerate runs."""
-    columns = [
-        ("f_mean", *stats.mean_with_stderr("f")),
-        ("f_sq_mean", *stats.mean_with_stderr("f_sq")),
-        ("f_abs52_mean", *stats.mean_with_stderr("f_abs52")),
-        ("j1_mean", *stats.j1_mean()),
-    ]
+def per_n_columns(stats: mc.TrajectoryStats) -> dict:
+    """The CSV's per-n columns, name -> (means, stderrs), each evaluated once."""
+    return {"f_mean": stats.mean_with_stderr("f"), "f_sq_mean": stats.mean_with_stderr("f_sq"),
+            "f_abs52_mean": stats.mean_with_stderr("f_abs52"), "j1_mean": stats.j1_mean()}
+
+
+def build_csv(stats: mc.TrajectoryStats, columns: dict) -> str:
+    """Fixed 4-column per-n series from per_n_columns; stderr is empty on degenerate runs."""
     n_values = stats.tables.n_values
     lines = ["n,stat,value,stderr"]
     # Each column is formatted at once from Python floats, faster than from
@@ -150,7 +164,7 @@ def build_csv(stats: mc.TrajectoryStats) -> str:
     for lo in range(0, n_values.size, 256):
         part = slice(lo, lo + 256)
         cells = [[f"{name},{cell}" for cell in _cells(vals[part].tolist(), ses[part].tolist())]
-                 for name, vals, ses in columns]
+                 for name, (vals, ses) in columns.items()]
         lines += [f"{n},{cell}" for n, *row in zip(n_values[part].tolist(), *cells)
                   for cell in row]
     sup, sup_se = stats.sup_exceedance(stats.config.thresholds[0])
@@ -174,6 +188,8 @@ def _mc_row(report: Report, label: str, mean: float, stderr: float, target: floa
 
 
 def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
+    from . import mc
+
     win, _ = stats.proportion(stats.win_hits)
     for (w_lo, w_hi), mean, (exact, deviation) in zip(stats.windows, win.tolist(),
                                                       stats.window_law()):
@@ -192,6 +208,8 @@ def _diagnostic_rows(report: Report, stats: mc.TrajectoryStats) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from . import mc, streams
+
     config = mc.SimConfig(
         example=args.example,
         n_max=args.n_max,
@@ -200,7 +218,8 @@ def cmd_simulate(args) -> int:
         thresholds=(args.epsilon,),
     )
     stats = mc.run(config)
-    csv_text = build_csv(stats)
+    columns = per_n_columns(stats)
+    csv_text = build_csv(stats, columns)
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
@@ -220,9 +239,8 @@ def cmd_simulate(args) -> int:
         },
         seed=args.seed,
     )
-    f_mean, _ = stats.mean_with_stderr("f")
-    fsq_mean, _ = stats.mean_with_stderr("f_sq")
-    a52_mean, a52_se = stats.mean_with_stderr("f_abs52")
+    f_mean, fsq_mean = columns["f_mean"][0], columns["f_sq_mean"][0]
+    a52_mean, a52_se = columns["f_abs52_mean"]
     model = mc.MODELS[config.example]
     start = config.start_n
     probes = [n for n in (1, 4, 16, 100, 256) if start <= n <= config.n_max]
@@ -242,6 +260,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import point_process, poisson_pair
+
     if args.n < poisson_pair.START_N:
         raise BadIndexError(f"--n must be >= {poisson_pair.START_N}")
     if args.n >= 2**62:  # the interval indices 2n, 2n + 1 are int64
@@ -282,6 +302,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_tail(args) -> int:
+    from . import mc, poisson_pair, streams
+
     t_grid = _parse_floats(args.t_grid)
     config = mc.SimConfig(
         example="poisson",
@@ -319,7 +341,8 @@ def cmd_tail(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="chaoslab", description=__doc__)
+    # the help shows the docstring up to its last paragraph, the import rule
+    parser = _Parser(prog="chaoslab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="Poisson tail and moment inequality grid")
@@ -339,7 +362,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("simulate", help="trajectory Monte Carlo with CSV output")
-    p.add_argument("--example", choices=mc.EXAMPLES, required=True)
+    p.add_argument("--example", choices=EXAMPLES, required=True)
     p.add_argument("--n-max", type=int, default=10_000)
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)

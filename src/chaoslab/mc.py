@@ -54,13 +54,12 @@ import numpy as np
 
 from . import poisson_pair, two_point
 from .errors import BadIndexError, ResourceLimitError
-from .pair_model import PairModel, PairTables
+from .pair_model import EXAMPLES, PairModel, PairTables
 from .streams import BLOCK_SIZE, block_bounds, block_stream, uniform_block
 from .point_process import poisson_from_uniform  # noqa: F401  perfbench/spans.py hooks this name
 from .workers import run_tasks, worker_count as _worker_count  # perfbench hooks _worker_count
 
-MODELS: dict[str, PairModel] = {"twopoint": two_point.MODEL, "poisson": poisson_pair.MODEL}
-EXAMPLES = tuple(MODELS)
+MODELS: dict[str, PairModel] = dict(zip(EXAMPLES, (two_point.MODEL, poisson_pair.MODEL)))
 
 STATS = {"x_even": lambda x, f, y: x, "f": lambda x, f, y: f, "f_sq": lambda x, f, y: f * f,
          "f_abs52": lambda x, f, y: np.sqrt(np.abs(f)) * (f * f), "events": lambda x, f, y: y == 1}

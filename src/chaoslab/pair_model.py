@@ -15,14 +15,20 @@ and of positive rate may mix.  The two-point rates are 0, and the Poisson
 rates n^(-3/4) and n^(-5/16) are at most 1.  The even count Y maps to
 X_2n = (Y - x_loc_n) / x_scale_n, the odd count is C_2n+1, and the
 recurrence event is {Y = 1}.
+
+EXAMPLES names the two constructions, and mc.MODELS is keyed by them; this
+module loads no numpy, so the CLI's choice list costs no numpy import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+EXAMPLES = ("twopoint", "poisson")
 
 
 @dataclass(frozen=True)

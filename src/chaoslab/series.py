@@ -9,17 +9,20 @@ of the convergent ones; Euler-Maclaurin, the limits zeta(5/4) and zeta(17/16).
 A partial sum is taken in fixed chunks of _CHUNK terms, each reduced by
 numpy's pairwise sum, and the chunk sums are joined by math.fsum, which is
 exactly rounded: the chunk width alone fixes the bits of the result.
+numpy loads in the three functions that take arrays, so the names of the
+series cost no numpy import.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadIndexError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 20
 MAX_TERMS = 10**10  # largest n_terms of a partial sum: about a minute, and far below 2^53
@@ -53,6 +56,8 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 
 def _evaluate(series: Series, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the terms at the float64 indices x into out, in place; returns out."""
+    import numpy as np
+
     if series is Series.TWO_POINT_JOINT:
         # n^(-1-1/sqrt(log n)) = exp(-sqrt(log n))/n
         np.log(x, out=out)
@@ -69,6 +74,8 @@ def _evaluate(series: Series, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def term(series: Series, n) -> np.ndarray | float:
     """Value of the n-th term; accepts scalars or integer arrays."""
+    import numpy as np
+
     x = np.asarray(n, dtype=np.float64)
     if np.any(x < START[series]):
         raise BadIndexError(f"{series.value} starts at n={START[series]}")
@@ -84,6 +91,8 @@ def partial_sum(series: Series, n_terms: int) -> float:
     rounded, adds the chunk sums, so the chunk width fixes the bits.  The
     float64 indices, a ramp plus an integer offset, are exact up to MAX_TERMS.
     """
+    import numpy as np
+
     start = START[series]
     if n_terms < start:
         raise BadIndexError(f"{series.value} starts at n={start}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab.cli import _mc_row, build_csv, main
+from chaoslab.cli import _mc_row, build_csv, main, per_n_columns
 from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
 from chaoslab.series import Series, tail_bound
@@ -214,6 +214,24 @@ def test_series_beyond_its_term_budget_is_a_resource_limit(capsys):
         assert code == 3 and out == ""
         assert err.startswith("resource limit:") and "MAX_TERMS" in err
     assert series.scan_partial_exceeds(series.Series.EVEN_HARMONIC, 5.0) <= series.MAX_TERMS
+
+
+def test_moments_beyond_its_term_budget_is_a_resource_limit(capsys, monkeypatch):
+    # the tail rows sum grid size x (j_max + 1)(j_max + 2)/2 pmf terms: above
+    # cli.MAX_TAIL_TERMS (10^7) none is summed, at it the rows run
+    def no_tail(lam, j):
+        raise AssertionError("a tail was summed")
+
+    monkeypatch.setattr(poisson_moments, "poisson_tail", no_tail)
+    for argv in (("--j-max", "446"), ("--lambda-grid", "2", "--j-max", "4471"),
+                 ("--lambda-grid", "0.5,2", "--j-max", "3161")):
+        code, out, err = run_cli(capsys, "moments", *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("resource limit:") and "MAX_TAIL_TERMS" in err, argv
+    monkeypatch.setattr(poisson_moments, "poisson_tail", lambda lam, j: CertifiedValue(0.0, 0.0))
+    code, out, _ = run_cli(capsys, "moments", "--lambda-grid", "2", "--j-max", "4470",
+                           "--format", "json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 4471
 
 
 def test_decompose_manual_counts(capsys):
@@ -429,6 +447,38 @@ def test_unknown_flags_and_commands(capsys):
         assert code == 1 and err.startswith("usage error:"), argv
 
 
+@pytest.mark.parametrize("argv, code, out_digest, err", [
+    (("--help",), 0, "60edfb7e44c5d988c92105374d6cf50e390d7fa4eae4aa6a1712bf5a309cc6ae", ""),
+    (("moments", "--help"), 0,
+     "b0ded6cdcee2381ed257b5e6f7c3533db3ba7aecb8e5d62f673647d269543a83", ""),
+    (("series", "--help"), 0,
+     "47c14c6bb4dfc6289becd30350d0ee239bfa2f4226f3da960e2ec02899571049", ""),
+    (("simulate", "--help"), 0,
+     "fea406f0c5fd964326e9e973d25441281645048f71624b2d103cd3b90c96b146", ""),
+    (("decompose", "--help"), 0,
+     "8c316e9df36a085cb1c97bc4cb5a99c9dc8fb1bd50db9a90bba5c46457a8babf", ""),
+    (("tail", "--help"), 0,
+     "1c4cb8860006bb4704e492e186b5b5fef422ed3dc0a8dc764a8ad934dc7dd43c", ""),
+    (("simulate", "--example", "bogus"), 1, hashlib.sha256(b"").hexdigest(),
+     "usage error: argument --example: invalid choice: 'bogus' (choose from 'twopoint',"
+     " 'poisson')\n"),
+    (("series", "--series", "bogus"), 1, hashlib.sha256(b"").hexdigest(),
+     "usage error: argument --series: invalid choice: 'bogus' (choose from 'bc_twopoint',"
+     " 'a_const', 'b_const', 'harmonic_even', 'all')\n"),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_help_and_choice_errors_are_frozen(capsys, monkeypatch, argv, code, out_digest, err):
+    # the help text, the choice lists and their order; argparse wraps at
+    # $COLUMNS, and these bytes are Python 3.11's argparse
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:  # --help exits from argparse
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err) == (
+        code, out_digest, err)
+
+
 def _env(**env_vars):
     """The environment with this checkout's package on the path and env_vars set."""
     src = str(Path(chaoslab.__file__).resolve().parents[1])
@@ -462,6 +512,55 @@ def test_cli_starts_no_blas_threads():
         assert value == expected
         if preset is None:
             assert threads in ("1", "-")
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the exact commands draw nothing: moments loads no numpy, and series and
+    # decompose no Monte Carlo engine; in one process, so the sets accumulate
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from chaoslab import cli\n"
+        "engine = ('numpy', 'chaoslab.mc', 'chaoslab.workers', 'chaoslab.two_point')\n"
+        "seen = {'import': [m for m in engine if m in sys.modules]}\n"
+        "for argv in (['moments', '--lambda-grid', '0.5', '--j-max', '2'],\n"
+        "             ['series', '--series', 'a_const', '--n', '1000'],\n"
+        "             ['decompose', '--n', '16', '--counts', '2,1'],\n"
+        "             ['decompose', '--n', '4', '--seed', '99']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    seen[' '.join(argv[:3])] = [code, [m for m in engine if m in sys.modules]]\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [],
+        "moments --lambda-grid 0.5": [0, []],
+        "series --series a_const": [0, ["numpy"]],
+        "decompose --n 16": [0, ["numpy"]],
+        "decompose --n 4": [0, ["numpy"]],
+    }
+    # simulate loads numpy, and only once OPENBLAS_NUM_THREADS is set
+    script = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "from chaoslab import cli\n"
+        "assert not seen, seen\n"
+        "cli.main(['simulate', '--example', 'twopoint', '--n-max', '20', '--reps', '100',"
+        f" '--out', {str(tmp_path / 'tp.csv')!r}])\n"
+        "print(seen)\n"
+    )
+    env = _env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['1']"
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -647,7 +746,7 @@ def test_reports_carry_stream_layout_and_exact_stderr(capsys):
 def test_csv_layout():
     cfg = mc.SimConfig(example="poisson", n_max=12, replications=64, master_seed=8)
     stats = mc.run(cfg)
-    lines = build_csv(stats).splitlines()
+    lines = build_csv(stats, per_n_columns(stats)).splitlines()
     assert lines[0] == "n,stat,value,stderr"
     per_n = [l for l in lines[1:] if l.split(",")[1].startswith(("f_", "j1_"))]
     assert len(per_n) == 12 * 4

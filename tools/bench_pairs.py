@@ -14,8 +14,9 @@ side, every sample and the pairs in which the change reads lower; then the
 Tier-1 wall time and pass count of each side (two alternated runs each), the
 ``src/chaoslab/*.py`` line counts and ``streams.LAYOUT_VERSION`` of each side,
 and the core count with the Python and numpy versions.  It also runs
-``chaoslab tail`` and ``chaoslab simulate --example poisson --out <tmp>`` at
-their default sizes, five alternated runs a side with ``CHAOSLAB_THREADS``
+``chaoslab tail``, ``chaoslab simulate --example poisson --out <tmp>``,
+``chaoslab moments`` and ``chaoslab series`` at their default sizes, five
+alternated runs a side with ``CHAOSLAB_THREADS``
 unset and at 1, and records the wall time, CPU time and peak RSS of each run,
 read by a small helper process from its child's ``wait4``: a forked child
 starts with the high-water mark of the process that forked it, so the
@@ -55,7 +56,8 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 BURNS = 5
 BURN_S = 0.2  # CPU seconds of each of a burn's two processes
 DEFAULT_COMMANDS = {"tail": ["tail"],
-                    "simulate-poisson": ["simulate", "--example", "poisson", "--out", "{out}"]}
+                    "simulate-poisson": ["simulate", "--example", "poisson", "--out", "{out}"],
+                    "moments": ["moments"], "series": ["series"]}
 DEFAULT_RUNS = 5  # per side, command and CHAOSLAB_THREADS setting
 DEFAULT_THREADS = ("unset", "1")
 # Run as `python -c CHILD_USAGE command...`: fork and exec the command with
@@ -269,7 +271,8 @@ def main(argv=None) -> int:
             "workloads": workloads,
             "default_commands": {
                 "description": (
-                    "chaoslab tail and simulate --example poisson at their default sizes, "
+                    "chaoslab tail, simulate --example poisson, moments and series at their "
+                    "default sizes, "
                     f"{DEFAULT_RUNS} alternated runs a side per CHAOSLAB_THREADS setting; peak "
                     "RSS from the command's wait4 in a small helper process"),
                 **defaults},
