@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 _SLACK = 1e-14  # additive slack absorbing rounding in strict analytic inequalities
 # Largest total of pmf terms that moments' tail rows sum, grid size x (j_max + 1)(j_max + 2)/2.
 MAX_TAIL_TERMS = 10**7
+# Largest count of moments' report rows: j_max + 1 per intensity, six more for one <= 1.
+MAX_MOMENT_ROWS = 50_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,6 +78,11 @@ def cmd_moments(args) -> int:
         raise ResourceLimitError(
             f"{len(lam_grid)} intensities x --j-max {args.j_max} sum {tail_terms} pmf terms,"
             f" over the budget MAX_TAIL_TERMS={MAX_TAIL_TERMS}")
+    rows = sum(args.j_max + 1 + 6 * (lam <= 1.0) for lam in lam_grid)
+    if rows > MAX_MOMENT_ROWS:
+        raise ResourceLimitError(
+            f"{len(lam_grid)} intensities x --j-max {args.j_max} give {rows} report rows,"
+            f" over the budget MAX_MOMENT_ROWS={MAX_MOMENT_ROWS}")
     report = Report(
         "moments",
         {"lambda_grid": f"{lam_grid[0]:g}..{lam_grid[-1]:g}({len(lam_grid)})", "j_max": args.j_max},
@@ -207,17 +214,23 @@ def _diagnostic_rows(report: Report, stats: mc.TrajectoryStats) -> None:
         report.add(f"P(sup_(n>={n0}) |F| > {t:g})", mean, stderr=se)
 
 
-def cmd_simulate(args) -> int:
+def _monte_carlo(args, example: str, thresholds: tuple, params: tuple[str, ...]):
+    """Run a Monte Carlo command: its stats, and its Report, whose params are
+    the named flags, in order, then the stream layout."""
     from . import mc, streams
 
-    config = mc.SimConfig(
-        example=args.example,
-        n_max=args.n_max,
-        replications=args.reps,
-        master_seed=args.seed,
-        thresholds=(args.epsilon,),
-    )
-    stats = mc.run(config)
+    config = mc.SimConfig(example=example, n_max=args.n_max, replications=args.reps,
+                          master_seed=args.seed, thresholds=thresholds)
+    report = Report(args.command, {**{name: getattr(args, name) for name in params},
+                                   "stream_layout": streams.LAYOUT_VERSION}, seed=args.seed)
+    return mc.run(config), report
+
+
+def cmd_simulate(args) -> int:
+    from . import mc
+
+    stats, report = _monte_carlo(args, args.example, (args.epsilon,),
+                                 ("example", "n_max", "reps", "epsilon"))
     columns = per_n_columns(stats)
     csv_text = build_csv(stats, columns)
     if args.out:
@@ -228,29 +241,17 @@ def cmd_simulate(args) -> int:
             raise BadIndexError(f"cannot write CSV to {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(csv_text)
-    report = Report(
-        "simulate",
-        {
-            "example": args.example,
-            "n_max": args.n_max,
-            "reps": args.reps,
-            "epsilon": args.epsilon,
-            "stream_layout": streams.LAYOUT_VERSION,
-        },
-        seed=args.seed,
-    )
     f_mean, fsq_mean = columns["f_mean"][0], columns["f_sq_mean"][0]
     a52_mean, a52_se = columns["f_abs52_mean"]
-    model = mc.MODELS[config.example]
-    start = config.start_n
-    probes = [n for n in (1, 4, 16, 100, 256) if start <= n <= config.n_max]
+    model = mc.MODELS[args.example]
+    probes = [n for n in (1, 4, 16, 100, 256) if model.start_n <= n <= args.n_max]
     for n in probes:
-        i = n - start
+        i = n - model.start_n
         target = model.second_moment(n)
-        se = mc.standard_error(model.fourth_moment(n) - target * target, config.replications)
+        se = mc.standard_error(model.fourth_moment(n) - target * target, args.reps)
         _mc_row(report, f"E[F_{n}^2] vs exact", float(fsq_mean[i]), se, target)
-        _mc_row(report, f"E[F_{n}] vs 0", float(f_mean[i]),
-                mc.standard_error(target, config.replications), 0.0)
+        _mc_row(report, f"E[F_{n}] vs 0", float(f_mean[i]), mc.standard_error(target, args.reps),
+                0.0)
         if model.moment52_bound is not None:
             _mc_row(report, f"E|F_{n}|^(5/2) vs decay bound", float(a52_mean[i]),
                     float(a52_se[i]), model.moment52_bound(n), below=True)
@@ -302,23 +303,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    from . import mc, poisson_pair, streams
+    from . import poisson_pair
 
     t_grid = _parse_floats(args.t_grid)
-    config = mc.SimConfig(
-        example="poisson",
-        n_max=args.n_max,
-        replications=args.reps,
-        master_seed=args.seed,
-        thresholds=tuple(t_grid),
-    )
-    stats = mc.run(config)
-    report = Report(
-        "tail",
-        {"t_grid": args.t_grid, "n_max": args.n_max, "reps": args.reps,
-         "stream_layout": streams.LAYOUT_VERSION},
-        seed=args.seed,
-    )
+    stats, report = _monte_carlo(args, "poisson", tuple(t_grid), ("t_grid", "n_max", "reps"))
     for s in (series.Series.INTENSITY_FOURTH, series.Series.INTENSITY_CROSS):
         c = series.limit_constant(s)
         report.add(f"{s.value} bracket [value, value+error]", c.value, c.upper, None)
@@ -348,7 +336,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("moments", help="Poisson tail and moment inequality grid")
     p.add_argument("--lambda-grid", default=None, help="comma list, default 0.01..1.00")
     p.add_argument("--j-max", type=int, default=20)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("series", help="partial sums, tail bounds, limit constants")
@@ -358,7 +345,6 @@ def _build_parser() -> _Parser:
         default="all",
     )
     p.add_argument("--n", type=int, default=10**6)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("simulate", help="trajectory Monte Carlo with CSV output")
@@ -368,7 +354,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--out", default=None, help="CSV path; stdout when omitted")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("decompose", help="chaos projections of one paired term")
@@ -376,7 +361,6 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--counts", default=None, help="manual counts, e.g. 2,1")
     group.add_argument("--seed", type=int, default=None, help="sample the counts")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("tail", help="window-sup exceedance vs the sup tail bound")
@@ -384,8 +368,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=10_000)
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_tail)
+    for p in sub.choices.values():  # the last option of every command
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

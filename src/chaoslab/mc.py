@@ -9,17 +9,13 @@ kept statistic follows from the nonzero counts alone.
 
 Trajectories are simulated in fixed blocks of BLOCK_SIZE.  A block walks
 the pair indices upward in chunks of rows that draw about _CHUNK_DRAWS
-variates, each from the block's two streams in the order of stream
-layout 5 (see streams).  The even counts are all placed, and the odd count
-beside each nonzero one is drawn by inversion, one uniform each.  Where
-Y_2n = 0, F_n is C_2n+1 b_n, b_n = -x_loc / x_scale, and an odd count there
-is placed only where F_n may pass min(SimConfig.thresholds) (see
-sparse_draws); of the others only their number per row is drawn, of 1s and
-of 2s.  So the draws depend on the smallest threshold; at 1 only the
-Poisson rows n <= 6 are placed.  A draw whose law is degenerate takes no
-variate, so the two-point tables, all of rate 0, run the same code as the
-Poisson ones.  Results are bitwise identical for any worker count and any
-replication split along block boundaries.
+variates from the block's two streams, in the order streams specifies.
+Where Y_2n = 0, F_n is C_2n+1 b_n, with b_n the X_2n there, and an odd
+count there is placed, its trajectory kept, only in a row where F_n may
+pass min(SimConfig.thresholds): elsewhere it changes no sup-exceedance
+count, so only the number of 1s and of 2s per row is drawn.  Results are
+bitwise identical for any worker count and any replication split along
+block boundaries.
 
 Per chunk the draws reduce to integer counts of cells (n, Y_2n, C_2n+1):
 each nonzero even count with the odd count beside it, each placed odd count
@@ -303,9 +299,9 @@ def sparse_draws(
 
     Yields (j0, j1, even, odd): the chunk's rows [j0, j1) and the draws of
     Y_2n and C_2n+1 there, for the first `width` trajectories of the block,
-    in the draw order of streams.  Where Y_2n = 0, F_n is C_2n+1 b_n.  In a
-    row where no unplaced count can pass t_min, the smallest threshold, the
-    odd counts of 1 and 2 there are only counted, in odd.ones and odd.twos.
+    in the draw order of streams.  Where Y_2n = 0, F_n is C_2n+1 b_n; in a
+    row where no count of 1 or 2 there can pass t_min, the smallest
+    threshold, those counts are only counted, in odd.ones and odd.twos.
     """
     rates = np.concatenate([tables.rate_even, tables.rate_odd])
     if not ((0.0 <= rates) & (rates <= 1.0)).all():  # NaN fails too
@@ -317,7 +313,7 @@ def sparse_draws(
     q2, q3 = p_two * g2, p_two * lam * g3 / 3.0    # P(C >= 2), P(C >= 3)
     one = q / g1 / (1.0 - q3)                      # P(C = 1 | C <= 2), q at rate 0
     two = p_two / (1.0 - q + p_two)                # P(C = 2 | C in {0, 2}), 0 at rate 0
-    b = -tables.x_loc / tables.x_scale             # the expression _Block.add uses
+    b = tables.x(slice(None), 0)                   # X_2n at Y_2n = 0
     # placed: the largest count left unplaced, 2 where one can occur or 1, times b_n passes t_min
     placed = np.abs(b * np.where(two > 0, 2, 1)) > t_min
     skip = np.where(placed, q, q3)                 # P(C >= 1) or P(C >= 3) at Y_2n = 0
@@ -394,14 +390,12 @@ class _Block:
         row, y_seen, c_seen = np.unravel_index(seen, cells.shape)
         self.cells.append((row + j0) << 2 * _CELL_BITS | y_seen << _CELL_BITS | c_seen)
         self.counts.append(cells.ravel()[seen])
-        # F_n at the placed odd counts: the count times X_2n, which is b_n at Y_2n = 0
-        loc, scale = self.tables.x_loc[j0:j1], self.tables.x_scale[j0:j1]
-        rows = even.rows[odd.on_even]
-        f = (y[odd.on_even] - loc[rows]) / scale[rows] * odd.on_even_counts
-        f_zero = -loc[zero.rows] / scale[zero.rows] * zero.counts
-        abs_f = np.abs(np.concatenate([f, f_zero]))
+        # F_n at the placed odd counts: X_2n times the count, Y_2n being 0 at odd.placed
+        f_rows = np.concatenate([even.rows[odd.on_even], zero.rows]) + j0
+        f_y = np.concatenate([y[odd.on_even], np.zeros_like(zero.rows)])
+        abs_f = np.abs(self.tables.x(f_rows, f_y)
+                       * np.concatenate([odd.on_even_counts, zero.counts]))
         f_pos = np.concatenate([even.pos[odd.on_even], zero.pos])
-        f_rows = np.concatenate([rows, zero.rows]) + j0
         for last, t in zip(self.last_above, self.config.thresholds):
             big = (abs_f > t).nonzero()[0]
             np.maximum.at(last, f_pos[big], f_rows[big])
@@ -480,7 +474,7 @@ class TrajectoryStats:
     def _values(self, stat: str) -> tuple[np.ndarray, np.ndarray]:
         """The row of each cell and the statistic's value there."""
         row, y, c = self.cell_values()
-        x = (y - self.tables.x_loc[row]) / self.tables.x_scale[row]
+        x = self.tables.x(row, y)
         return row, STATS[stat](x, x * c, y)
 
     def sums(self, stat: str) -> np.ndarray:

@@ -13,8 +13,8 @@ Poisson law of rate nu_n, where nu_n = 0 is the point mass at 1.  Each
 rate lies in [0, 1], and mc.sparse_draws rejects any other; rows of rate 0
 and of positive rate may mix.  The two-point rates are 0, and the Poisson
 rates n^(-3/4) and n^(-5/16) are at most 1.  The even count Y maps to
-X_2n = (Y - x_loc_n) / x_scale_n, the odd count is C_2n+1, and the
-recurrence event is {Y = 1}.
+X_2n = (Y - x_loc_n) / x_scale_n (PairTables.x), the odd count is C_2n+1,
+and the recurrence event is {Y = 1}.
 
 EXAMPLES names the two constructions, and mc.MODELS is keyed by them; this
 module loads no numpy, so the CLI's choice list costs no numpy import.
@@ -43,8 +43,14 @@ class PairTables:
     q_odd: np.ndarray         # P(odd count != 0)
     rate_even: np.ndarray     # zero-truncated Poisson rate of a nonzero even count
     rate_odd: np.ndarray      # the same for the odd count
-    x_loc: np.ndarray         # X_2n = (even count - x_loc) / x_scale
+    x_loc: np.ndarray         # X_2n = (even count - x_loc) / x_scale, see x
     x_scale: np.ndarray
+
+    def x(self, rows, y):
+        """X_2n = (y - x_loc) / x_scale at the even counts y of `rows`: the one
+        expression of X_2n, so every F_n = X_2n C_2n+1 is bitwise the same; at
+        y = 0 it is -x_loc / x_scale, as x_loc > 0."""
+        return (y - self.x_loc[rows]) / self.x_scale[rows]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Trajectory ``r`` lives in block ``r // BLOCK_SIZE`` at offset
 ``r % BLOCK_SIZE``.  The Monte Carlo engine draws a block from two
 counter-based Philox streams, one for the even variables Y_2n (parity 0)
 and one for the odd variables Y_2n+1 (parity 1), keyed directly by
-``(master seed, 2 * block + parity)`` without a SeedSequence.  Each stream
-is consumed in ascending n, chunk by chunk, under one rule: a draw whose
+``(master seed, 2 * block + parity)`` without a SeedSequence.  This is the
+one full statement of the order in which the engine consumes them.  Each
+stream is consumed in ascending n, chunk by chunk, under one rule: a draw whose
 law is degenerate takes no variate.  So a row whose probability is 0 draws
 no skips (one of no slots still draws its first gap), a count whose
 truncated-Poisson rate is 0 draws no value (it is its lower bound), a
@@ -29,7 +30,7 @@ rate 0, thus draws its positions, one odd uniform per nonzero even count,
 in a placed row its odd skips and in the others the binomial count of 1s.
 A row is placed when its largest unplaced F_n, 2 b_n where a count of 2 can
 occur and b_n elsewhere, exceeds min(thresholds) in size, b_n being
--x_loc / x_scale, F_n at Y_2n = 0, C_2n+1 = 1 (see mc.sparse_draws).  A
+-x_loc / x_scale (PairTables.x at Y_2n = 0), F_n at C_2n+1 = 1 there.  A
 block's draws are thus a function of the seed, the construction, n_max, the
 smallest threshold, the block and its width, never of the worker count or
 of how the replications are split along block boundaries; a full block's

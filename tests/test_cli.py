@@ -16,7 +16,7 @@ from chaoslab.cli import _mc_row, build_csv, main, per_n_columns
 from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
 from chaoslab.series import Series, tail_bound
-from chaoslab import mc, poisson_moments, poisson_pair, series, streams
+from chaoslab import cli, mc, poisson_moments, poisson_pair, series, streams
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +232,25 @@ def test_moments_beyond_its_term_budget_is_a_resource_limit(capsys, monkeypatch)
     code, out, _ = run_cli(capsys, "moments", "--lambda-grid", "2", "--j-max", "4470",
                            "--format", "json")
     assert code == 0 and len(json.loads(out)["rows"]) == 4471
+
+
+def test_moments_beyond_its_row_budget_is_a_resource_limit(capsys, monkeypatch):
+    # each intensity adds j_max + 1 tail rows and six moment rows when it is <= 1:
+    # above cli.MAX_MOMENT_ROWS (50,000) no row is computed, at it the rows run
+    def nothing_summed(*args):
+        raise AssertionError("a series was summed")
+
+    for name in ("poisson_tail", "abs_central_moment", "raw_abs_moment"):
+        monkeypatch.setattr(poisson_moments, name, nothing_summed)
+    for grid, j_max in ((["0.5"] * 30_000, 0), (["2"] * 1000, 50), (["0.5", "2"] * 1000, 22)):
+        code, out, err = run_cli(capsys, "moments", "--lambda-grid", ",".join(grid),
+                                 "--j-max", str(j_max))
+        assert code == 3 and out == "", (grid[:2], j_max)
+        assert err.startswith("resource limit:") and "MAX_MOMENT_ROWS" in err, (grid[:2], j_max)
+    monkeypatch.setattr(poisson_moments, "poisson_tail", lambda lam, j: CertifiedValue(0.0, 0.0))
+    code, out, _ = run_cli(capsys, "moments", "--lambda-grid", ",".join(["2"] * 1000),
+                           "--j-max", "49", "--format", "json")
+    assert code == 0 and len(json.loads(out)["rows"]) == cli.MAX_MOMENT_ROWS
 
 
 def test_decompose_manual_counts(capsys):

@@ -485,6 +485,20 @@ def test_engine_matches_scalar_reconstruction_poisson():
     check_reconstruction(cfg, rebuild, on_event, rtol=1e-10)
 
 
+def test_engine_f_is_the_collapsed_term_bit_for_bit():
+    # at every cell of a run, X_2n C_2n+1 through PairTables.x, which the engine
+    # evaluates its statistics with, is poisson_pair.term, the F_n of decompose
+    stats = mc.run(mc.SimConfig(example="poisson", n_max=300, replications=20_000,
+                                master_seed=5, thresholds=(0.5,)))
+    row, y, c = stats.cell_values()
+    f = stats.tables.x(row, y) * c
+    assert (y > 1).any() and (c > 1).any() and ((y == 0) & (c > 0)).any()
+    n = stats.tables.n_values[row]
+    assert f.tolist() == [poisson_pair.term(*cell) for cell in zip(n.tolist(), y.tolist(),
+                                                                    c.tolist())]
+    assert np.array_equal(stats._values("f")[1], f)
+
+
 def assert_equals_dense_aggregation(stats):
     """The engine's aggregates against a dense aggregation of the same draws:
     the cell counts exactly, and the per-n statistics evaluated on them."""
