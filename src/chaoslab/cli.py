@@ -51,7 +51,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _emit(report: Report, fmt: str) -> int:
-    print(render_json(report) if fmt == "json" else render_text(report))
+    if fmt == "json":
+        render_json(report, sys.stdout)
+    else:
+        print(render_text(report))
     return report.exit_code()
 
 
@@ -150,9 +153,8 @@ def cmd_series(args) -> int:
 
 
 def _cells(values: list[float], stderrs: list[float]) -> list[str]:
-    """The value and stderr cells of CSV rows; a nan stderr gives an empty cell."""
-    se_cells = ("" if se == "nan" else se for se in map(repr, stderrs))
-    return [f"{v},{se}" for v, se in zip(map(repr, values), se_cells)]
+    """The value and stderr cells of CSV rows."""
+    return [f"{v!r},{se!r}" for v, se in zip(values, stderrs)]
 
 
 def per_n_columns(stats: mc.TrajectoryStats) -> dict:
@@ -162,7 +164,7 @@ def per_n_columns(stats: mc.TrajectoryStats) -> dict:
 
 
 def build_csv(stats: mc.TrajectoryStats, columns: dict) -> str:
-    """Fixed 4-column per-n series from per_n_columns; stderr is empty on degenerate runs."""
+    """Fixed 4-column per-n series from per_n_columns, then the sup and window fractions."""
     n_values = stats.tables.n_values
     lines = ["n,stat,value,stderr"]
     # Each column is formatted at once from Python floats, faster than from
@@ -174,7 +176,7 @@ def build_csv(stats: mc.TrajectoryStats, columns: dict) -> str:
                  for name, (vals, ses) in columns.items()]
         lines += [f"{n},{cell}" for n, *row in zip(n_values[part].tolist(), *cells)
                   for cell in row]
-    sup, sup_se = stats.sup_exceedance(stats.config.thresholds[0])
+    sup, sup_se = stats.proportion(stats.sup_hits[0])
     win, win_se = stats.proportion(stats.win_hits)
     heads = ([f"{n0},sup_exceed_prob" for n0 in stats.grid]
              + [f"{w_lo},window_event_prob" for w_lo, _ in stats.windows])
@@ -186,12 +188,11 @@ def build_csv(stats: mc.TrajectoryStats, columns: dict) -> str:
 def _mc_row(report: Report, label: str, mean: float, stderr: float, target: float,
             below: bool = False) -> None:
     """Row: a Monte Carlo mean within 3 stderr of an exact value, or with
-    below=True, under a bound plus 3 stderr.  A row without a stderr (nan:
-    one replication) passes.  Against an exact value, the stderr is that of
-    the exact variance (mc.standard_error), not the sample stderr, which
-    heavy tails bias low."""
+    below=True, under a bound plus 3 stderr.  Against an exact value, the
+    stderr is that of the exact variance (mc.standard_error), not the sample
+    stderr, which heavy tails bias low."""
     gap = mean - target if below else abs(mean - target)
-    report.add(label, mean, target, math.isnan(stderr) or gap <= 3.0 * stderr, stderr=stderr)
+    report.add(label, mean, target, gap <= 3.0 * stderr, stderr=stderr)
 
 
 def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
@@ -209,7 +210,7 @@ def _window_rows(report: Report, stats: mc.TrajectoryStats) -> None:
 
 def _diagnostic_rows(report: Report, stats: mc.TrajectoryStats) -> None:
     t = stats.config.thresholds[0]
-    sup, sup_se = stats.sup_exceedance(t)
+    sup, sup_se = stats.proportion(stats.sup_hits[0])
     for n0, mean, se in zip(stats.grid, sup[1:].tolist(), sup_se[1:].tolist()):
         report.add(f"P(sup_(n>={n0}) |F| > {t:g})", mean, stderr=se)
 
@@ -316,8 +317,8 @@ def cmd_tail(args) -> int:
         moment,
         passed=math.isfinite(moment) and moment > 0,
     )
-    for t in t_grid:
-        p, se = (a[0] for a in stats.sup_exceedance(t))  # over the whole range, n0 = start_n
+    # over the whole range, n0 = start_n
+    for t, p, se in zip(t_grid, *stats.proportion(stats.sup_hits[:, 0])):
         if t < 9.0:
             report.add(f"P(window sup > {t:g}): bound not applicable (t < 9)", p, stderr=se)
             continue

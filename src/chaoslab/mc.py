@@ -80,8 +80,8 @@ class SimConfig:
             raise BadIndexError(f"example must be one of {EXAMPLES}, got {self.example!r}")
         if self.n_max < self.start_n:
             raise BadIndexError(f"n_max must be >= {self.start_n}")
-        if self.replications < 1:
-            raise BadIndexError("need at least one replication")
+        if self.replications < 2:  # so that every standard error is a number
+            raise BadIndexError(f"need at least two replications, got {self.replications}")
         object.__setattr__(self, "thresholds", tuple(map(float, self.thresholds)))
         if not self.thresholds or not all(0.0 < t < math.inf for t in self.thresholds):
             raise BadIndexError(f"thresholds must be positive and finite, got {self.thresholds}")
@@ -95,9 +95,8 @@ class SimConfig:
 
 def standard_error(variance, replications: int):
     """sqrt(variance / replications), the standard error of a mean of that
-    many independent draws, for a float or an array; nan for one draw."""
-    se = np.sqrt(np.divide(variance, replications))
-    return se if replications > 1 else se * math.nan  # nan in the shape of se
+    many independent draws, for a float or an array."""
+    return np.sqrt(np.divide(variance, replications))
 
 
 def default_diagnostic_grid(start_n: int, n_max: int) -> tuple[int, ...]:
@@ -134,20 +133,19 @@ _SPARE_SD = 4.0
 
 
 class Draws(NamedTuple):
-    """The placed nonzero counts of one parity in one chunk, in ascending (row, pos)."""
+    """The placed nonzero counts of one parity in one chunk, in ascending
+    (row, pos); a row's tally is np.bincount(rows)."""
 
     rows: np.ndarray      # row within the chunk
     pos: np.ndarray       # trajectory offset within the block
-    per_row: np.ndarray   # number of placed counts in each row of the chunk
     counts: np.ndarray    # the counts, each >= 1
 
 
 class OddDraws(NamedTuple):
-    """The odd counts of one chunk: those beside a nonzero even count, the
-    placed ones where Y_2n = 0, and per row the number of the others."""
+    """The odd counts of one chunk: the one beside each nonzero even count,
+    the placed ones where Y_2n = 0, and per row the number of the others."""
 
-    on_even: np.ndarray         # ascending indices into the even Draws where C >= 1
-    on_even_counts: np.ndarray  # the odd counts there
+    beside: np.ndarray          # the odd count at each even Draws entry, 0 included
     placed: Draws               # the placed counts where Y_2n = 0
     ones: np.ndarray            # per row: the counts of 1 where Y_2n = 0 (F_n = b_n), unplaced
     twos: np.ndarray            # per row: the counts of 2 there (F_n = 2 b_n), unplaced
@@ -211,15 +209,12 @@ def _nonzero_slots(stream, q: np.ndarray, width: int | np.ndarray):
     per_row = np.add.reduceat(keep, first, dtype=np.int64)
     pos = np.compress(keep, pos)
     short = np.flatnonzero(last < width)
-    if short.size:
+    if short.size:  # a short row's further slots lie past its kept ones: insert them at its end
         widths = np.broadcast_to(width, n_gaps.shape)
         extra = [_top_up(stream, inv_log[j], last[j], widths[j], n_gaps[j]) for j in short]
-        rows = np.repeat(np.arange(n_gaps.size), per_row)
-        rows = np.concatenate([rows, *(np.full(e.size, j) for j, e in zip(short, extra))])
-        pos = np.concatenate([pos, *extra])
-        order = np.argsort(rows * widest + pos)
-        pos = pos[order]
-        per_row = np.bincount(rows, minlength=n_gaps.size)
+        sizes = [e.size for e in extra]
+        pos = np.insert(pos, np.repeat(np.cumsum(per_row)[short], sizes), np.concatenate(extra))
+        per_row[short] += sizes
     counts[live] = per_row
     return pos, counts
 
@@ -335,16 +330,14 @@ def sparse_draws(
         multi = k + np.repeat(per_row.cumsum() - per_row, per_row_multi)
         at = rows[multi] + j0
         counts[multi] = _counts_at_least(even_stream, tables.rate_even[at], 2, p2_even[at])
-        even = Draws(rows, pos, per_row, counts)
+        even = Draws(rows, pos, counts)
 
-        # 1. the odd count beside each nonzero even count, by inversion
+        # 1. the odd count beside each nonzero even count, by inversion; u < q2 implies u < q
         u = uniform_block(odd_stream, pos.size)
-        on_even = (u < np.repeat(q[j0:j1], per_row)).nonzero()[0]
-        on_even_counts = np.ones(on_even.size, dtype=np.int64)
-        at = rows[on_even] + j0
-        multi = (u[on_even] < q2[at]).nonzero()[0]  # none at rate 0: q2 = 0
-        at = at[multi]
-        on_even_counts[multi] = _counts_at_least(odd_stream, lam[at], 2, 1.0 / g2[at])
+        beside = (u < np.repeat(q[j0:j1], per_row)).astype(np.int64)
+        multi = (u < np.repeat(q2[j0:j1], per_row)).nonzero()[0]  # none at rate 0: q2 = 0
+        at = rows[multi] + j0
+        beside[multi] = _counts_at_least(odd_stream, lam[at], 2, 1.0 / g2[at])
         # 2. the placed counts where Y_2n = 0: skips over every slot
         z_pos, z_per_row = _nonzero_slots(odd_stream, skip[j0:j1], width)
         z_rows = np.repeat(np.arange(n), z_per_row)
@@ -358,8 +351,7 @@ def sparse_draws(
         # n = 0 or p = 0 draws nothing; at rate 0 two = 0, so twos is 0
         ones = odd_stream.binomial(free, one[j0:j1])
         twos = odd_stream.binomial(free - ones, two[j0:j1])
-        yield j0, j1, even, OddDraws(on_even, on_even_counts,
-                                     Draws(z_rows, z_pos, z_per_row, z_counts), ones, twos)
+        yield j0, j1, even, OddDraws(beside, Draws(z_rows, z_pos, z_counts), ones, twos)
 
 
 class _Block:
@@ -377,9 +369,7 @@ class _Block:
 
     def add(self, j0: int, j1: int, even: Draws, odd: OddDraws) -> None:
         """Count the cells of rows [j0, j1) and follow their exceedances and events."""
-        y, zero = even.counts, odd.placed
-        beside = np.zeros(y.size, dtype=np.int64)  # the odd count beside each nonzero even one
-        beside[odd.on_even] = odd.on_even_counts
+        y, beside, zero = even.counts, odd.beside, odd.placed
         ny = y.max(initial=0) + 1
         nc = max(beside.max(initial=0), zero.counts.max(initial=0), 2) + 1
         at = np.concatenate([(even.rows * ny + y) * nc + beside, zero.rows * ny * nc + zero.counts])
@@ -391,11 +381,11 @@ class _Block:
         self.cells.append((row + j0) << 2 * _CELL_BITS | y_seen << _CELL_BITS | c_seen)
         self.counts.append(cells.ravel()[seen])
         # F_n at the placed odd counts: X_2n times the count, Y_2n being 0 at odd.placed
-        f_rows = np.concatenate([even.rows[odd.on_even], zero.rows]) + j0
-        f_y = np.concatenate([y[odd.on_even], np.zeros_like(zero.rows)])
-        abs_f = np.abs(self.tables.x(f_rows, f_y)
-                       * np.concatenate([odd.on_even_counts, zero.counts]))
-        f_pos = np.concatenate([even.pos[odd.on_even], zero.pos])
+        on = beside.nonzero()[0]
+        f_rows = np.concatenate([even.rows[on], zero.rows]) + j0
+        f_y = np.concatenate([y[on], np.zeros_like(zero.rows)])
+        abs_f = np.abs(self.tables.x(f_rows, f_y) * np.concatenate([beside[on], zero.counts]))
+        f_pos = np.concatenate([even.pos[on], zero.pos])
         for last, t in zip(self.last_above, self.config.thresholds):
             big = (abs_f > t).nonzero()[0]
             np.maximum.at(last, f_pos[big], f_rows[big])
@@ -488,23 +478,17 @@ class TrajectoryStats:
         mean = self.sums(stat) / r
         row, values = self._values(stat)
         sq = np.bincount(row, self.cell_counts * (values - mean[row]) ** 2, mean.size)
-        return mean, standard_error(sq / max(r - 1, 1), r)  # nan for one draw
+        return mean, standard_error(sq / (r - 1), r)
 
     def j1_mean(self):
         mean, se = self.mean_with_stderr("x_even")
         return self.tables.coef * mean, self.tables.coef * se
 
     def proportion(self, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fractions of the trajectories, from their counts, with binomial stderrs."""
+        """Fractions of the trajectories, from their counts, with binomial stderrs:
+        of sup_hits[k] per n0 for the k-th threshold, or of win_hits per window."""
         p = hits / self.replications
         return p, standard_error(p * (1.0 - p), self.replications)
-
-    def sup_exceedance(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """P(sup_(n0 <= n <= n_max) |F_n| > t) for n0 in (start_n, *grid), with
-        stderrs; t is one of the run's thresholds.  [1:] aligns with grid."""
-        if t not in self.config.thresholds:
-            raise BadIndexError(f"threshold {t:g} is not one of the run's {self.config.thresholds}")
-        return self.proportion(self.sup_hits[self.config.thresholds.index(t)])
 
     def window_law(self) -> list[tuple[float, float | None]]:
         """Per window: the exact P(event somewhere in it), 1 - prod(1 - P(event
@@ -525,7 +509,8 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     """Simulate trajectories [lo, hi); run() is the [0, R) case.
 
     The cost guard, the streams, and the aggregates all see absolute
-    trajectory indices, so disjoint ranges combine exactly via merge().
+    trajectory indices, so disjoint ranges combine exactly via merge(); the
+    sample variances of mean_with_stderr need two trajectories, as a run has.
     Worker w of W walks blocks w, w + W, ... as one task of workers.run_tasks:
     on a forked process, or in this process with one worker or where fork is
     not available.

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import TextIO
 
 
 @dataclass
@@ -23,8 +24,6 @@ class Report:
         passed: bool | None = None,
         stderr: float | None = None,
     ) -> None:
-        if stderr is not None and math.isnan(stderr):
-            stderr = None
         self.rows.append({
             "label": label,
             "value": None if value is None else float(value),
@@ -68,11 +67,16 @@ def render_text(report: Report) -> str:
     return "\n".join(lines)
 
 
-def render_json(report: Report) -> str:
+def render_json(report: Report, out: TextIO) -> None:
+    """Write the report to `out` as indented JSON and a newline, as it is
+    encoded: about 4096 chunks a write, so that the whole text is never held."""
     payload = {
         "experiment": report.experiment,
         "params": report.params,
         "seed": report.seed,
         "rows": report.rows,
     }
-    return json.dumps(payload, indent=2)
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := list(islice(chunks, 4096)):
+        out.write("".join(batch))
+    out.write("\n")

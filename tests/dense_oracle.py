@@ -10,7 +10,8 @@ the engine's sup-exceedance counts, with plain dense numpy operations;
 cell_moments evaluates the per-n statistics on a cell table.
 
 It also keeps the two-point F_n in its defining, un-collapsed form, the
-reference for the collapsed tables and the engine.
+reference for the collapsed tables and the engine, and the exact law of the
+suffix sups, suffix_sup_law, from the pair tables alone.
 """
 
 from __future__ import annotations
@@ -108,8 +109,7 @@ def sparse_counts(config: mc.SimConfig, tables, block: int, width: int):
     for j0, _, even, odd in mc.sparse_draws(tables, config.master_seed, block, width,
                                             min(config.thresholds)):
         y_even[j0 + even.rows, even.pos] = even.counts
-        on = odd.on_even
-        c_odd[j0 + even.rows[on], even.pos[on]] = odd.on_even_counts
+        c_odd[j0 + even.rows, even.pos] = odd.beside
         c_odd[j0 + odd.placed.rows, odd.placed.pos] = odd.placed.counts
         for j in (odd.ones + odd.twos).nonzero()[0]:
             free = np.flatnonzero((y_even[j0 + j] == 0) & (c_odd[j0 + j] == 0))
@@ -186,3 +186,31 @@ def run(config: mc.SimConfig, counts=dense_counts) -> dict:
 def sup_hits(dense: dict, thresholds) -> np.ndarray:
     """[threshold, n0]: the trajectories whose sup over n >= n0 of |F_n| exceeds it."""
     return np.array([(dense["suffix_max"] > t).sum(axis=1) for t in thresholds])
+
+
+def hurdle_pmf(q: np.ndarray, rate: np.ndarray, k_max: int = 40) -> np.ndarray:
+    """[row, k]: P(C = k), k = 0..k_max, for a count that is nonzero with
+    probability q and then zero-truncated Poisson(rate), rate 0 being the
+    point mass at 1; the mass above k_max is left out."""
+    k = np.arange(1, k_max + 1)
+    powers = np.cumprod(rate[:, None] / k, axis=1)  # rate^k / k!
+    ztp = np.where(rate[:, None] > 0, powers / np.expm1(np.where(rate > 0, rate, 1.0))[:, None],
+                   k == 1)
+    return np.column_stack([1.0 - q, q[:, None] * ztp])
+
+
+def suffix_sup_law(tables, t: float) -> np.ndarray:
+    """Per row: the exact P(sup over rows >= it of |F_n| > t), from the pair tables.
+
+    p_n = sum over y and c >= 1 of P(Y_2n = y) P(C_2n+1 = c) 1{|X_2n c| > t},
+    with X_2n from tables.x, the engine's own float expression; the terms are
+    independent across n, so the suffix law is 1 - prod(1 - p_n), summed as
+    log1p terms.
+    """
+    rows = np.arange(len(tables.n_values))[:, None, None]
+    p_y = hurdle_pmf(tables.q_even, tables.rate_even)
+    p_c = hurdle_pmf(tables.q_odd, tables.rate_odd)[:, 1:]
+    y, c = np.arange(p_y.shape[1])[:, None], np.arange(1, p_c.shape[1] + 1)
+    above = np.abs(tables.x(rows, y) * c) > t  # [row, y, c]
+    p = np.einsum("ry,rc,ryc->r", p_y, p_c, above)
+    return 0.0 - np.expm1(np.cumsum(np.log1p(-p)[::-1])[::-1])  # 0.0, not -0.0, where none

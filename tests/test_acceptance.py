@@ -146,8 +146,8 @@ def test_l52_decay_bound(l52_run):
 
 def test_sup_tail_bound(big_poisson_run):
     with criterion("supremum tail bound"):
-        for t in SUP_TAIL_T:
-            p, se = (a[0] for a in big_poisson_run.sup_exceedance(t))
+        p_se = big_poisson_run.proportion(big_poisson_run.sup_hits[:, 0])
+        for t, p, se in zip(SUP_TAIL_T, *p_se):
             bound = poisson_pair.sup_tail_bound(t)
             assert p - 3 * se <= bound
 
@@ -189,6 +189,34 @@ def test_sup_tail_matches_the_exact_law(big_poisson_run):
             p_value = min(1.0, 2.0 * min(law.cdf(hits), law.sf(hits - 1)))
             print(f"  t={t:g}: {hits}/{r} against exact {exact:.6g}, p = {p_value:.3g}")
             assert p_value >= 2e-3 / len(SUP_TAIL_T)
+
+
+@pytest.mark.parametrize("example, n_max, thresholds", [("twopoint", 300, (1.0, 9.0, 16.0)),
+                                                         ("poisson", 2000, (1.0, 9.0))])
+def test_suffix_sups_follow_their_exact_law(example, n_max, thresholds):
+    # simulate's rows P(sup_(n>=n0) |F| > t) and the CSV's sup_exceed_prob are
+    # sup_hits / R: every count, over each t and each n0 in (start_n, *grid),
+    # against Binomial(R, exact) with the exact law from the pair tables, by
+    # exact two-sided p-values; Bonferroni over the 24 (two-point) or 22
+    # (Poisson) counts keeps the family-wise false-failure rate at 1e-3
+    with criterion(f"{example} suffix sups against their exact law"):
+        cfg = mc.SimConfig(example=example, n_max=n_max, replications=1 << 16, master_seed=SEED,
+                           thresholds=thresholds)
+        stats = mc.run(cfg)
+        rows = [n0 - cfg.start_n for n0 in (cfg.start_n, *stats.grid)]
+        laws = [dense_oracle.suffix_sup_law(stats.tables, t) for t in thresholds]
+        if example == "twopoint":  # the whole range at t = 16
+            assert laws[2][0] == pytest.approx(0.0143016, rel=1e-5)
+        else:  # the independent scipy evaluation of the whole range
+            assert laws[1][0] == pytest.approx(exact_sup_tail(9.0, n_max), rel=1e-9)
+        p_values = []
+        for law, hits in zip(laws, stats.sup_hits):
+            binom = scipy.stats.binom(cfg.replications, law[rows])
+            two_sided = 2.0 * np.minimum(binom.cdf(hits), binom.sf(hits - 1))
+            p_values += np.minimum(1.0, two_sided).tolist()
+        assert len(p_values) == {"twopoint": 24, "poisson": 22}[example]
+        print(f"  smallest of {len(p_values)} p-values: {min(p_values):.3g}")
+        assert min(p_values) >= 1e-3 / len(p_values)
 
 
 def binned_cells(stats, rows: np.ndarray, y_top: int, c_top: int) -> np.ndarray:

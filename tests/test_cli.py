@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 import chaoslab
 from chaoslab.cli import _mc_row, build_csv, main, per_n_columns
+from chaoslab.errors import BadIndexError
 from chaoslab.poisson_moments import CertifiedValue
 from chaoslab.report import Report, render_json, render_text
 from chaoslab.series import Series, tail_bound
@@ -23,6 +26,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rendered_json(report: Report) -> str:
+    out = io.StringIO()
+    render_json(report, out)
+    return out.getvalue()
 
 
 def test_moments_single_point(capsys):
@@ -152,24 +161,30 @@ def test_simulate_writes_deterministic_csv(tmp_path, capsys):
     assert all(r["pass"] is not False for r in payload["rows"])
 
 
-def test_simulate_single_replication_has_empty_stderr(tmp_path, capsys):
-    out = tmp_path / "one.csv"
+def test_fewer_than_two_replications_is_a_usage_error(tmp_path, capsys):
+    # from two replications on every standard error is a number, so no
+    # Monte Carlo row can pass for want of one
+    with pytest.raises(BadIndexError):
+        mc.SimConfig(example="poisson", replications=1)
+    for argv in (["simulate", "--example", "twopoint", "--n-max", "5", "--reps", "1"],
+                 ["tail", "--n-max", "5", "--reps", "1", "--t-grid", "9,100"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+    csv = tmp_path / "two.csv"
     code, stdout, _ = run_cli(
-        capsys, "simulate", "--example", "twopoint", "--n-max", "5", "--reps", "1",
-        "--seed", "2", "--out", str(out), "--format", "json"
+        capsys, "simulate", "--example", "twopoint", "--n-max", "5", "--reps", "2",
+        "--seed", "2", "--out", str(csv), "--format", "json"
     )
-    assert code == 0
-    lines = out.read_text().splitlines()[1:]
-    assert all(line.endswith(",") for line in lines)  # stderr column empty
-    payload = json.loads(stdout)
-    assert all(r["stderr"] is None for r in payload["rows"])
+    assert code in (0, 2)
+    stderrs = [float(line.rsplit(",", 1)[1]) for line in csv.read_text().splitlines()[1:]]
+    assert stderrs and all(math.isfinite(se) and se >= 0 for se in stderrs)
 
 
 @pytest.mark.parametrize("mean, stderr, two_sided, one_sided", [
     (1.29, 0.1, True, True),       # inside 3 stderr above the target
     (1.31, 0.1, False, False),     # outside it
     (0.69, 0.1, False, True),      # far below: under the bound, off the exact value
-    (11.0, math.nan, True, True),  # no stderr (one replication): the row passes
 ])
 def test_monte_carlo_rows_pass_within_three_stderr(mean, stderr, two_sided, one_sided):
     report = Report("unit", {}, seed=None)
@@ -177,15 +192,7 @@ def test_monte_carlo_rows_pass_within_three_stderr(mean, stderr, two_sided, one_
     _mc_row(report, "bound", mean, stderr, 1.0, below=True)
     assert [r["pass"] for r in report.rows] == [two_sided, one_sided]
     assert all(r["value"] == mean and r["bound"] == 1.0 for r in report.rows)
-    assert all(r["stderr"] == (None if math.isnan(stderr) else stderr) for r in report.rows)
-
-
-def test_tail_single_replication_rows_pass_without_stderr(capsys):
-    code, out, _ = run_cli(capsys, "tail", "--reps", "1", "--t-grid", "9,100", "--format", "json")
-    assert code == 0
-    checked = [r for r in json.loads(out)["rows"] if "vs sup tail bound" in r["label"]]
-    assert len(checked) == 2
-    assert all(r["pass"] is True and r["stderr"] is None for r in checked)
+    assert all(r["stderr"] == stderr for r in report.rows)
 
 
 def test_simulate_budget_exceeded(capsys):
@@ -200,7 +207,7 @@ def test_simulate_budget_exceeded(capsys):
 def test_simulate_beyond_max_n_is_a_resource_limit(capsys):
     # the per-n tables and the CSV grow with n_max alone, whatever the budget
     code, out, err = run_cli(
-        capsys, "simulate", "--example", "poisson", "--n-max", str(mc.MAX_N + 1), "--reps", "1"
+        capsys, "simulate", "--example", "poisson", "--n-max", str(mc.MAX_N + 1), "--reps", "2"
     )
     assert code == 3 and out == ""
     assert err.startswith("resource limit:") and "Traceback" not in err
@@ -695,7 +702,6 @@ def test_report_rows_are_their_json_objects():
     report.add("info", np.float64(0.1))
     report.add("pass", 1.0, np.float64(2.0), np.bool_(True), stderr=np.float64(0.25))
     report.add("fail", 3, 2.0, False)
-    report.add("no stderr", 1.5, 2.0, True, stderr=math.nan)
     assert render_text(report) == "\n".join([
         "experiment: unit",
         "params: a=1 b=x",
@@ -708,16 +714,13 @@ def test_report_rows_are_their_json_objects():
         "                    2   PASS         0.25",
         "fail                                                                    3"
         "                    2   FAIL             ",
-        "no stderr                                                             1.5"
-        "                    2   PASS             ",
-        "checks: 2/3 passed",
+        "checks: 1/2 passed",
     ])
-    rows = json.loads(render_json(report))["rows"]
+    rows = json.loads(rendered_json(report))["rows"]
     assert rows == [
         {"label": "info", "value": 0.1, "bound": None, "pass": None, "stderr": None},
         {"label": "pass", "value": 1.0, "bound": 2.0, "pass": True, "stderr": 0.25},
         {"label": "fail", "value": 3.0, "bound": 2.0, "pass": False, "stderr": None},
-        {"label": "no stderr", "value": 1.5, "bound": 2.0, "pass": True, "stderr": None},
     ]
     assert rows == report.rows
     for row in report.rows:
@@ -734,7 +737,34 @@ def test_exit_code_two_on_failed_row():
     report.add("bad", 3.0, 2.0, False)
     assert report.exit_code() == 2
     assert "FAIL" in render_text(report)
-    assert json.loads(render_json(report))["rows"][1]["pass"] is False
+    assert json.loads(rendered_json(report))["rows"][1]["pass"] is False
+
+
+def test_json_report_is_streamed_not_built_whole():
+    # 50,000 rows rendered into a sink that only counts: building the whole
+    # text first peaked at about 49 MB, streaming it at about 0.3 MB
+    class Sink:
+        chars = writes = 0
+
+        def write(self, text):
+            self.chars += len(text)
+            self.writes += 1
+
+    report = Report("unit", {"rows": 50_000}, seed=None)
+    for i in range(50_000):
+        report.add(f"row {i}", i / 7, 1.0, i % 2 == 0, stderr=0.5)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        render_json(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = {"experiment": "unit", "params": {"rows": 50_000}, "seed": None,
+               "rows": report.rows}
+    assert sink.chars == len(json.dumps(payload, indent=2)) + 1
+    assert 1 < sink.writes < 1000
+    assert peak < 2 * 1024**2, peak
 
 
 def test_reports_carry_stream_layout_and_exact_stderr(capsys):

@@ -162,7 +162,7 @@ def test_a_run_builds_its_plan_once(monkeypatch):
     cfg = mc.SimConfig(example="poisson", n_max=30, replications=2 * BLOCK_SIZE + 1, master_seed=2)
     stats = mc.run(cfg)
     stats.window_law()
-    stats.sup_exceedance(1.0)
+    stats.proportion(stats.sup_hits[0])
     mc._plan.cache_clear()  # no later test reads the plan of the wrapped tables
     assert calls == [30]
 
@@ -223,13 +223,15 @@ def test_merge_equals_single_run():
 
 
 def test_replication_count_and_estimates():
-    cfg = mc.SimConfig(example="poisson", n_max=5, replications=1, master_seed=1)
+    # at the fewest replications, two, every standard error is a number
+    cfg = mc.SimConfig(example="poisson", n_max=5, replications=2, master_seed=1)
     stats = mc.run(cfg)
-    assert stats.replications == 1
-    _, se = stats.mean_with_stderr("f_sq")
-    assert np.all(np.isnan(se))
-    _, se = stats.sup_exceedance(1.0)
-    assert math.isnan(se[0])
+    assert stats.replications == 2
+    for stat in mc.STAT_NAMES:
+        _, se = stats.mean_with_stderr(stat)
+        assert np.all(np.isfinite(se) & (se >= 0)), stat
+    _, se = stats.proportion(stats.sup_hits[0])
+    assert np.all(np.isfinite(se) & (se >= 0))
 
 
 def test_proportions_match_the_scalar_binomial_formula_bit_for_bit():
@@ -239,15 +241,13 @@ def test_proportions_match_the_scalar_binomial_formula_bit_for_bit():
                        master_seed=5, thresholds=(0.5, 1.0, 9.0))
     stats = mc.run(cfg)
     r = stats.replications
-    cases = [(stats.sup_exceedance(t), hits) for t, hits in zip(cfg.thresholds, stats.sup_hits)]
+    cases = [(stats.proportion(hits), hits) for hits in stats.sup_hits]
     cases.append((stats.proportion(stats.win_hits), stats.win_hits))
     assert stats.win_hits.size == 2
     for (p, se), hits in cases:
         for count, p_k, se_k in zip(hits.tolist(), p.tolist(), se.tolist()):
             scalar = count / r
             assert p_k == scalar and se_k == math.sqrt(scalar * (1.0 - scalar) / r)
-    assert math.isnan(mc.standard_error(0.25, 1))
-    assert np.isnan(mc.standard_error(np.array([0.0, 0.25]), 1)).all()
     assert mc.standard_error(0.25, 4) == 0.25
 
 
@@ -280,13 +280,9 @@ def test_sup_exceedance_monotone():
     cfg = mc.SimConfig(example="poisson", n_max=100, replications=20_000, master_seed=23,
                        thresholds=thresholds)
     stats = mc.run(cfg)
-    values = [stats.sup_exceedance(t)[0][0] for t in thresholds]
+    values = stats.proportion(stats.sup_hits[:, 0])[0].tolist()
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert values[0] > 0.0 and values[-1] == 0.0
-    # counts are kept for the configured thresholds only
-    for t in (0.0, 3.0, 1e13):
-        with pytest.raises(BadIndexError):
-            stats.sup_exceedance(t)
 
 
 def test_tail_diagnostic_two_point_separation():
@@ -294,14 +290,14 @@ def test_tail_diagnostic_two_point_separation():
         example="twopoint", n_max=1000, replications=20_000, master_seed=29, thresholds=(0.1,)
     )
     stats = mc.run(cfg)
-    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.sup_exceedance(0.1))
+    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.proportion(stats.sup_hits[0]))
     assert p[200] + 3 * (se[200] + se[10]) < p[10]
 
 
 def test_tail_diagnostic_poisson_trend():
     cfg = mc.SimConfig(example="poisson", n_max=1000, replications=20_000, master_seed=31)
     stats = mc.run(cfg)
-    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.sup_exceedance(1.0))
+    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.proportion(stats.sup_hits[0]))
     assert p[1000] <= p[10] + 3 * (se[1000] + se[10])
     assert p[100] <= p[10] + 3 * (se[100] + se[10])
 
@@ -315,7 +311,7 @@ def sparse_counts(cfg):
 def test_tail_diagnostic_last_point_is_single_term():
     cfg = mc.SimConfig(example="poisson", n_max=50, replications=8192, master_seed=37)
     stats = mc.run(cfg)
-    n0, p = stats.grid[-1], stats.sup_exceedance(1.0)[0][-1]
+    n0, p = stats.grid[-1], stats.proportion(stats.sup_hits[0])[0][-1]
     assert n0 == 50
     # recompute |F_50| directly from the same draws
     ye, yo = (c[-1] for c in sparse_counts(cfg))
@@ -436,9 +432,9 @@ def assert_counts_match(stats, f_by_n, event_by_n, on_event):
     suffix_sups = [abs_f[n0 - start :].max(axis=0) for n0 in (start, *stats.grid)]
     expected = np.array([[(s > t).sum() for s in suffix_sups] for t in cfg.thresholds])
     assert np.array_equal(stats.sup_hits, expected)
-    for t, hits in zip(cfg.thresholds, expected):
-        assert stats.sup_exceedance(t)[0][0] == hits[0] / reps
-    diag = stats.sup_exceedance(cfg.thresholds[0])[0][1:]
+    for hits in expected:
+        assert stats.proportion(hits)[0][0] == hits[0] / reps
+    diag = stats.proportion(stats.sup_hits[0])[0][1:]
     assert diag.size == len(stats.grid)
     assert diag.tolist() == [h / reps for h in expected[0, 1:]]
 
@@ -560,14 +556,14 @@ def test_gap_top_up_keeps_draws_exact(monkeypatch):
             key = d.rows * 4096 + d.pos
             assert np.all(np.diff(key) > 0) and d.pos.min(initial=0) >= 0
             assert d.pos.max(initial=0) < 4096 and d.counts.min(initial=1) >= 1
-            assert np.array_equal(np.bincount(d.rows, minlength=j1 - j0), d.per_row)
         assert not np.isin(zero.rows * 4096 + zero.pos, even.rows * 4096 + even.pos).any()
-        assert np.all(np.diff(odd.on_even) > 0) and odd.on_even_counts.min(initial=1) >= 1
+        assert odd.beside.shape == even.counts.shape and odd.beside.min(initial=0) >= 0
         assert np.all(zero.counts >= np.where(zero.rows + j0 < 40, 1, 3))
         assert not (odd.ones + odd.twos)[: max(40 - j0, 0)].any()
-        per_row["even"][j0:j1] = even.per_row
-        per_row["odd"][j0:j1] = (np.bincount(even.rows[odd.on_even], minlength=j1 - j0)
-                                 + zero.per_row + odd.ones + odd.twos)
+        n = j1 - j0
+        per_row["even"][j0:j1] = np.bincount(even.rows, minlength=n)
+        per_row["odd"][j0:j1] = (np.bincount(even.rows, weights=odd.beside > 0, minlength=n)
+                                 + np.bincount(zero.rows, minlength=n) + odd.ones + odd.twos)
     assert len(top_ups) > 100
     # the nonzero counts per row, placed or not, are Binomial(width, q): total and spread
     for name, q in (("even", tables.q_even), ("odd", tables.q_odd)):
@@ -636,9 +632,9 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
     nonzero = above_one = 0
     for _, _, even, odd in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE, 1.0):
-        nonzero += (even.pos.size + odd.on_even.size + odd.placed.pos.size
+        nonzero += (even.pos.size + np.count_nonzero(odd.beside) + odd.placed.pos.size
                     + odd.ones.sum() + odd.twos.sum())
-        above_one += (even.counts > 1).sum() + (odd.on_even_counts > 1).sum()
+        above_one += (even.counts > 1).sum() + (odd.beside > 1).sum()
     assert above_one > 0
     assert sum(drawn) <= 0.5 * nonzero
     # with no placed row, a two-point chunk draws its even gaps, then one odd
@@ -650,7 +646,7 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     for _, _, even, odd in mc.sparse_draws(tables, 97, 0, BLOCK_SIZE, 1.0):
         chunks += 1
         even_nonzero += even.pos.size
-        assert np.all(even.counts == 1) and np.all(odd.on_even_counts == 1)
+        assert np.all(even.counts == 1) and np.all(odd.beside <= 1)
         assert odd.placed.pos.size == odd.twos.sum() == 0
     assert sum(map(bool, slot_draws)) == chunks
     assert sum(drawn) == sum(slot_draws) + even_nonzero > even_nonzero
@@ -875,12 +871,14 @@ def test_thinned_counts_follow_the_truncated_law():
     values = {1: [], 2: [], 3: []}  # even, odd given C >= 1 and odd given C >= 3: (row, count)
     for j0, j1, even, odd in mc.sparse_draws(tables, 131, 0, BLOCK_SIZE, 1.0):
         n = j1 - j0
-        beside, beside_rows, zero = odd.on_even_counts, even.rows[odd.on_even], odd.placed
+        on, zero = odd.beside > 0, odd.placed
+        beside, beside_rows = odd.beside[on], even.rows[on]
         per_row.append(np.column_stack([
-            even.per_row, np.bincount(even.rows, weights=even.counts >= 2, minlength=n),
+            np.bincount(even.rows, minlength=n),
+            np.bincount(even.rows, weights=even.counts >= 2, minlength=n),
             np.bincount(beside_rows, minlength=n),
             np.bincount(beside_rows, weights=beside >= 2, minlength=n),
-            zero.per_row, odd.ones, odd.twos]))
+            np.bincount(zero.rows, minlength=n), odd.ones, odd.twos]))
         at_zero = placed[zero.rows + j0]
         values[1].append((even.rows + j0, even.counts))
         values[2] += [(beside_rows + j0, beside), (zero.rows[at_zero] + j0, zero.counts[at_zero])]
@@ -937,8 +935,11 @@ def odd_count_z_scores(seed: int) -> np.ndarray:
     for block in (0, 1):
         for j0, j1, even, odd in mc.sparse_draws(tables, seed, block, BLOCK_SIZE, 1.0):
             beside = q2[even.rows + j0]
-            free, p_free = (BLOCK_SIZE - even.per_row) * not_placed[j0:j1], q3[j0:j1]
-            seen += [(odd.on_even_counts >= 2).sum(), (odd.placed.per_row * not_placed[j0:j1]).sum()]
+            n = j1 - j0
+            free = (BLOCK_SIZE - np.bincount(even.rows, minlength=n)) * not_placed[j0:j1]
+            p_free = q3[j0:j1]
+            seen += [(odd.beside >= 2).sum(),
+                     (np.bincount(odd.placed.rows, minlength=n) * not_placed[j0:j1]).sum()]
             mean += [beside.sum(), (free * p_free).sum()]
             var += [(beside * (1 - beside)).sum(), (free * p_free * (1 - p_free)).sum()]
     return (seen - mean) / np.sqrt(var)
@@ -957,7 +958,7 @@ def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):
     cfg = mc.SimConfig(example="poisson", n_max=60, replications=4000, master_seed=7)
     stats = mc.run(cfg)
     assert stats.grid == (2, 5, 10, 20, 50, 60)
-    means = stats.sup_exceedance(1.0)[0][1:].tolist()
+    means = stats.proportion(stats.sup_hits[0])[0][1:].tolist()
     assert means == sorted(means, reverse=True)  # suffix sup shrinks with n0
     for bad in ("many", "0", "-2"):
         monkeypatch.setenv("CHAOSLAB_THREADS", bad)
