@@ -473,8 +473,11 @@ class TrajectoryStats:
         return np.bincount(row, self.cell_counts * values, len(self.tables.n_values))
 
     def mean_with_stderr(self, stat: str) -> tuple[np.ndarray, np.ndarray]:
-        """Per-n means, with the stderrs of the centred sample variances."""
+        """Per-n means, with the stderrs of the centred sample variances, which
+        need two trajectories."""
         r = self.replications
+        if r < 2:
+            raise BadIndexError(f"a sample variance needs two trajectories, got {r}")
         mean = self.sums(stat) / r
         row, values = self._values(stat)
         sq = np.bincount(row, self.cell_counts * (values - mean[row]) ** 2, mean.size)
@@ -509,8 +512,9 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     """Simulate trajectories [lo, hi); run() is the [0, R) case.
 
     The cost guard, the streams, and the aggregates all see absolute
-    trajectory indices, so disjoint ranges combine exactly via merge(); the
-    sample variances of mean_with_stderr need two trajectories, as a run has.
+    trajectory indices, so disjoint ranges combine exactly via merge().  A
+    range of one trajectory is walked, so that merge can join it, but its
+    mean_with_stderr raises: a sample variance needs two.
     Worker w of W walks blocks w, w + W, ... as one task of workers.run_tasks:
     on a forked process, or in this process with one worker or where fork is
     not available.

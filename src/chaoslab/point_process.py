@@ -49,8 +49,8 @@ def sample_poisson(lam: float, rng: np.random.Generator) -> int:
 def poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
     """Vectorized inversion: count = #{k : cdf(k) <= u}, as in sample_poisson.
 
-    No caller in the package: the tests' dense sampler uses it, and
-    perfbench/spans.py hooks this name.
+    No caller in the package: the tests use it, and perfbench/spans.py
+    hooks this name.
     """
     return np.searchsorted(_poisson_cdf(float(lam)), u, side="right")
 

@@ -1,21 +1,23 @@
-"""Dense reference sampler and aggregator for checking the sparse engine.
+"""Exact laws and a dense aggregator for checking the sparse engine.
 
-The dense sampler draws one uniform per (trajectory, variable) from its own
-stream keyed by (master seed, variable index, block), then inverts it per
-row: the engine's sampler before it drew only the nonzero counts.  The
-aggregator reduces full [n, trajectory] count matrices to the engine's
-cell counts, as a [row, Y_2n, C_2n+1] table, and window hit counts, and to
-each trajectory's suprema of |F_n| over n >= n0, from which sup_hits gives
-the engine's sup-exceedance counts, with plain dense numpy operations;
-cell_moments evaluates the per-n statistics on a cell table.
+The exact laws come from the pair tables alone: hurdle_pmf gives the law of
+one count, cell_law the law of the binned cells (n, Y_2n, C_2n+1), and
+suffix_sup_law the law of the suffix sups of |F_n|.  The aggregator fills
+full [n, trajectory] count matrices from the engine's own draws and reduces
+them, with plain dense numpy operations, to the engine's cell counts, as a
+[row, Y_2n, C_2n+1] table, and window hit counts, and to each trajectory's
+suprema of |F_n| over n >= n0, from which sup_hits gives the engine's
+sup-exceedance counts; cell_moments evaluates the per-n statistics on a
+cell table.  mixed_rates gives a Poisson model whose tables mix rate-0 rows
+with rows of positive rate.
 
 It also keeps the two-point F_n in its defining, un-collapsed form, the
-reference for the collapsed tables and the engine, and the exact law of the
-suffix sups, suffix_sup_law, from the pair tables alone.
+reference for the collapsed tables and the engine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import NamedTuple
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from chaoslab import mc, two_point
-from chaoslab.point_process import poisson_from_uniform
+from chaoslab.pair_model import PairModel
 from chaoslab.streams import BLOCK_SIZE, block_bounds
 
 
@@ -60,39 +62,6 @@ def two_point_term(n: int, x_even: float, x_odd: float) -> float:
     normalized values."""
     p = two_point.prob(2 * n + 1)
     return p * x_even + math.sqrt(p * (1.0 - p)) * x_even * x_odd
-
-
-def uniform_block(master_seed: int, var_index: int, block: int, size: int) -> np.ndarray:
-    """The `size` uniforms of one variable in one trajectory block."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(var_index, block))
-    return np.random.Generator(np.random.Philox(ss)).random(size)
-
-
-def draw_twopoint(tables, row: int, u_even: np.ndarray, u_odd: np.ndarray):
-    """Indicators of the +1 signs of Y_2n and Y_2n+1."""
-    plus_even, plus_odd = u_even < tables.q_even[row], u_odd < tables.q_odd[row]
-    return plus_even.astype(np.int64), plus_odd.astype(np.int64)
-
-
-def draw_poisson(tables, row: int, u_even: np.ndarray, u_odd: np.ndarray):
-    """The Poisson counts Y_2n and Y_2n+1, by inversion."""
-    return (poisson_from_uniform(u_even, tables.rate_even[row]),
-            poisson_from_uniform(u_odd, tables.rate_odd[row]))
-
-
-DRAWS = {"twopoint": draw_twopoint, "poisson": draw_poisson}
-
-
-def dense_counts(config: mc.SimConfig, tables, block: int, width: int):
-    """[n, trajectory] even and odd counts of one block from the dense streams."""
-    rows = len(tables.n_values)
-    y_even = np.zeros((rows, width), dtype=np.int64)
-    c_odd = np.zeros((rows, width), dtype=np.int64)
-    for row, n in enumerate(tables.n_values):
-        u_even = uniform_block(config.master_seed, 2 * int(n), block, width)
-        u_odd = uniform_block(config.master_seed, 2 * int(n) + 1, block, width)
-        y_even[row], c_odd[row] = DRAWS[config.example](tables, row, u_even, u_odd)
-    return y_even, c_odd
 
 
 def sparse_counts(config: mc.SimConfig, tables, block: int, width: int):
@@ -168,11 +137,11 @@ def _add_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def run(config: mc.SimConfig, counts=dense_counts) -> dict:
-    """Aggregates of all replications, block by block, from `counts`."""
+def run(config: mc.SimConfig) -> dict:
+    """Aggregates of all replications, block by block, from the engine's draws."""
     tables = mc.MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
     parts = [
-        aggregate(config, tables, *counts(config, tables, lo // BLOCK_SIZE, hi - lo))
+        aggregate(config, tables, *sparse_counts(config, tables, lo // BLOCK_SIZE, hi - lo))
         for lo, hi in block_bounds(0, config.replications)
     ]
     return {
@@ -197,6 +166,29 @@ def hurdle_pmf(q: np.ndarray, rate: np.ndarray, k_max: int = 40) -> np.ndarray:
     ztp = np.where(rate[:, None] > 0, powers / np.expm1(np.where(rate > 0, rate, 1.0))[:, None],
                    k == 1)
     return np.column_stack([1.0 - q, q[:, None] * ztp])
+
+
+def cell_law(tables, y_top: int = 3, c_top: int = 4) -> np.ndarray:
+    """[row, y, c]: P(Y_2n = y) P(C_2n+1 = c), with y = y_top and c = c_top
+    standing for the counts at or above them; each tail is summed from the
+    pmf columns, so that a tail of probability 0 is exactly 0."""
+    def binned(pmf, top):
+        return np.column_stack([pmf[:, :top], pmf[:, top:].sum(axis=1)])
+
+    p_y = binned(hurdle_pmf(tables.q_even, tables.rate_even), y_top)
+    p_c = binned(hurdle_pmf(tables.q_odd, tables.rate_odd), c_top)
+    return p_y[:, :, None] * p_c[:, None, :]
+
+
+def mixed_rates(model: PairModel) -> PairModel:
+    """The model with its even rates 0 where n = 0 (mod 3) and its odd rates
+    0 at even n: a table that mixes rate-0 and positive rows in either parity."""
+    def tables(n_values):
+        t = model.tables(n_values)
+        return dataclasses.replace(t, rate_even=np.where(n_values % 3 == 0, 0.0, t.rate_even),
+                                   rate_odd=np.where(n_values % 2 == 0, 0.0, t.rate_odd))
+
+    return dataclasses.replace(model, tables=tables)
 
 
 def suffix_sup_law(tables, t: float) -> np.ndarray:

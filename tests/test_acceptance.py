@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 import dense_oracle
@@ -152,6 +153,12 @@ def test_sup_tail_bound(big_poisson_run):
             assert p - 3 * se <= bound
 
 
+def binomial_p(k, n: int, p) -> np.ndarray:
+    """Exact two-sided p-values of Binomial(n, p) at k: twice the smaller tail, at most 1."""
+    law = scipy.stats.binom(n, p)
+    return np.minimum(1.0, 2.0 * np.minimum(law.cdf(k), law.sf(k - 1)))
+
+
 def exact_sup_tail(t: float, n_max: int, cutoff: float = 1e-30) -> float:
     """P(sup_{n <= n_max} |F_n| > t) for the paired-Poisson F_n, from Poisson pmfs.
 
@@ -185,8 +192,7 @@ def test_sup_tail_matches_the_exact_law(big_poisson_run):
                                      big_poisson_run.sup_hits[:, 0]):
             exact = exact_sup_tail(t, big_poisson_run.config.n_max)
             assert exact == pytest.approx(expected, rel=1e-5)
-            law = scipy.stats.binom(r, exact)
-            p_value = min(1.0, 2.0 * min(law.cdf(hits), law.sf(hits - 1)))
+            p_value = binomial_p(hits, r, exact)
             print(f"  t={t:g}: {hits}/{r} against exact {exact:.6g}, p = {p_value:.3g}")
             assert p_value >= 2e-3 / len(SUP_TAIL_T)
 
@@ -211,70 +217,92 @@ def test_suffix_sups_follow_their_exact_law(example, n_max, thresholds):
             assert laws[1][0] == pytest.approx(exact_sup_tail(9.0, n_max), rel=1e-9)
         p_values = []
         for law, hits in zip(laws, stats.sup_hits):
-            binom = scipy.stats.binom(cfg.replications, law[rows])
-            two_sided = 2.0 * np.minimum(binom.cdf(hits), binom.sf(hits - 1))
-            p_values += np.minimum(1.0, two_sided).tolist()
+            p_values += binomial_p(hits, cfg.replications, law[rows]).tolist()
         assert len(p_values) == {"twopoint": 24, "poisson": 22}[example]
         print(f"  smallest of {len(p_values)} p-values: {min(p_values):.3g}")
         assert min(p_values) >= 1e-3 / len(p_values)
 
 
-def binned_cells(stats, rows: np.ndarray, y_top: int, c_top: int) -> np.ndarray:
-    """[row, y, c]: the trajectories of each cell at the given rows, with the
-    counts y >= y_top and c >= c_top pooled in the last bins."""
+# The smallest threshold, 0.5, places the rows with |b_n| > 0.5 (two-point,
+# n <= 4) or 2 |b_n| > 0.5 (Poisson, n <= 40); the mixed-rate case has the
+# Poisson tables of dense_oracle.mixed_rates.
+CELL_LAW_CASES = {
+    "two-point": mc.SimConfig(example="twopoint", n_max=300, replications=1 << 16,
+                              master_seed=SEED, thresholds=(0.5,)),
+    "Poisson": mc.SimConfig(example="poisson", n_max=2000, replications=1 << 16,
+                            master_seed=SEED, thresholds=(0.5,)),
+    "mixed-rate": mc.SimConfig(example="poisson", n_max=200, replications=1 << 16,
+                               master_seed=SEED, thresholds=(0.5, 2.0)),
+}
+
+
+def cell_law_p_values(stats) -> tuple[np.ndarray, np.ndarray]:
+    """A run's cells and window hits against their exact law, as two families
+    of p-values (see test_cells_follow_their_exact_law)."""
+    r, tables, start = stats.replications, stats.tables, stats.config.start_n
+    law = dense_oracle.cell_law(tables)
     row, y, c = stats.cell_values()
-    return dense_oracle.cell_table(row, np.minimum(y, y_top), np.minimum(c, c_top),
-                                   stats.cell_counts, len(stats.tables.n_values))[rows]
+    seen = np.zeros(law.shape, dtype=np.int64)
+    np.add.at(seen, (row, np.minimum(y, law.shape[1] - 1), np.minimum(c, law.shape[2] - 1)),
+              stats.cell_counts)
+    assert not seen[law == 0].any()  # e.g. no two-point count of 2
+    family_a = binomial_p(seen[law > 0], r, law[law > 0])
+    var = r * (law * (1.0 - law)).sum(axis=0)  # [y, c], the rows being independent
+    z = (seen.sum(axis=0) - r * law.sum(axis=0))[var > 0] / np.sqrt(var[var > 0])
+    p_event = dense_oracle.hurdle_pmf(tables.q_even, tables.rate_even)[:, 1]
+    p_window = [1.0 - np.prod(1.0 - p_event[lo - start : hi - start]) for lo, hi in stats.windows]
+    family_b = np.concatenate([scipy.special.erfc(np.abs(z) / math.sqrt(2.0)),
+                               binomial_p(stats.win_hits, r, np.array(p_window))])
+    return family_a, family_b
 
 
-def pearson(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
-    """Pearson's chi-square over [row, ...] tables, each row with its cells
-    summing to R: the statistic, the degrees of freedom and the p-value."""
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    df = observed.shape[0] * (observed[0].size - 1)
-    return chi2, df, float(scipy.stats.chi2.sf(chi2, df))
+@pytest.mark.parametrize("case", [*CELL_LAW_CASES, "big Poisson"])
+def test_cells_follow_their_exact_law(case, request, monkeypatch):
+    # The engine's counts of the cells (n, Y_2n, C_2n+1), binned as y in
+    # {0, 1, 2, >=3} x c in {0, 1, 2, 3, >=4}, against R times their exact law
+    # from the run's own pair tables.  A bin of probability 0 must be empty.
+    # Family A: one exact two-sided binomial p-value per (row, bin) of positive
+    # probability.  Family B: one z per bin, pooled over the rows, with its
+    # exact variance, and each window's hits against Binomial(R, 1 - prod(1 -
+    # P(Y_2n = 1))), with P(Y_2n = 1) from the pmf, not tables.event_prob,
+    # which the mixed-rate tables leave as the Poisson one.  Holm's step-down
+    # procedure at 5e-4 in each family, which rejects nothing exactly when the
+    # smallest p-value is above 5e-4 over the family's size, keeps the
+    # family-wise false-failure rate at 1e-3 per case.  big_poisson_run's
+    # smallest threshold, 9, places no row.
+    with criterion(f"{case} cells against their exact law"):
+        if case == "big Poisson":
+            stats = request.getfixturevalue("big_poisson_run")
+        else:
+            if case == "mixed-rate":
+                mixed = dense_oracle.mixed_rates(mc.MODELS["poisson"])
+                monkeypatch.setitem(mc.MODELS, "poisson", mixed)
+                mc._plan.cache_clear()
+                request.addfinalizer(mc._plan.cache_clear)  # no later run reads the mixed plan
+            stats = mc.run(CELL_LAW_CASES[case])
+        family_a, family_b = cell_law_p_values(stats)
+        for name, p in (("A", family_a), ("B", family_b)):
+            print(f"  family {name}: smallest of {p.size} p-values {p.min():.3g}")
+            assert p.min() > 5e-4 / p.size
 
 
-def poisson_pmf(lam: float, k: int) -> float:
-    return math.exp(-lam) * lam**k / math.factorial(k)
-
-
-def test_poisson_cells_follow_their_exact_law(big_poisson_run):
-    # The engine's counts of the cells (n, Y_2n, C_2n+1) against
-    # R P(Y_2n) P(C_2n+1), y in {0, >=1} x c in {0, 1, 2, >=3} at n = 1..20:
-    # one Pearson chi-square with 20 x 7 = 140 df, failing at p < 1e-4.  The
-    # smallest threshold, 9, places no row, so every row's 1s and 2s where
-    # Y_2n = 0 are the unplaced counts of the per-row binomials.
-    with criterion("Poisson cells against their exact law"):
-        r = big_poisson_run.replications
-        expected = []
-        for n in range(1, 21):
-            lam_e, lam_o = float(intensity(2 * n)), float(intensity(2 * n + 1))
-            p_y = [poisson_pmf(lam_e, 0), 1.0 - poisson_pmf(lam_e, 0)]
-            p_c = [poisson_pmf(lam_o, k) for k in range(3)]
-            expected.append(r * np.outer(p_y, [*p_c, 1.0 - sum(p_c)]))
-        observed = binned_cells(big_poisson_run, np.arange(20), 1, 3)
-        chi2, df, p = pearson(observed, np.array(expected))
-        print(f"  chi2 = {chi2:.1f} on {df} df, p = {p:.3g}")
-        assert df == 140 and p >= 1e-4
-
-
-def test_two_point_cells_follow_their_exact_law():
-    # The same test on a two-point run, y, c in {0, 1}, p_2n = 1/n and
-    # p_2n+1 = exp(-sqrt(log n)), over the rows whose expected counts are
-    # all at least 5 (here every row: 299 x 3 = 897 df).
-    with criterion("two-point cells against their exact law"):
-        cfg = mc.SimConfig(example="twopoint", n_max=300, replications=40_000, master_seed=SEED)
-        stats = mc.run(cfg)
-        n = np.arange(cfg.start_n, cfg.n_max + 1)
-        p_y = 1.0 / n
-        p_c = np.array([math.exp(-math.sqrt(math.log(k))) for k in n])
-        expected = cfg.replications * np.stack([np.outer([1 - a, a], [1 - b, b])
-                                                for a, b in zip(p_y, p_c)])
-        rows = np.flatnonzero(expected.min(axis=(1, 2)) >= 5)
-        chi2, df, p = pearson(binned_cells(stats, rows, 1, 1), expected[rows])
-        print(f"  chi2 = {chi2:.1f} on {df} df, p = {p:.3g}")
-        assert df == 897 and p >= 1e-4
+def test_hurdle_law_is_the_count_law():
+    # the one oracle of the cell law: the Poisson hurdle rows are the Poisson
+    # pmf of each count, and the two-point rows the +1 indicator's
+    n = np.array([1, 2, 16, 500, 10_000])
+    tables, k = poisson_pair.pair_tables(n), np.arange(41)
+    for parity, q, rate in ((0, tables.q_even, tables.rate_even),
+                            (1, tables.q_odd, tables.rate_odd)):
+        pmf = dense_oracle.hurdle_pmf(q, rate)
+        lam = np.asarray(intensity(2 * n + parity))[:, None]
+        np.testing.assert_allclose(pmf, scipy.stats.poisson.pmf(k, lam), rtol=1e-12)
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(dense_oracle.hurdle_pmf(tables.q_even, tables.rate_even)[:, 1],
+                               tables.event_prob, rtol=1e-12)
+    tables = two_point.MODEL.tables(np.arange(2, 301))
+    for q, rate in ((tables.q_even, tables.rate_even), (tables.q_odd, tables.rate_odd)):
+        pmf = dense_oracle.hurdle_pmf(q, rate)
+        assert np.array_equal(pmf[:, :2], np.column_stack([1.0 - q, q])) and not pmf[:, 2:].any()
 
 
 def test_a_run_result_does_not_grow_with_its_blocks(big_poisson_run):

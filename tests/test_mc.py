@@ -220,6 +220,14 @@ def test_merge_equals_single_run():
     )
     with pytest.raises(BadIndexError):
         mc.merge(a, mc.run_range(other, BLOCK_SIZE, cfg.replications))
+    # a range of one trajectory has no sample variance, but merges exactly
+    one_more = dataclasses.replace(cfg, replications=BLOCK_SIZE + 1)
+    last = mc.run_range(one_more, BLOCK_SIZE, BLOCK_SIZE + 1)
+    with pytest.raises(BadIndexError, match="two trajectories"):
+        last.mean_with_stderr("f_sq")
+    full, merged = mc.run(one_more), mc.merge(mc.run_range(one_more, 0, BLOCK_SIZE), last)
+    assert stats_equal(full, merged)
+    assert np.array_equal(full.mean_with_stderr("f_sq"), merged.mean_with_stderr("f_sq"))
 
 
 def test_replication_count_and_estimates():
@@ -498,7 +506,7 @@ def test_engine_f_is_the_collapsed_term_bit_for_bit():
 def assert_equals_dense_aggregation(stats):
     """The engine's aggregates against a dense aggregation of the same draws:
     the cell counts exactly, and the per-n statistics evaluated on them."""
-    dense = dense_oracle.run(stats.config, counts=dense_oracle.sparse_counts)
+    dense = dense_oracle.run(stats.config)
     n_rows = len(stats.tables.n_values)
     cells = dense_oracle.cell_table(*stats.cell_values(), stats.cell_counts, n_rows)
     assert np.array_equal(cells, dense["cells"])
@@ -526,7 +534,7 @@ def test_sparse_aggregates_equal_dense_aggregation(example):
                        thresholds=(0.5,))
     b = zero_count_values(cfg)
     assert (b > 0.5).any() and (b <= 0.5).any()
-    sups = dense_oracle.run(cfg, counts=dense_oracle.sparse_counts)["window_max"]
+    sups = dense_oracle.run(cfg)["window_max"]
     levels = np.unique(sups[sups > 0.5])
     at_sups = levels[np.unique(np.linspace(0, levels.size - 1, 32).astype(int))]
     assert at_sups.size == 32
@@ -686,79 +694,6 @@ def test_draws_depend_on_the_thresholds_only_through_the_placed_rows(example):
     assert cells_equal(one, low) == (example == "twopoint")
 
 
-def test_pooled_moments_over_every_n_match_the_exact_values():
-    # One pooled z per statistic with an exact per-n mean and variance, over
-    # every n of one run: sum_n (S_n - R mu_n) / sqrt(R sum_n var_n).  Terms
-    # are independent across n and trajectories, so the pooled variance is
-    # exact.  |z| < 3.48 for each of the four is a family-wise false-failure
-    # rate of 4 x 5.0e-4 = 2e-3 (Bonferroni).
-    cfg = mc.SimConfig(example="poisson", n_max=2000, replications=1 << 16, master_seed=11)
-    stats = mc.run(cfg)
-    model, n, r = mc.MODELS["poisson"], stats.tables.n_values, cfg.replications
-    second = np.array([model.second_moment(int(k)) for k in n])
-    fourth = np.array([model.fourth_moment(int(k)) for k in n])
-    p = stats.tables.event_prob
-    exact = {"f": (0.0, second), "f_sq": (second, fourth - second**2), "x_even": (0.0, 1.0),
-             "events": (p, p * (1 - p))}
-    for stat, (mean, var) in exact.items():
-        mean, var = np.broadcast_to(mean, n.shape), np.broadcast_to(var, n.shape)
-        z = (stats.sums(stat) - r * mean).sum() / math.sqrt(r * var.sum())
-        assert abs(z) < 3.48, (stat, z)
-
-
-def holm_rejections(p_values: dict, alpha: float) -> list:
-    """Hypotheses Holm's step-down procedure rejects at family-wise level alpha."""
-    ordered = sorted(p_values.items(), key=lambda kv: kv[1])
-    rejected = []
-    for i, (name, p) in enumerate(ordered):
-        if p > alpha / (len(ordered) - i):
-            break
-        rejected.append((name, p))
-    return rejected
-
-
-def two_sample_p(mean_a, var_a, mean_b, var_b, r):
-    z = (mean_a - mean_b) / math.sqrt((var_a + var_b) / r)
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def count_p(hits_a, hits_b, r):
-    p = (hits_a + hits_b) / (2 * r)
-    if p in (0.0, 1.0):
-        return 1.0
-    return two_sample_p(hits_a / r, p * (1 - p), hits_b / r, p * (1 - p), r)
-
-
-@pytest.mark.parametrize("example", ["poisson", "twopoint"])
-def test_sparse_engine_matches_dense_oracle_in_distribution(example):
-    # Two independent samples, sparse engine and dense oracle, at fixed seeds.
-    # Every per-n mean (f, f_sq, f_abs52, x_even), per-n event count,
-    # sup-exceedance count and window-hit count is one two-sample z-test; Holm's
-    # step-down keeps the family-wise false-failure rate at 1e-3 per seed.
-    cfg = mc.SimConfig(example=example, n_max=64, replications=2 * BLOCK_SIZE, master_seed=101)
-    oracle_cfg = mc.SimConfig(example=example, n_max=64, replications=2 * BLOCK_SIZE,
-                              master_seed=102)
-    stats = mc.run(cfg)
-    dense = dense_oracle.run(oracle_cfg)
-    r = cfg.replications
-    p_values = {}
-    for stat in ("f", "f_sq", "f_abs52", "x_even"):
-        m_a, se_a = stats.mean_with_stderr(stat)
-        m_b, v_b = dense_oracle.cell_moments(oracle_cfg, dense["cells"], stat)
-        for i, n in enumerate(stats.tables.n_values):
-            p_values[f"{stat}[{n}]"] = two_sample_p(m_a[i], se_a[i] ** 2 * r, m_b[i], v_b[i], r)
-    dense_events = dense["cells"][:, 1].sum(axis=1)
-    for i, n in enumerate(stats.tables.n_values):
-        p_values[f"events[{n}]"] = count_p(stats.sums("events")[i], dense_events[i], r)
-    (dense_hits,) = dense_oracle.sup_hits(dense, cfg.thresholds)
-    for n0, a, b in zip((cfg.start_n, *stats.grid), stats.sup_hits[0], dense_hits):
-        p_values[f"sup_hits[{n0}]"] = count_p(a, b, r)
-    for (lo, _), a, b in zip(stats.windows, stats.win_hits, dense["win_hits"]):
-        p_values[f"win_hits[{lo}]"] = count_p(a, b, r)
-    assert len(p_values) > 250
-    assert holm_rejections(p_values, alpha=1e-3) == []
-
-
 def exact_count_law(lam: float, terms: int = 12) -> tuple[Fraction, Fraction]:
     """P(C >= 2 | C >= 1) and P(C = 2 | C >= 2) of C ~ Poisson(lam), lam <= 1e-3,
     from exact partial sums of e^lam - 1 - lam and e^lam - 1."""
@@ -822,136 +757,18 @@ def test_rate_zero_rows_draw_ones_in_a_mixed_table(monkeypatch):
     # rates are 0 where n = 0 (mod 3), the odd rates at even n.  Every nonzero
     # count of a rate-0 row is 1, and the aggregates match a dense
     # aggregation of the same draws, with placed and unplaced rows of both kinds
-    model = mc.MODELS["poisson"]
-
-    def tables(n_values):
-        t = model.tables(n_values)
-        return dataclasses.replace(t, rate_even=np.where(n_values % 3 == 0, 0.0, t.rate_even),
-                                   rate_odd=np.where(n_values % 2 == 0, 0.0, t.rate_odd))
-
-    monkeypatch.setitem(mc.MODELS, "poisson", dataclasses.replace(model, tables=tables))
+    monkeypatch.setitem(mc.MODELS, "poisson", dense_oracle.mixed_rates(mc.MODELS["poisson"]))
     monkeypatch.setenv("CHAOSLAB_THREADS", "1")
     mc._plan.cache_clear()
     cfg = mc.SimConfig(example="poisson", n_max=60, replications=BLOCK_SIZE + 300,
                        master_seed=101, thresholds=(0.5, 2.0))
-    mixed = tables(np.arange(1, 61))
+    mixed = mc.MODELS["poisson"].tables(np.arange(1, 61))
     y_even, c_odd = dense_oracle.sparse_counts(cfg, mixed, 0, BLOCK_SIZE)
     for counts, rate in ((y_even, mixed.rate_even), (c_odd, mixed.rate_odd)):
         assert counts[rate == 0].max() == 1
         assert counts[rate > 0].max() > 1
     assert_equals_dense_aggregation(mc.run(cfg))
     mc._plan.cache_clear()  # no later test reads the plan of the wrapped tables
-
-
-def binomial_p(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Two-sided p-values of Binomial(n, p) at k: twice the smaller tail, at most 1."""
-    tails = np.minimum(scipy.stats.binom.cdf(k, n, p), scipy.stats.binom.sf(k - 1, n, p))
-    return np.minimum(1.0, 2.0 * tails)
-
-
-def test_thinned_counts_follow_the_truncated_law():
-    # At a fixed seed, one Poisson block at threshold 1, which places the
-    # rows n <= 6.  Given m_j nonzero even counts in row j: the even counts
-    # >= 2 are Binomial(m_j, P(C >= 2 | C >= 1)); the odd counts beside them
-    # that are >= 1 and >= 2 are Binomial(m_j, P(C >= 1)) and
-    # Binomial(m_j, P(C >= 2)).  Over the width - m_j slots where Y_2n = 0,
-    # the placed odd counts are Binomial(width - m_j, P(C >= 1)) in a placed
-    # row and Binomial(width - m_j, P(C >= 3)) in the others, whose unplaced
-    # 1s and 2s are Binomial(width - m_j, P(C = 1)) and (..., P(C = 2)).  So
-    # are the totals over the rows, and the values match the exact pmf: C = 2,
-    # 3 and >= 4 given C >= 1 (even counts, odd counts beside them and those
-    # of the placed rows), C = 4 and >= 5 given C >= 3 (the other placed odd
-    # counts).  Holm's step-down keeps the family-wise false-failure rate at
-    # 1e-3: 5e-4 for the per-row tests and 5e-4 for the pooled ones, which
-    # see a small bias that no single row shows.
-    tables = mc.MODELS["poisson"].tables(np.arange(1, 501))
-    even_law, odd_law = scipy.stats.poisson(tables.rate_even), scipy.stats.poisson(tables.rate_odd)
-    placed = tables.n_values <= 6
-    per_row = []
-    values = {1: [], 2: [], 3: []}  # even, odd given C >= 1 and odd given C >= 3: (row, count)
-    for j0, j1, even, odd in mc.sparse_draws(tables, 131, 0, BLOCK_SIZE, 1.0):
-        n = j1 - j0
-        on, zero = odd.beside > 0, odd.placed
-        beside, beside_rows = odd.beside[on], even.rows[on]
-        per_row.append(np.column_stack([
-            np.bincount(even.rows, minlength=n),
-            np.bincount(even.rows, weights=even.counts >= 2, minlength=n),
-            np.bincount(beside_rows, minlength=n),
-            np.bincount(beside_rows, weights=beside >= 2, minlength=n),
-            np.bincount(zero.rows, minlength=n), odd.ones, odd.twos]))
-        at_zero = placed[zero.rows + j0]
-        values[1].append((even.rows + j0, even.counts))
-        values[2] += [(beside_rows + j0, beside), (zero.rows[at_zero] + j0, zero.counts[at_zero])]
-        values[3].append((zero.rows[~at_zero] + j0, zero.counts[~at_zero]))
-    m, *seen = np.concatenate(per_row).T
-    free = BLOCK_SIZE - m
-    tests = {  # name: (trials, probability) per row
-        "even >= 2": (m, even_law.sf(1) / even_law.sf(0)),
-        "odd beside >= 1": (m, odd_law.sf(0)),
-        "odd beside >= 2": (m, odd_law.sf(1)),
-        "odd placed at 0": (free, np.where(placed, odd_law.sf(0), odd_law.sf(2))),
-        "odd 1s at 0": (free, np.where(placed, 0.0, odd_law.pmf(1))),
-        "odd 2s at 0": (free, np.where(placed, 0.0, odd_law.pmf(2))),
-    }
-    p_values, pooled = {}, {}
-    for (name, (trials, p)), k in zip(tests.items(), seen):
-        for n, p_n in zip(tables.n_values, binomial_p(k, trials, p)):
-            p_values[f"{name}[{n}]"] = p_n
-        mean, var = (trials * p).sum(), (trials * p * (1 - p)).sum()
-        pooled[f"{name} total"] = math.erfc(abs(k.sum() - mean) / math.sqrt(2 * var))
-    for key, name, law, lo in ((1, "even", even_law, 1), (2, "odd", odd_law, 1),
-                               (3, "odd", odd_law, 3)):
-        rows, counts = (np.concatenate(v) for v in zip(*values[key]))
-        given = law.sf(lo - 1)[rows]
-        cells = [(f"{lo + 1}", counts == lo + 1, law.pmf(lo + 1)[rows]),
-                 (f"{lo + 2}", counts == lo + 2, law.pmf(lo + 2)[rows]),
-                 (f">={lo + 3}", counts >= lo + 3, law.sf(lo + 2)[rows])]
-        if lo == 3:  # few counts reach 6: join the last two cells
-            cells = cells[:1] + [(f">={lo + 2}", counts >= lo + 2, law.sf(lo + 1)[rows])]
-        for k, hit, prob in cells:
-            prob = prob / given
-            mean, var = prob.sum(), (prob * (1 - prob)).sum()
-            pooled[f"{name} C={k} given C>={lo}"] = math.erfc(
-                abs(hit.sum() - mean) / math.sqrt(2 * var))
-    assert (len(p_values), len(pooled)) == (6 * 500, 6 + 8)
-    assert holm_rejections(p_values, alpha=5e-4) == holm_rejections(pooled, alpha=5e-4) == []
-
-
-def odd_count_z_scores(seed: int) -> np.ndarray:
-    """z-scores of two odd-count totals over two Poisson blocks at threshold 1,
-    each against its exact mean and variance given the even draws.
-
-    (a) The odd counts >= 2 beside nonzero even counts: each such slot of row
-    j is a trial with P(C >= 2).  (b) The placed odd counts where Y_2n = 0 in
-    the rows not placed (n > 6), all >= 3: each of the width - m_j free slots
-    of row j is a trial with P(C >= 3).  The trials are independent, so each
-    total's variance is the sum of p (1 - p).
-    """
-    tables = mc.MODELS["poisson"].tables(np.arange(1, 2001))
-    law = scipy.stats.poisson(tables.rate_odd)
-    q2, q3 = law.sf(1), law.sf(2)
-    not_placed = tables.n_values > 6
-    seen, mean, var = np.zeros(2), np.zeros(2), np.zeros(2)
-    for block in (0, 1):
-        for j0, j1, even, odd in mc.sparse_draws(tables, seed, block, BLOCK_SIZE, 1.0):
-            beside = q2[even.rows + j0]
-            n = j1 - j0
-            free = (BLOCK_SIZE - np.bincount(even.rows, minlength=n)) * not_placed[j0:j1]
-            p_free = q3[j0:j1]
-            seen += [(odd.beside >= 2).sum(),
-                     (np.bincount(odd.placed.rows, minlength=n) * not_placed[j0:j1]).sum()]
-            mean += [beside.sum(), (free * p_free).sum()]
-            var += [(beside * (1 - beside)).sum(), (free * p_free * (1 - p_free)).sum()]
-    return (seen - mean) / np.sqrt(var)
-
-
-def test_odd_count_law_has_no_bias_pooled_over_two_blocks():
-    # a bias of a few percent in P(C >= 2) beside a nonzero even count or in
-    # P(C >= 3) where Y_2n = 0 shows in no single row; pooled over two blocks
-    # a 3% bias moves its z by about 5.  |z| < 3.48 for both is a family-wise
-    # false-failure rate of 2 x 5e-4 = 1e-3.
-    z = odd_count_z_scores(11)
-    assert np.all(np.abs(z) < 3.48), z
 
 
 def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):

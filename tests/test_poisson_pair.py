@@ -166,7 +166,7 @@ def test_sup_moment_bound():
 
     cfg = mc.SimConfig(example="poisson", n_max=200, replications=20_000, master_seed=53,
                        thresholds=(0.1,))
-    window_max = dense_oracle.run(cfg, counts=dense_oracle.sparse_counts)["window_max"]
+    window_max = dense_oracle.run(cfg)["window_max"]
     window_moment = float((window_max ** (1.0 / 48.0)).mean())
     assert window_moment <= bound
 
