@@ -305,6 +305,26 @@ def test_hurdle_law_is_the_count_law():
         assert np.array_equal(pmf[:, :2], np.column_stack([1.0 - q, q])) and not pmf[:, 2:].any()
 
 
+@pytest.mark.parametrize("case", CELL_LAW_CASES)
+def test_cell_law_is_the_binned_count_law(case):
+    # cell_law's rows are laws whose y and c margins are the hurdle pmf, the
+    # top bin taking the rest; a top bin that no count reaches (two-point, or
+    # a rate-0 row) is exactly 0, as the empty-bin check of the cell test needs
+    cfg = CELL_LAW_CASES[case]
+    model = mc.MODELS[cfg.example]
+    n = np.arange(cfg.start_n, cfg.n_max + 1)
+    tables = (dense_oracle.mixed_rates(model) if case == "mixed-rate" else model).tables(n)
+    law = dense_oracle.cell_law(tables)
+    assert law.shape == (len(n), 4, 5) and (law >= 0).all()
+    np.testing.assert_allclose(law.sum(axis=(1, 2)), 1.0, rtol=1e-12)
+    for margin, q, rate, top in ((law.sum(axis=2), tables.q_even, tables.rate_even, 3),
+                                 (law.sum(axis=1), tables.q_odd, tables.rate_odd, 4)):
+        pmf = dense_oracle.hurdle_pmf(q, rate)
+        np.testing.assert_allclose(margin[:, :top], pmf[:, :top], rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(margin[:, top], 1.0 - pmf[:, :top].sum(axis=1), atol=1e-12)
+        assert np.array_equal(margin[:, top] == 0, rate == 0)
+
+
 def test_a_run_result_does_not_grow_with_its_blocks(big_poisson_run):
     # its 7 blocks' cell counts add into one set of the distinct cells seen,
     # under twice the size of its first block's
