@@ -34,9 +34,9 @@ run_range walks the blocks with workers.run_tasks: worker w of W forked
 processes walks blocks w, w + W, ..., W as workers.worker_count allows
 (CHAOSLAB_THREADS, by default the CPUs this process may run on).  The plan
 (_plan: the per-n tables, the diagnostic grid and the windows) is built
-once per config, before the fork, so the workers inherit it; a worker sends
-back only the total of its blocks, a TrajectoryStats whose size follows the
-distinct cells seen, not the number of blocks.
+once per model and n_max, before the fork, so the workers inherit it; a
+worker sends back only the total of its blocks, a TrajectoryStats whose
+size follows the distinct cells seen, not the number of blocks.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ MODELS: dict[str, PairModel] = dict(zip(EXAMPLES, (two_point.MODEL, poisson_pair
 
 STATS = {"x_even": lambda x, f, y: x, "f": lambda x, f, y: f, "f_sq": lambda x, f, y: f * f,
          "f_abs52": lambda x, f, y: np.sqrt(np.abs(f)) * (f * f), "events": lambda x, f, y: y == 1}
-STAT_NAMES = tuple(STATS)
 # A cell (row, y, c) is the int64 key row << 42 | y << 21 | c, which sorts as (row, y, c):
 # rows are below MAX_N < 2^20, and counts below 2^21, as _counts_at_least stops at underflow.
 _CELL_BITS = 21
@@ -396,7 +395,7 @@ class _Block:
 
 def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     """One block's cell counts, sup-exceedance and window hits."""
-    tables, grid, windows = _plan(config)
+    tables, grid, windows = _plan(MODELS[config.example], config.n_max)
     acc = _Block(config, tables, windows, hi - lo)
     for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo,
                                           min(config.thresholds)):
@@ -414,7 +413,7 @@ def _walk_blocks(config: SimConfig, bounds: list[tuple[int, int]]) -> Trajectory
 
 
 class Plan(NamedTuple):
-    """What a run derives from its config alone, all O(n_max)."""
+    """What a run derives from its model and n_max alone, all O(n_max)."""
 
     tables: PairTables
     grid: tuple[int, ...]                # default_diagnostic_grid
@@ -422,20 +421,20 @@ class Plan(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _plan(config: SimConfig) -> Plan:
+def _plan(model: PairModel, n_max: int) -> Plan:
     """The pair tables, the diagnostic grid and the windows of a run; cached,
     so a run's blocks and result share one plan, which no caller writes to."""
-    tables = MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
-    grid = default_diagnostic_grid(config.start_n, config.n_max)
-    return Plan(tables, grid, dyadic_windows(config.n_max))
+    tables = model.tables(np.arange(model.start_n, n_max + 1))
+    grid = default_diagnostic_grid(model.start_n, n_max)
+    return Plan(tables, grid, dyadic_windows(n_max))
 
 
 @dataclass
 class TrajectoryStats:
     """What the draws of one replication range determine, combinable by blocks.
 
-    The per-n tables, the grid and the windows follow from the config; they
-    are read from _plan.
+    The per-n tables, the grid and the windows follow from the config's model
+    and n_max; they are read from _plan.
     """
 
     config: SimConfig
@@ -447,7 +446,7 @@ class TrajectoryStats:
     sup_hits: np.ndarray
     win_hits: np.ndarray           # [n_windows]: count of the event somewhere in the window
 
-    plan = property(lambda self: _plan(self.config))
+    plan = property(lambda self: _plan(MODELS[self.config.example], self.config.n_max))
     tables = property(lambda self: self.plan.tables)
     grid = property(lambda self: self.plan.grid)
     windows = property(lambda self: self.plan.windows)
@@ -530,7 +529,7 @@ def run_range(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
     if config.n_max > MAX_N:
         raise ResourceLimitError(f"n_max={config.n_max} exceeds MAX_N={MAX_N}")
     bounds = block_bounds(lo, hi)
-    _plan(config)  # built once, before the workers fork, so that they inherit it
+    _plan(MODELS[config.example], config.n_max)  # built before the workers fork, which inherit it
     w = _worker_count(len(bounds))
     return _assemble(run_tasks(_walk_blocks, [(config, bounds[k::w]) for k in range(w)]))
 

@@ -9,7 +9,6 @@ intensities as means; those two counts fix its whole chaos expansion.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,16 +41,12 @@ def _poisson_cdf(lam: float) -> np.ndarray:
 
 def sample_poisson(lam: float, rng: np.random.Generator) -> int:
     """Poisson(lam) count by inversion of the cumulative pmf; one uniform."""
-    table = _poisson_cdf(float(lam))
-    return int(bisect_right(table, rng.random()))
+    return int(poisson_from_uniform(rng.random(), lam))
 
 
 def poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
-    """Vectorized inversion: count = #{k : cdf(k) <= u}, as in sample_poisson.
-
-    No caller in the package: the tests use it, and perfbench/spans.py
-    hooks this name.
-    """
+    """Inversion of the cumulative pmf: count = #{k : cdf(k) <= u}, for one
+    uniform or an array of them; sample_poisson draws through it."""
     return np.searchsorted(_poisson_cdf(float(lam)), u, side="right")
 
 

@@ -97,7 +97,7 @@ def cell_table(rows, y, c, counts, n_rows: int) -> np.ndarray:
 
 
 def cell_moments(config: mc.SimConfig, cells: np.ndarray, stat: str):
-    """Per-n mean and sample variance of one of mc.STAT_NAMES over the
+    """Per-n mean and sample variance of one of mc.STATS over the
     trajectories of a [row, y, c] table, from X_2n, F_n and Y_2n at each cell."""
     tables = mc.MODELS[config.example].tables(np.arange(config.start_n, config.n_max + 1))
     y, c = np.arange(cells.shape[1])[None, :, None], np.arange(cells.shape[2])

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 import dense_oracle
@@ -247,12 +246,12 @@ def cell_law_p_values(stats) -> tuple[np.ndarray, np.ndarray]:
               stats.cell_counts)
     assert not seen[law == 0].any()  # e.g. no two-point count of 2
     family_a = binomial_p(seen[law > 0], r, law[law > 0])
-    var = r * (law * (1.0 - law)).sum(axis=0)  # [y, c], the rows being independent
-    z = (seen.sum(axis=0) - r * law.sum(axis=0))[var > 0] / np.sqrt(var[var > 0])
+    pooled = law.sum(axis=0) > 0  # [y, c]
     p_event = dense_oracle.hurdle_pmf(tables.q_even, tables.rate_even)[:, 1]
     p_window = [1.0 - np.prod(1.0 - p_event[lo - start : hi - start]) for lo, hi in stats.windows]
-    family_b = np.concatenate([scipy.special.erfc(np.abs(z) / math.sqrt(2.0)),
-                               binomial_p(stats.win_hits, r, np.array(p_window))])
+    family_b = np.concatenate([
+        binomial_p(seen.sum(axis=0)[pooled], r * law.shape[0], law.mean(axis=0)[pooled]),
+        binomial_p(stats.win_hits, r, np.array(p_window))])
     return family_a, family_b
 
 
@@ -262,10 +261,15 @@ def test_cells_follow_their_exact_law(case, request, monkeypatch):
     # {0, 1, 2, >=3} x c in {0, 1, 2, 3, >=4}, against R times their exact law
     # from the run's own pair tables.  A bin of probability 0 must be empty.
     # Family A: one exact two-sided binomial p-value per (row, bin) of positive
-    # probability.  Family B: one z per bin, pooled over the rows, with its
-    # exact variance, and each window's hits against Binomial(R, 1 - prod(1 -
-    # P(Y_2n = 1))), with P(Y_2n = 1) from the pmf, not tables.event_prob,
-    # which the mixed-rate tables leave as the Poisson one.  Holm's step-down
+    # probability.  Family B: one p-value per bin pooled over the rows, and
+    # each window's hits against Binomial(R, 1 - prod(1 - P(Y_2n = 1))), with
+    # P(Y_2n = 1) from the pmf, not tables.event_prob, which the mixed-rate
+    # tables leave as the Poisson one.  A pooled count is a sum of R x rows
+    # independent Bernoulli trials; beyond one trial of its mean, its tails lie
+    # below those of the binomial law of as many trials with the same mean
+    # (Hoeffding 1956, Ann. Math. Statist. 27:713-721, Theorem 4), whose
+    # two-sided p-value is therefore valid at every expectation, the sparse
+    # bins' (about 100 trajectories) included.  Holm's step-down
     # procedure at 5e-4 in each family, which rejects nothing exactly when the
     # smallest p-value is above 5e-4 over the family's size, keeps the
     # family-wise false-failure rate at 1e-3 per case.  big_poisson_run's
@@ -277,8 +281,6 @@ def test_cells_follow_their_exact_law(case, request, monkeypatch):
             if case == "mixed-rate":
                 mixed = dense_oracle.mixed_rates(mc.MODELS["poisson"])
                 monkeypatch.setitem(mc.MODELS, "poisson", mixed)
-                mc._plan.cache_clear()
-                request.addfinalizer(mc._plan.cache_clear)  # no later run reads the mixed plan
             stats = mc.run(CELL_LAW_CASES[case])
         family_a, family_b = cell_law_p_values(stats)
         for name, p in (("A", family_a), ("B", family_b)):
@@ -288,7 +290,9 @@ def test_cells_follow_their_exact_law(case, request, monkeypatch):
 
 def test_hurdle_law_is_the_count_law():
     # the one oracle of the cell law: the Poisson hurdle rows are the Poisson
-    # pmf of each count, and the two-point rows the +1 indicator's
+    # pmf of each count, and the two-point rows the +1 indicator's, with p_k
+    # from two_point.prob; in both, the degree-one coefficient is E C_2n+1 and
+    # the event probability P(Y_2n = 1)
     n = np.array([1, 2, 16, 500, 10_000])
     tables, k = poisson_pair.pair_tables(n), np.arange(41)
     for parity, q, rate in ((0, tables.q_even, tables.rate_even),
@@ -297,12 +301,15 @@ def test_hurdle_law_is_the_count_law():
         lam = np.asarray(intensity(2 * n + parity))[:, None]
         np.testing.assert_allclose(pmf, scipy.stats.poisson.pmf(k, lam), rtol=1e-12)
         np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(dense_oracle.hurdle_pmf(tables.q_even, tables.rate_even)[:, 1],
-                               tables.event_prob, rtol=1e-12)
-    tables = two_point.MODEL.tables(np.arange(2, 301))
-    for q, rate in ((tables.q_even, tables.rate_even), (tables.q_odd, tables.rate_odd)):
-        pmf = dense_oracle.hurdle_pmf(q, rate)
-        assert np.array_equal(pmf[:, :2], np.column_stack([1.0 - q, q])) and not pmf[:, 2:].any()
+    n_tp = np.arange(2, 301)
+    for tables in (tables, two_point.MODEL.tables(n_tp)):
+        p_even, p_odd = (dense_oracle.hurdle_pmf(q, rate) for q, rate in (
+            (tables.q_even, tables.rate_even), (tables.q_odd, tables.rate_odd)))
+        np.testing.assert_allclose(p_even[:, 1], tables.event_prob, rtol=1e-12)
+        np.testing.assert_allclose(p_odd @ np.arange(p_odd.shape[1]), tables.coef, rtol=1e-12)
+    for parity, pmf in ((0, p_even), (1, p_odd)):  # the two-point rows
+        p = two_point.prob(2 * n_tp + parity)
+        assert np.array_equal(pmf[:, :2], np.column_stack([1.0 - p, p])) and not pmf[:, 2:].any()
 
 
 @pytest.mark.parametrize("case", CELL_LAW_CASES)
@@ -406,7 +413,7 @@ def test_determinism_contract(tmp_path, capsys, monkeypatch):
         s1 = mc.run(cfg)
         monkeypatch.setenv("CHAOSLAB_THREADS", "8")
         s8 = mc.run(cfg)
-        for stat in mc.STAT_NAMES:
+        for stat in mc.STATS:
             assert np.array_equal(s1.sums(stat), s8.sums(stat))
         assert np.array_equal(s1.sup_hits, s8.sup_hits)
         assert np.array_equal(s1.win_hits, s8.win_hits)

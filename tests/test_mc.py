@@ -10,9 +10,8 @@ import pytest
 import scipy.stats
 
 import dense_oracle
-from chaoslab import mc, poisson_pair, two_point, workers
+from chaoslab import mc, poisson_pair, workers
 from chaoslab.errors import BadIndexError, ResourceLimitError
-from chaoslab.point_process import decompose_term
 from chaoslab.streams import BLOCK_SIZE
 
 
@@ -148,7 +147,8 @@ def test_run_tasks_keeps_order_passes_errors_and_reaps_its_workers(case):
 
 
 def test_a_run_builds_its_plan_once(monkeypatch):
-    # the blocks of an in-process run and its result share one cached plan
+    # the blocks of an in-process run and its result share one cached plan,
+    # keyed by the model and n_max, so a run at another seed reuses it
     model = mc.MODELS["poisson"]
     calls = []
 
@@ -158,12 +158,11 @@ def test_a_run_builds_its_plan_once(monkeypatch):
 
     monkeypatch.setitem(mc.MODELS, "poisson", dataclasses.replace(model, tables=tables))
     monkeypatch.setenv("CHAOSLAB_THREADS", "1")
-    mc._plan.cache_clear()
     cfg = mc.SimConfig(example="poisson", n_max=30, replications=2 * BLOCK_SIZE + 1, master_seed=2)
     stats = mc.run(cfg)
     stats.window_law()
     stats.proportion(stats.sup_hits[0])
-    mc._plan.cache_clear()  # no later test reads the plan of the wrapped tables
+    mc.run(dataclasses.replace(cfg, master_seed=3))
     assert calls == [30]
 
 
@@ -235,7 +234,7 @@ def test_replication_count_and_estimates():
     cfg = mc.SimConfig(example="poisson", n_max=5, replications=2, master_seed=1)
     stats = mc.run(cfg)
     assert stats.replications == 2
-    for stat in mc.STAT_NAMES:
+    for stat in mc.STATS:
         _, se = stats.mean_with_stderr(stat)
         assert np.all(np.isfinite(se) & (se >= 0)), stat
     _, se = stats.proportion(stats.sup_hits[0])
@@ -259,129 +258,23 @@ def test_proportions_match_the_scalar_binomial_formula_bit_for_bit():
     assert mc.standard_error(0.25, 4) == 0.25
 
 
-def test_two_point_moment_estimates():
-    cfg = mc.SimConfig(example="twopoint", n_max=20, replications=30_000, master_seed=97)
-    stats = mc.run(cfg)
-    mean, se = stats.mean_with_stderr("f_sq")
-    for n in (2, 4, 10):
-        i = n - 2
-        assert abs(mean[i] - two_point.second_moment(n)) <= 3 * se[i]
-    fmean, fse = stats.mean_with_stderr("f")
-    assert np.all(np.abs(fmean) <= 4 * fse)
-
-
-def test_poisson_moment_estimates():
-    cfg = mc.SimConfig(example="poisson", n_max=16, replications=30_000, master_seed=19)
-    stats = mc.run(cfg)
-    mean, se = stats.mean_with_stderr("f_sq")
-    for n in (1, 4, 16):
-        i = n - 1
-        assert abs(mean[i] - poisson_pair.second_moment(n)) <= 3 * se[i]
-    a52, a52_se = stats.mean_with_stderr("f_abs52")
-    assert a52[15] <= poisson_pair.moment52_bound(16) + 3 * a52_se[15]
-    j1, j1_se = stats.j1_mean()
-    assert abs(j1[15]) <= 4 * j1_se[15]
-
-
-def test_sup_exceedance_monotone():
-    thresholds = (0.5, 1.0, 2.0, 5.0, 9.0, 1e12)
-    cfg = mc.SimConfig(example="poisson", n_max=100, replications=20_000, master_seed=23,
-                       thresholds=thresholds)
-    stats = mc.run(cfg)
-    values = stats.proportion(stats.sup_hits[:, 0])[0].tolist()
-    assert all(b <= a for a, b in zip(values, values[1:]))
-    assert values[0] > 0.0 and values[-1] == 0.0
-
-
-def test_tail_diagnostic_two_point_separation():
-    cfg = mc.SimConfig(
-        example="twopoint", n_max=1000, replications=20_000, master_seed=29, thresholds=(0.1,)
-    )
-    stats = mc.run(cfg)
-    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.proportion(stats.sup_hits[0]))
-    assert p[200] + 3 * (se[200] + se[10]) < p[10]
-
-
-def test_tail_diagnostic_poisson_trend():
-    cfg = mc.SimConfig(example="poisson", n_max=1000, replications=20_000, master_seed=31)
-    stats = mc.run(cfg)
-    p, se = (dict(zip(stats.grid, a[1:])) for a in stats.proportion(stats.sup_hits[0]))
-    assert p[1000] <= p[10] + 3 * (se[1000] + se[10])
-    assert p[100] <= p[10] + 3 * (se[100] + se[10])
-
-
-def sparse_counts(cfg):
-    """[n, trajectory] even and odd counts of a one-block run, from the sparse draws."""
-    tables = mc.MODELS[cfg.example].tables(np.arange(cfg.start_n, cfg.n_max + 1))
-    return dense_oracle.sparse_counts(cfg, tables, 0, cfg.replications)
-
-
-def test_tail_diagnostic_last_point_is_single_term():
-    cfg = mc.SimConfig(example="poisson", n_max=50, replications=8192, master_seed=37)
-    stats = mc.run(cfg)
-    n0, p = stats.grid[-1], stats.proportion(stats.sup_hits[0])[0][-1]
-    assert n0 == 50
-    # recompute |F_50| directly from the same draws
-    ye, yo = (c[-1] for c in sparse_counts(cfg))
-    lam_e = poisson_pair.intensity(100)
-    f = (ye - lam_e) / math.sqrt(lam_e) * yo
-    assert p == (np.abs(f) > 1.0).mean()
-
-
-def test_first_chaos_report_two_point():
-    cfg = mc.SimConfig(example="twopoint", n_max=40, replications=100_000, master_seed=41)
-    stats = mc.run(cfg)
-    law, (p, se) = stats.window_law(), stats.proportion(stats.win_hits)
-    assert stats.windows == ((10, 20), (20, 40)) and len(law) == p.size == 2
-    exact_prob, deviation = law[0]
-    exact = 1 - math.prod(1 - Fraction(1, n) for n in range(10, 20))
-    assert exact == Fraction(10, 19)
-    assert exact_prob == pytest.approx(float(exact), abs=1e-12)
-    assert abs(p[0] - exact_prob) <= 3 * se[0]
-    assert stats.sums("events")[10 - 2 : 20 - 2].sum() > 0
-    assert deviation <= 1e-9
-    exact2 = 1 - math.prod(1 - Fraction(1, n) for n in range(20, 40))
-    assert law[1][0] == pytest.approx(float(exact2), abs=1e-12)
-    # the closed form on the event peaks at each window's last n, and later
-    # windows carry larger degree-one magnitudes
-    for lo, hi in ((10, 20), (20, 40)):
-        closed = two_point.first_chaos_on_plus(np.arange(lo, hi))
-        assert closed.max() == closed[-1] == pytest.approx(
-            two_point.first_chaos_on_plus(hi - 1), rel=1e-12)
-    assert two_point.first_chaos_on_plus(39) > two_point.first_chaos_on_plus(19)
-
-
-def test_first_chaos_report_poisson():
-    cfg = mc.SimConfig(example="poisson", n_max=40, replications=100_000, master_seed=43)
-    stats = mc.run(cfg)
-    exact_prob, deviation = stats.window_law()[0]
-    est, est_se = (a[0] for a in stats.proportion(stats.win_hits))
-    lam = np.asarray(poisson_pair.intensity(2 * np.arange(10, 20)))
-    p = np.exp(-lam) * lam  # P(Y_2n = 1)
-    assert exact_prob == pytest.approx(1 - np.prod(1 - p), rel=1e-12)
-    assert abs(est - exact_prob) <= 3 * est_se
-    assert deviation <= 1e-9
-    closed = poisson_pair.first_chaos_at_one(np.arange(10, 20))
-    assert closed.max() == closed[-1] == pytest.approx(
-        poisson_pair.first_chaos_at_one(19), rel=1e-12)
-    assert poisson_pair.first_chaos_at_one(39) > poisson_pair.first_chaos_at_one(19)
-
-
-def separating_thresholds(sups: np.ndarray) -> tuple[float, ...]:
-    """Thresholds between the distinct values of sups above 1e-12: half the
-    smallest, and the midpoint of each neighbouring pair.  The count above
-    each pins the sorted sups; no count depends on how a sup is rounded.
-    A rebuilt F_n that is 0 can carry a rounding residue (up to 1.1e-16 in
-    the un-collapsed two-point form), and the smallest nonzero |F_n| at
-    n <= 20 is above 0.2, so sups below 1e-12 count as 0."""
-    levels = np.unique(sups[sups > 1e-12])
-    return tuple(np.concatenate(([levels[0] / 2], (levels[:-1] + levels[1:]) / 2)))
-
-
-def test_separating_thresholds_skip_rounding_residues():
-    thresholds = separating_thresholds(np.array([0.0, 1.1e-16, 0.25, 0.5, 0.25]))
-    assert min(thresholds) >= 1e-12
-    assert thresholds == (0.125, 0.375)
+@pytest.mark.parametrize("example", ["twopoint", "poisson"])
+def test_window_law_is_the_exact_product(example):
+    # the exact part of window_law: P(an event somewhere in [10, 20), and in
+    # [20, 40)) is 1 - prod(1 - P(Y_2n = 1)), 10/19 and 20/39 for the two-point
+    # P(Y_2n = 1) = 1/n, and the degree-one part on the event is its closed
+    # form.  A row of these windows has no event among 4096 trajectories, and
+    # its window no deviation, with probability below 1e-40
+    stats = mc.run(mc.SimConfig(example=example, n_max=40, replications=4096, master_seed=41))
+    assert stats.windows == ((10, 20), (20, 40))
+    if example == "twopoint":
+        exact = (10 / 19, 20 / 39)
+    else:
+        lam = np.asarray(poisson_pair.intensity(2 * np.arange(10, 40)))
+        miss = 1.0 - lam * np.exp(-lam)
+        exact = (1.0 - miss[:10].prod(), 1.0 - miss[10:].prod())
+    for (prob, deviation), value in zip(stats.window_law(), exact):
+        assert prob == pytest.approx(value, abs=1e-12) and deviation <= 1e-9
 
 
 def zero_count_values(cfg) -> np.ndarray:
@@ -390,108 +283,10 @@ def zero_count_values(cfg) -> np.ndarray:
     return np.abs(-tables.x_loc / tables.x_scale)
 
 
-def check_reconstruction(cfg, rebuild, on_event, rtol):
-    """The engine against trajectories rebuilt from its own draws of cfg.
-
-    rebuild(even_counts, odd_counts) gives the [n, trajectory] arrays of F_n
-    and of the recurrence event.  The draws depend on the thresholds only
-    through the placed rows, those where an unplaced F_n (b_n, or 2 b_n for
-    Poisson counts) would exceed the smallest one.  The first run has the
-    thresholds that separate the rebuilt sups and one below every |b_n|, so
-    every row is placed; the second has threshold 2, at or above every
-    2 |b_n|, so no row is placed.
-    """
-    b = zero_count_values(cfg)
-    assert b.max() <= 1.0
-    every_row = dataclasses.replace(cfg, thresholds=(b.min() / 2,))
-    f_by_n, event_by_n = rebuild(*sparse_counts(every_row))
-    thresholds = (*separating_thresholds(np.abs(f_by_n).max(axis=0)), b.min() / 2)
-    assert len(thresholds) > 10
-    counted = dataclasses.replace(cfg, thresholds=(2.0,))
-    for run_cfg, (f_by_n, event_by_n) in (
-        (dataclasses.replace(cfg, thresholds=thresholds), (f_by_n, event_by_n)),
-        (counted, rebuild(*sparse_counts(counted))),
-    ):
-        stats = mc.run(run_cfg)
-        assert np.allclose(stats.sums("f_sq"), (f_by_n**2).sum(axis=1), rtol=rtol, atol=1e-12)
-        assert np.allclose(stats.sums("f"), f_by_n.sum(axis=1), rtol=rtol, atol=rtol)
-        assert_counts_match(stats, f_by_n, event_by_n, on_event)
-
-
-def assert_counts_match(stats, f_by_n, event_by_n, on_event):
-    """Window report and sup-exceedance counts against reconstructed trajectories.
-
-    f_by_n and event_by_n are [n, trajectory] arrays of F_n and the
-    recurrence event; on_event(n) gives the degree-one part on the event by
-    the scalar API and its closed form.
-    """
-    cfg = stats.config
-    reps, start = cfg.replications, cfg.start_n
-    ((_, deviation),) = stats.window_law()
-    assert stats.windows == ((10, 20),)
-    events = event_by_n[10 - start : 20 - start]
-    assert stats.sums("events")[10 - start : 20 - start].sum() == events.sum() > 0
-    assert stats.proportion(stats.win_hits)[0][0] == events.any(axis=0).sum() / reps
-    on = [on_event(n) for n in range(10, 20) if events[n - 10].any()]
-    assert deviation == pytest.approx(
-        max(abs(v - c) / c for v, c in on), abs=1e-12
-    )
-    abs_f = np.abs(f_by_n)
-    suffix_sups = [abs_f[n0 - start :].max(axis=0) for n0 in (start, *stats.grid)]
-    expected = np.array([[(s > t).sum() for s in suffix_sups] for t in cfg.thresholds])
-    assert np.array_equal(stats.sup_hits, expected)
-    for hits in expected:
-        assert stats.proportion(hits)[0][0] == hits[0] / reps
-    diag = stats.proportion(stats.sup_hits[0])[0][1:]
-    assert diag.size == len(stats.grid)
-    assert diag.tolist() == [h / reps for h in expected[0, 1:]]
-
-
-def test_engine_matches_scalar_reconstruction_twopoint():
-    # rebuild every trajectory from the same draws through the module-level
-    # scalar API (using the defining sum form, not the collapsed one) and
-    # compare the per-n aggregates, the sup-exceedance counts and the window
-    cfg = mc.SimConfig(example="twopoint", n_max=20, replications=64, master_seed=71)
-    reps, start = cfg.replications, cfg.start_n
-
-    def rebuild(plus_even, plus_odd):
-        f_by_n = np.zeros((cfg.n_max - start + 1, reps))
-        for n in range(start, cfg.n_max + 1):
-            se, so = dense_oracle.even_spec(n), dense_oracle.odd_spec(n)
-            for r in range(reps):
-                xe = se.value_plus if plus_even[n - start, r] else se.value_minus
-                xo = so.value_plus if plus_odd[n - start, r] else so.value_minus
-                f_by_n[n - start, r] = dense_oracle.two_point_term(n, xe, xo)
-        return f_by_n, plus_even == 1
-
-    def on_event(n):
-        value = two_point.prob(2 * n + 1) * dense_oracle.even_spec(n).value_plus
-        return value, two_point.first_chaos_on_plus(n)
-
-    check_reconstruction(cfg, rebuild, on_event, rtol=1e-12)
-
-
-def test_engine_matches_scalar_reconstruction_poisson():
-    cfg = mc.SimConfig(example="poisson", n_max=20, replications=64, master_seed=73)
-    reps, start = cfg.replications, cfg.start_n
-
-    def rebuild(y_even, y_odd):
-        f_by_n = np.zeros((cfg.n_max - start + 1, reps))
-        for n in range(start, cfg.n_max + 1):
-            for r in range(reps):
-                ye, yo = int(y_even[n - start, r]), int(y_odd[n - start, r])
-                f_by_n[n - start, r] = decompose_term(n, ye, yo).total
-        return f_by_n, y_even == 1
-
-    def on_event(n):
-        return decompose_term(n, 1, 0).order1, poisson_pair.first_chaos_at_one(n)
-
-    check_reconstruction(cfg, rebuild, on_event, rtol=1e-10)
-
-
 def test_engine_f_is_the_collapsed_term_bit_for_bit():
     # at every cell of a run, X_2n C_2n+1 through PairTables.x, which the engine
-    # evaluates its statistics with, is poisson_pair.term, the F_n of decompose
+    # evaluates its statistics with, is poisson_pair.term, the F_n of decompose.
+    # Some cell has y > 1, c > 1 and y = 0 < c, each but with probability below 1e-300
     stats = mc.run(mc.SimConfig(example="poisson", n_max=300, replications=20_000,
                                 master_seed=5, thresholds=(0.5,)))
     row, y, c = stats.cell_values()
@@ -503,6 +298,23 @@ def test_engine_f_is_the_collapsed_term_bit_for_bit():
     assert np.array_equal(stats._values("f")[1], f)
 
 
+def test_engine_two_point_f_is_the_defining_term():
+    # the two-point twin: at every cell, X_2n C_2n+1 through PairTables.x is
+    # the un-collapsed F_n = p X_2n + sqrt(p (1 - p)) X_2n X_2n+1 of the two
+    # signs, y = 1 and c = 1 being the +1 signs.  Threshold 0.5 places the rows
+    # n <= 4; a cell (n, 0, 1) of a placed and of an unplaced row is each
+    # missing with probability below 1e-300
+    stats = mc.run(mc.SimConfig(example="twopoint", n_max=300, replications=20_000,
+                                master_seed=5, thresholds=(0.5,)))
+    row, y, c = stats.cell_values()
+    n = stats.tables.n_values[row]
+    assert ((y == 0) & (c == 1) & (n <= 4)).any() and ((y == 0) & (c == 1) & (n > 4)).any()
+    defining = [dense_oracle.two_point_term(k, dense_oracle.even_spec(k).value(2 * a - 1),
+                                            dense_oracle.odd_spec(k).value(2 * b - 1))
+                for k, a, b in zip(n.tolist(), y.tolist(), c.tolist())]
+    np.testing.assert_allclose(stats.tables.x(row, y) * c, defining, rtol=0, atol=1e-12)
+
+
 def assert_equals_dense_aggregation(stats):
     """The engine's aggregates against a dense aggregation of the same draws:
     the cell counts exactly, and the per-n statistics evaluated on them."""
@@ -510,7 +322,7 @@ def assert_equals_dense_aggregation(stats):
     n_rows = len(stats.tables.n_values)
     cells = dense_oracle.cell_table(*stats.cell_values(), stats.cell_counts, n_rows)
     assert np.array_equal(cells, dense["cells"])
-    for stat in mc.STAT_NAMES:
+    for stat in mc.STATS:
         mean, var = dense_oracle.cell_moments(stats.config, dense["cells"], stat)
         got = stats.mean_with_stderr(stat)
         assert np.allclose(got[0], mean, rtol=1e-10, atol=1e-10), stat
@@ -529,7 +341,8 @@ def test_sparse_aggregates_equal_dense_aggregation(example):
     # inequality decides.  The smallest threshold, 0.5, places the rows with
     # 2 |b_n| > 0.5 for Poisson (n <= 40) and |b_n| > 0.5 for two-point
     # (n <= 4), and counts the C = 1 and C = 2 slots of the others where
-    # Y_2n = 0.
+    # Y_2n = 0; a second run at smallest threshold 2 places no row.  Fewer than
+    # 32 distinct sups above 0.5 occur with probability below 1e-33.
     cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300, master_seed=83,
                        thresholds=(0.5,))
     b = zero_count_values(cfg)
@@ -539,6 +352,7 @@ def test_sparse_aggregates_equal_dense_aggregation(example):
     at_sups = levels[np.unique(np.linspace(0, levels.size - 1, 32).astype(int))]
     assert at_sups.size == 32
     assert_equals_dense_aggregation(mc.run(dataclasses.replace(cfg, thresholds=(0.5, *at_sups))))
+    assert_equals_dense_aggregation(mc.run(dataclasses.replace(cfg, thresholds=(2.0,))))
 
 
 def test_gap_top_up_keeps_draws_exact(monkeypatch):
@@ -572,8 +386,11 @@ def test_gap_top_up_keeps_draws_exact(monkeypatch):
         per_row["even"][j0:j1] = np.bincount(even.rows, minlength=n)
         per_row["odd"][j0:j1] = (np.bincount(even.rows, weights=odd.beside > 0, minlength=n)
                                  + np.bincount(zero.rows, minlength=n) + odd.ones + odd.twos)
-    assert len(top_ups) > 100
-    # the nonzero counts per row, placed or not, are Binomial(width, q): total and spread
+    assert len(top_ups) > 100  # 213 +- 10 over seeds 1-10: a false failure below 1e-20
+    # the nonzero counts per row, placed or not, are Binomial(width, q): total and
+    # spread, each a 5-sigma check; under normal z the four fail a correct engine
+    # at 1.3e-5 together (5.7e-7 each for the sums, 5.9e-6 for the chi-square(200)
+    # spreads)
     for name, q in (("even", tables.q_even), ("odd", tables.q_odd)):
         mean, var = 4096 * q, 4096 * q * (1 - q)
         z = (per_row[name] - mean) / np.sqrt(var)
@@ -588,7 +405,9 @@ def test_poisson_block_draws_fewer_variates_than_nonzero_counts(monkeypatch):
     # counts of 1 and 2 where Y_2n = 0 are counted per row, not placed, and
     # the odd count beside a nonzero even count takes one uniform, so the
     # block draws 1,722,740 variates (3,009,932 under layout 4): about three
-    # per nonzero even count and an eighth of the nonzero counts
+    # per nonzero even count and an eighth of the nonzero counts.  Over seeds
+    # 1-6 the count is 1,723,941 +- 899; the nearest bound, 1,801,241, is 86
+    # standard deviations above it, a false-failure rate below 1e-100
     drawn = []
 
     class CountingStream:
@@ -621,7 +440,9 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     # a count's value is drawn only when it exceeds one (odd counts beside a
     # nonzero even count) or two (the others), and the odd counts of 1 and 2
     # where Y_2n = 0 are counted by binomials per row, so a Poisson block
-    # spends well under one uniform per nonzero count
+    # spends well under one uniform per nonzero count: 0.2296 +- 0.0002 over
+    # seeds 1-10, so the bound 0.5 fails no seed (a rate below 1e-100), and no
+    # count above one has probability below 1e-300
     drawn, slot_draws = [], []
     real_uniform_block, real_slots = mc.uniform_block, mc._nonzero_slots
 
@@ -682,7 +503,10 @@ def test_draws_depend_on_the_thresholds_only_through_the_placed_rows(example):
     # Poisson counts, 2 b_n, so neither smallest threshold, 2 or 9, places a
     # row: the draws, and with them the sums, the counts above 9 and the
     # window hits, are the same bits.  At 1 the Poisson rows n <= 6
-    # (2 n^(-3/8) > 1) are placed, and the draws differ.
+    # (2 n^(-3/8) > 1) are placed, and the draws differ.  P(sup |F_n| > 9) is
+    # 0.21 (two-point) and 0.55 (Poisson), so no hit among 16,484 trajectories
+    # has probability below 1e-300, as have equal Poisson cells at thresholds 1
+    # and 2, which need the counts of a thousand rows to coincide.
     cfg = mc.SimConfig(example=example, n_max=1000, replications=BLOCK_SIZE + 100,
                        master_seed=59, thresholds=(2.0, 9.0))
     low = mc.run(cfg)
@@ -759,16 +583,14 @@ def test_rate_zero_rows_draw_ones_in_a_mixed_table(monkeypatch):
     # aggregation of the same draws, with placed and unplaced rows of both kinds
     monkeypatch.setitem(mc.MODELS, "poisson", dense_oracle.mixed_rates(mc.MODELS["poisson"]))
     monkeypatch.setenv("CHAOSLAB_THREADS", "1")
-    mc._plan.cache_clear()
     cfg = mc.SimConfig(example="poisson", n_max=60, replications=BLOCK_SIZE + 300,
                        master_seed=101, thresholds=(0.5, 2.0))
     mixed = mc.MODELS["poisson"].tables(np.arange(1, 61))
     y_even, c_odd = dense_oracle.sparse_counts(cfg, mixed, 0, BLOCK_SIZE)
     for counts, rate in ((y_even, mixed.rate_even), (c_odd, mixed.rate_odd)):
         assert counts[rate == 0].max() == 1
-        assert counts[rate > 0].max() > 1
+        assert counts[rate > 0].max() > 1  # fails with probability below 1e-300
     assert_equals_dense_aggregation(mc.run(cfg))
-    mc._plan.cache_clear()  # no later test reads the plan of the wrapped tables
 
 
 def test_diagnostic_shrinks_with_n0_and_env_validated(monkeypatch):

@@ -29,12 +29,6 @@ class QueuedRng:
         return self.values.pop(0)
 
 
-def batch_counts(lengths, rng, size: int) -> np.ndarray:
-    """Counts of `size` realizations, shape (size, len(lengths)): column i takes
-    one uniform per realization, in interval order."""
-    return np.column_stack([poisson_from_uniform(rng.random(size), lam) for lam in lengths])
-
-
 def test_poisson_spec_validation():
     with pytest.raises(BadIndexError, match="outside the supported range"):
         sample_poisson(-1.0, streams.generator(0, 0))
@@ -49,54 +43,24 @@ def test_poisson_spec_validation():
 
 
 def test_sample_poisson_matches_vector_inversion():
-    rng = streams.generator(7, 2)
-    u = rng.random(500)
-    vec = poisson_from_uniform(u, 0.7)
-    scalar = [sample_poisson(0.7, QueuedRng([ui])) for ui in u]
-    assert np.array_equal(vec, scalar)
+    # sample_poisson inverts one uniform as poisson_from_uniform does an array:
+    # count = #{k : cdf(k) <= u}, so u = 0 gives 0 and a level of the table
+    # counts that level
     assert poisson_from_uniform(np.array([0.0]), 0.7)[0] == 0
-    # at u equal to a level of the table, "<=" counts that level
     levels = _poisson_cdf(0.7)[:6]
     at_levels = [sample_poisson(0.7, QueuedRng([level])) for level in levels]
     assert np.array_equal(poisson_from_uniform(levels, 0.7), at_levels)
     assert at_levels == list(range(1, 7))
 
 
-@pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
-def test_poisson_chi_square_fit(lam):
-    reps = 100_000
-    u = streams.generator(90210, int(lam * 100)).random(reps)
-    counts = poisson_from_uniform(u, lam)
-    kmax = int(counts.max())
-    observed = np.bincount(counts, minlength=kmax + 2).astype(float)
-    expected = reps * scipy.stats.poisson.pmf(np.arange(kmax + 2), lam)
-    expected[-1] = reps * scipy.stats.poisson.sf(kmax, lam)
-    # merge sparse tail bins until every expected count is >= 5
-    while len(expected) > 2 and expected[-1] < 5.0:
-        expected[-2] += expected[-1]
-        observed[-2] += observed[-1]
-        expected, observed = expected[:-1], observed[:-1]
-    stat = ((observed - expected) ** 2 / expected).sum()
-    pvalue = scipy.stats.chi2.sf(stat, df=len(expected) - 1)
-    assert pvalue > 1e-4
-
-
-def test_poisson_empirical_moments():
-    reps = 10**6
-    u = streams.generator(5150, 3).random(reps)
-    y = poisson_from_uniform(u, 0.5)
-    p0 = (y == 0).mean()
-    se = math.sqrt(math.exp(-0.5) * (1 - math.exp(-0.5)) / reps)
-    assert abs(p0 - math.exp(-0.5)) <= 3 * se
-
-    y = poisson_from_uniform(streams.generator(5150, 4).random(reps), 0.125)
-    se = math.sqrt(0.125 / reps)
-    assert abs(y.mean() - 0.125) <= 3 * se
-
-    y = poisson_from_uniform(streams.generator(5150, 5).random(reps), 1.0).astype(float)
-    y4 = y**4
-    se = y4.std(ddof=1) / math.sqrt(reps)
-    assert abs(y4.mean() - 15.0) <= 3 * se  # E(Y^4) at rate 1
+@pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 700.0])
+def test_inversion_table_is_the_poisson_cdf(lam):
+    # the table both inversions search is the Poisson cdf, and it ends where
+    # the tail is below one ulp of 1, so the sampled law is the Poisson law
+    table = _poisson_cdf(lam)
+    np.testing.assert_allclose(table, scipy.stats.poisson.cdf(np.arange(table.size), lam),
+                               rtol=1e-12, atol=1e-15)
+    assert scipy.stats.poisson.sf(table.size - 1, lam) < 2.0**-53
 
 
 def test_realize_provenance_and_reproducibility():
@@ -108,21 +72,6 @@ def test_realize_provenance_and_reproducibility():
             expected = tuple(sample_poisson(intensity(k), legacy) for k in (2 * n, 2 * n + 1))
             assert realize(n, seed) == expected
             assert all(type(c) is int for c in expected)
-
-
-def test_interval_counts_match_their_rates_and_are_uncorrelated():
-    lengths = list(intensity(np.arange(2, 10)))  # 8 intervals, rates 1..4^(-5/16)
-    reps = 100_000
-    counts = batch_counts(lengths, streams.generator(31337, 0), reps)
-    for i, lam in enumerate(lengths):
-        se = math.sqrt(lam / reps)
-        assert abs(counts[:, i].mean() - lam) <= 3 * se
-    # counts on disjoint intervals are uncorrelated
-    a = counts[:, 0] - lengths[0]
-    b = counts[:, 1] - lengths[1]
-    cov = float((a * b).mean())
-    se = math.sqrt(float(lengths[0] * lengths[1]) / reps)
-    assert abs(cov) <= 3 * se
 
 
 def test_linear_integral():
@@ -167,25 +116,15 @@ def test_decompose_reproduces_term(n, ye, yo):
     assert abs(parts.total - f) <= 1e-10 * max(1.0, abs(f))
 
 
-def test_chaos_component_moments_mc():
-    n = 16
+def test_chaos_components_are_orthogonal_by_enumeration():
+    # E[j1 j2] = 0, E[j1^2] = lam_o^2 and E[j2^2] = lam_o for the two parts of
+    # decompose_term at n = 16, summed over both counts up to 40 under scipy's
+    # pmf; the mass left out is below 1e-60
+    n, k = 16, np.arange(41)
     lam_e, lam_o = intensity(32), intensity(33)
-    reps = 10**6
-    counts = batch_counts([lam_e, lam_o], streams.generator(2718, 0), reps)
-    x_e = (counts[:, 0] - lam_e) / math.sqrt(lam_e)
-    x_o = (counts[:, 1] - lam_o) / math.sqrt(lam_o)
-    j1 = lam_o * x_e
-    j2 = math.sqrt(lam_o) * x_e * x_o
-    # the vectorized forms agree with the module integrals
-    for row in range(25):
-        parts = decompose_term(n, int(counts[row, 0]), int(counts[row, 1]))
-        assert j1[row] == pytest.approx(parts.order1, rel=1e-12, abs=1e-12)
-        assert j2[row] == pytest.approx(parts.order2, rel=1e-12, abs=1e-12)
-    # orthogonality of the two chaos orders
-    prod = j1 * j2
-    se = prod.std(ddof=1) / math.sqrt(reps)
-    assert abs(prod.mean()) <= 3 * se
-    # second moments: E j1^2 = lam_o^2, E j2^2 = lam_o, E F^2 = lam_o(1+lam_o)
-    for z, target in ((j1 * j1, lam_o**2), (j2 * j2, lam_o), ((j1 + j2) ** 2, lam_o * (1 + lam_o))):
-        se = z.std(ddof=1) / math.sqrt(reps)
-        assert abs(z.mean() - target) <= 3 * se
+    w = scipy.stats.poisson.pmf(k, lam_e)[:, None] * scipy.stats.poisson.pmf(k, lam_o)
+    parts = np.array([[decompose_term(n, a, b)[1:] for b in k.tolist()] for a in k.tolist()])
+    j1, j2 = parts[..., 0], parts[..., 1]
+    assert abs((w * j1 * j2).sum()) <= 1e-12
+    assert (w * j1 * j1).sum() == pytest.approx(lam_o**2, rel=1e-12)
+    assert (w * j2 * j2).sum() == pytest.approx(lam_o, rel=1e-12)

@@ -6,7 +6,6 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaoslab import streams
 from chaoslab.errors import BadIndexError
 from chaoslab.poisson_moments import (
     abs_central_moment,
@@ -16,7 +15,6 @@ from chaoslab.poisson_moments import (
     raw_moment_4,
     tail_factorial_bound,
 )
-from chaoslab.point_process import poisson_from_uniform
 
 SLACK = 1e-14
 LAM_GRID = [i / 100.0 for i in range(1, 101)]
@@ -77,14 +75,6 @@ def test_closed_forms():
     assert raw_moment_4(0.0) == 0.0
     assert raw_moment_4(0.25) == pytest.approx(0.78515625, abs=1e-15)
     assert central_moment_4(0.5) == pytest.approx(1.25, abs=1e-15)
-
-
-def test_central_moment_mc_oracle():
-    reps = 10**6
-    y = poisson_from_uniform(streams.generator(1234, 9).random(reps), 0.5)
-    z = (y - 0.5) ** 4
-    se = z.std(ddof=1) / math.sqrt(reps)
-    assert abs(z.mean() - central_moment_4(0.5)) <= 3 * se
 
 
 def test_known_moments_from_series():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaoslab import streams
 from chaoslab.errors import BadIndexError
 from chaoslab.series import Series, term as series_term
 from chaoslab.two_point import first_chaos_on_plus, fourth_moment, prob, second_moment
@@ -44,16 +43,6 @@ def test_two_point_moments(p):
     var = p * spec.value_plus**2 + (1 - p) * spec.value_minus**2
     assert abs(mean) <= 1e-12
     assert abs(var - 1.0) <= 1e-12
-
-
-def test_two_point_empirical_mean():
-    p = 0.3
-    spec = TwoPointSpec.from_p(p)
-    reps = 10**6
-    u = streams.generator(2024, 1).random(reps)
-    x = np.where(u < p, spec.value_plus, spec.value_minus)
-    stderr = 1.0 / math.sqrt(reps)  # exact variance is 1
-    assert abs(x.mean()) <= 3 * stderr
 
 
 def test_prob_examples():
@@ -166,16 +155,6 @@ def test_both_plus_prob():
         )
         # the divergent even-index harmonic series is exactly sum of p_2n
         assert series_term(Series.EVEN_HARMONIC, n) == prob(2 * n)
-
-
-def test_both_plus_prob_monte_carlo():
-    n, reps = 4, 10**6
-    gen = streams.generator(777, 0)
-    u = gen.random((2, reps))
-    hits = ((u[0] < prob(2 * n)) & (u[1] < prob(2 * n + 1))).mean()
-    p = series_term(Series.TWO_POINT_JOINT, n)
-    se = math.sqrt(p * (1 - p) / reps)
-    assert abs(hits - p) <= 3 * se
 
 
 def test_window_event_probability_telescopes():
