@@ -10,8 +10,10 @@ import pytest
 import scipy.stats
 
 import dense_oracle
-from chaoslab import mc, poisson_pair, workers
+from chaoslab import cli, mc, poisson_pair, two_point, workers
 from chaoslab.errors import BadIndexError, ResourceLimitError
+from chaoslab.point_process import decompose_term
+from chaoslab.report import Report
 from chaoslab.streams import BLOCK_SIZE
 
 
@@ -49,10 +51,9 @@ def test_budget_limit():
         mc.run(cfg)
 
 
-def test_rerun_is_bitwise_identical():
-    cfg = mc.SimConfig(example="poisson", n_max=40, replications=5000, master_seed=3)
-    assert stats_equal(mc.run(cfg), mc.run(cfg))
-    cfg = mc.SimConfig(example="twopoint", n_max=40, replications=5000, master_seed=3)
+@pytest.mark.parametrize("example", ["poisson", "twopoint"])
+def test_rerun_is_bitwise_identical(example):
+    cfg = mc.SimConfig(example=example, n_max=40, replications=5000, master_seed=3)
     assert stats_equal(mc.run(cfg), mc.run(cfg))
 
 
@@ -277,6 +278,46 @@ def test_window_law_is_the_exact_product(example):
         assert prob == pytest.approx(value, abs=1e-12) and deviation <= 1e-9
 
 
+@pytest.mark.parametrize("example, seed", [("twopoint", 10), ("poisson", 2)])
+def test_a_window_without_events_reports_no_deviation(example, seed):
+    # at this seed neither of two trajectories has the event in [10, 20): the
+    # window keeps its exact probability, has no deviation to report, and the
+    # report leaves out its closed-form row
+    stats = mc.run(mc.SimConfig(example=example, n_max=20, replications=2, master_seed=seed))
+    assert stats.windows == ((10, 20),) and stats.win_hits.tolist() == [0]
+    rows = slice(10 - stats.config.start_n, 20 - stats.config.start_n)
+    assert not stats.sums("events")[rows].any()
+    ((prob, deviation),) = stats.window_law()
+    assert prob == pytest.approx(10 / 19 if example == "twopoint" else
+                                 1.0 - np.prod(1.0 - stats.tables.event_prob[rows]), abs=1e-12)
+    assert deviation is None
+    report = Report("unit", {}, seed=None)
+    cli._window_rows(report, stats)
+    assert [row["label"] for row in report.rows] == ["window[10,20) event prob vs exact"]
+
+
+@pytest.mark.parametrize("example", ["twopoint", "poisson"])
+def test_degree_one_part_on_the_event_is_the_scalar_form(example):
+    # on the event Y_2n = 1 the degree-one part from the tables, coef X_2n at
+    # y = 1, is the scalar API's: p_(2n+1) times the +1 value of X_2n, or
+    # decompose_term's order1 at counts (1, 0); rel_dev, which window_law
+    # reports, is its relative distance to the closed form
+    model = mc.MODELS[example]
+    n = np.arange(model.start_n, 1001)
+    tables = model.tables(n)
+    on_event = tables.coef * tables.x(np.arange(n.size), 1)
+    if example == "twopoint":
+        scalar = [two_point.prob(2 * k + 1) * dense_oracle.even_spec(k).value_plus
+                  for k in n.tolist()]
+        closed = two_point.first_chaos_on_plus(n)
+    else:
+        scalar = [decompose_term(k, 1, 0).order1 for k in n.tolist()]
+        closed = poisson_pair.first_chaos_at_one(n)
+    np.testing.assert_allclose(on_event, scalar, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(on_event, closed, rtol=1e-12, atol=1e-15)
+    assert tables.rel_dev.max() <= 1e-12
+
+
 def zero_count_values(cfg) -> np.ndarray:
     """|b_n|: |F_n| where the even count is 0 and the odd count is 1."""
     tables = mc.MODELS[cfg.example].tables(np.arange(cfg.start_n, cfg.n_max + 1))
@@ -341,8 +382,8 @@ def test_sparse_aggregates_equal_dense_aggregation(example):
     # inequality decides.  The smallest threshold, 0.5, places the rows with
     # 2 |b_n| > 0.5 for Poisson (n <= 40) and |b_n| > 0.5 for two-point
     # (n <= 4), and counts the C = 1 and C = 2 slots of the others where
-    # Y_2n = 0; a second run at smallest threshold 2 places no row.  Fewer than
-    # 32 distinct sups above 0.5 occur with probability below 1e-33.
+    # Y_2n = 0.  Fewer than 32 distinct sups above 0.5 occur with probability
+    # below 1e-33.
     cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300, master_seed=83,
                        thresholds=(0.5,))
     b = zero_count_values(cfg)
@@ -352,7 +393,16 @@ def test_sparse_aggregates_equal_dense_aggregation(example):
     at_sups = levels[np.unique(np.linspace(0, levels.size - 1, 32).astype(int))]
     assert at_sups.size == 32
     assert_equals_dense_aggregation(mc.run(dataclasses.replace(cfg, thresholds=(0.5, *at_sups))))
-    assert_equals_dense_aggregation(mc.run(dataclasses.replace(cfg, thresholds=(2.0,))))
+
+
+@pytest.mark.parametrize("example", ["poisson", "twopoint"])
+def test_no_placed_row_aggregates_equal_dense_aggregation(example):
+    # smallest threshold 2 is at or above every 2 |b_n|, so no row is placed:
+    # every odd count of 1 or 2 where Y_2n = 0 is counted per row, not drawn
+    cfg = mc.SimConfig(example=example, n_max=60, replications=BLOCK_SIZE + 300, master_seed=83,
+                       thresholds=(2.0, 9.0))
+    assert 2 * zero_count_values(cfg).max() <= 2.0
+    assert_equals_dense_aggregation(mc.run(cfg))
 
 
 def test_gap_top_up_keeps_draws_exact(monkeypatch):

@@ -63,6 +63,20 @@ def test_inversion_table_is_the_poisson_cdf(lam):
     assert scipy.stats.poisson.sf(table.size - 1, lam) < 2.0**-53
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+def test_inversion_maps_a_uniform_grid_to_the_poisson_pmf(lam):
+    # the whole map u -> count, not only its table: of the 2^20 midpoints
+    # (i + 1/2) / 2^20 of [0, 1), those sent to k are within one of
+    # 2^20 pmf(k), for every k, and the counts rise with u
+    size = 2**20
+    counts = poisson_from_uniform((np.arange(size) + 0.5) / size, lam)
+    assert np.all(np.diff(counts) >= 0)
+    observed = np.bincount(counts)
+    expected = size * scipy.stats.poisson.pmf(np.arange(observed.size), lam)
+    assert np.abs(observed - expected).max() <= 1.0
+    assert size * scipy.stats.poisson.sf(observed.size - 1, lam) < 1.0
+
+
 def test_realize_provenance_and_reproducibility():
     assert realize(5, 123) == realize(5, 123)
     # a seed draws the even count, then the odd one, from a SeedSequence of it
@@ -116,15 +130,18 @@ def test_decompose_reproduces_term(n, ye, yo):
     assert abs(parts.total - f) <= 1e-10 * max(1.0, abs(f))
 
 
-def test_chaos_components_are_orthogonal_by_enumeration():
-    # E[j1 j2] = 0, E[j1^2] = lam_o^2 and E[j2^2] = lam_o for the two parts of
-    # decompose_term at n = 16, summed over both counts up to 40 under scipy's
-    # pmf; the mass left out is below 1e-60
-    n, k = 16, np.arange(41)
-    lam_e, lam_o = intensity(32), intensity(33)
+@pytest.mark.parametrize("n", [1, 2, 16, 10_000])
+def test_chaos_components_are_orthogonal_by_enumeration(n):
+    # E[j1 j2] = 0, E[j1^2] = lam_o^2, E[j2^2] = lam_o and so E F^2 =
+    # lam_o (1 + lam_o) for the two parts of decompose_term, summed over both
+    # counts up to 40 under scipy's pmf; with both rates at most 1 the mass
+    # left out is below 1e-47
+    k = np.arange(41)
+    lam_e, lam_o = intensity(2 * n), intensity(2 * n + 1)
     w = scipy.stats.poisson.pmf(k, lam_e)[:, None] * scipy.stats.poisson.pmf(k, lam_o)
     parts = np.array([[decompose_term(n, a, b)[1:] for b in k.tolist()] for a in k.tolist()])
     j1, j2 = parts[..., 0], parts[..., 1]
     assert abs((w * j1 * j2).sum()) <= 1e-12
     assert (w * j1 * j1).sum() == pytest.approx(lam_o**2, rel=1e-12)
     assert (w * j2 * j2).sum() == pytest.approx(lam_o, rel=1e-12)
+    assert (w * (j1 + j2) ** 2).sum() == pytest.approx(lam_o * (1 + lam_o), rel=1e-12)
