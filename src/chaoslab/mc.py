@@ -32,11 +32,12 @@ TrajectoryStats evaluates each statistic on the cells, in their fixed order.
 
 run_range walks the blocks with workers.run_tasks: worker w of W forked
 processes walks blocks w, w + W, ..., W as workers.worker_count allows
-(CHAOSLAB_THREADS, by default the CPUs this process may run on).  The plan
-(_plan: the per-n tables, the diagnostic grid and the windows) is built
-once per model and n_max, before the fork, so the workers inherit it; a
-worker sends back only the total of its blocks, a TrajectoryStats whose
-size follows the distinct cells seen, not the number of blocks.
+(CHAOSLAB_THREADS, by default the CPUs this process may run on).  The per-n
+tables (_plan) are built once per model and n_max, before the fork, so the
+workers inherit them; the grid and the windows, O(log n_max), are derived
+where they are read.  A worker sends back only the total of its blocks, a
+TrajectoryStats whose size follows the distinct cells seen, not the number
+of blocks.
 """
 
 from __future__ import annotations
@@ -194,23 +195,21 @@ def _nonzero_slots(stream, q: np.ndarray, width: int | np.ndarray):
     live, counts = np.flatnonzero(q > 0), np.zeros(q.size, dtype=np.int64)
     if not live.size:
         return counts[:0], counts
-    q, width = q[live], width[live] if np.ndim(width) else width
+    q, width = q[live], np.broadcast_to(width, q.shape)[live]
     inv_log, n_gaps = 1.0 / np.log1p(-q), _gap_counts(q, width)
     ends = np.cumsum(n_gaps)
-    widest = int(np.max(width))
-    pos = _gaps(uniform_block(stream, int(ends[-1])), np.repeat(inv_log, n_gaps), widest)
+    pos = _gaps(uniform_block(stream, int(ends[-1])), np.repeat(inv_log, n_gaps), int(width.max()))
     np.cumsum(pos, out=pos)
     before = np.concatenate(([0], pos[ends[:-1] - 1]))  # trials before each row
     pos -= np.repeat(before + 1, n_gaps)
     first = ends - n_gaps
     last = pos[ends - 1]
-    keep = pos < (np.repeat(width, n_gaps) if np.ndim(width) else width)
+    keep = pos < np.repeat(width, n_gaps)
     per_row = np.add.reduceat(keep, first, dtype=np.int64)
     pos = np.compress(keep, pos)
     short = np.flatnonzero(last < width)
     if short.size:  # a short row's further slots lie past its kept ones: insert them at its end
-        widths = np.broadcast_to(width, n_gaps.shape)
-        extra = [_top_up(stream, inv_log[j], last[j], widths[j], n_gaps[j]) for j in short]
+        extra = [_top_up(stream, inv_log[j], last[j], width[j], n_gaps[j]) for j in short]
         sizes = [e.size for e in extra]
         pos = np.insert(pos, np.repeat(np.cumsum(per_row)[short], sizes), np.concatenate(extra))
         per_row[short] += sizes
@@ -353,58 +352,50 @@ def sparse_draws(
         yield j0, j1, even, OddDraws(beside, Draws(z_rows, z_pos, z_counts), ones, twos)
 
 
-class _Block:
-    """One block's accumulators: cell counts, last exceedances, window hits."""
-
-    def __init__(self, config: SimConfig, tables: PairTables, windows, width: int) -> None:
-        self.config, self.tables, self.width = config, tables, width
-        self.cells, self.counts = [], []  # per chunk: the sorted keys of its cells, their counts
-        # [threshold, trajectory]: last row with |F_n| > thresholds[k], -1 if none
-        self.last_above = np.full((len(config.thresholds), width), -1)
-        self.window_of = np.full(len(tables.n_values), -1)
-        for w, (w_lo, w_hi) in enumerate(windows):
-            self.window_of[w_lo - config.start_n : w_hi - config.start_n] = w
-        self.ev_or = np.zeros((len(windows), width), dtype=bool)  # event seen in the window
-
-    def add(self, j0: int, j1: int, even: Draws, odd: OddDraws) -> None:
-        """Count the cells of rows [j0, j1) and follow their exceedances and events."""
+def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
+    """One block's cell counts, sup-exceedance and window hits."""
+    tables, start, width = _plan(MODELS[config.example], config.n_max), config.start_n, hi - lo
+    keys, counts = [], []  # per chunk: the sorted keys of its cells, their counts
+    # [threshold, trajectory]: last row with |F_n| > thresholds[k], -1 if none
+    last_above = np.full((len(config.thresholds), width), -1)
+    windows = dyadic_windows(config.n_max)
+    window_of = np.full(len(tables.n_values), -1)
+    for w, (w_lo, w_hi) in enumerate(windows):
+        window_of[w_lo - start : w_hi - start] = w
+    ev_or = np.zeros((len(windows), width), dtype=bool)  # event seen in the window
+    for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, width,
+                                          min(config.thresholds)):
+        # the cells of rows [j0, j1)
         y, beside, zero = even.counts, odd.beside, odd.placed
         ny = y.max(initial=0) + 1
         nc = max(beside.max(initial=0), zero.counts.max(initial=0), 2) + 1
         at = np.concatenate([(even.rows * ny + y) * nc + beside, zero.rows * ny * nc + zero.counts])
         cells = np.bincount(at, minlength=(j1 - j0) * ny * nc).reshape(j1 - j0, ny, nc)
         cells[:, 0, 1:3] += np.stack([odd.ones, odd.twos], axis=1)  # the unplaced 1s and 2s
-        cells[:, 0, 0] = self.width - cells.sum(axis=(1, 2))
+        cells[:, 0, 0] = width - cells.sum(axis=(1, 2))
         seen = np.flatnonzero(cells)
         row, y_seen, c_seen = np.unravel_index(seen, cells.shape)
-        self.cells.append((row + j0) << 2 * _CELL_BITS | y_seen << _CELL_BITS | c_seen)
-        self.counts.append(cells.ravel()[seen])
+        keys.append((row + j0) << 2 * _CELL_BITS | y_seen << _CELL_BITS | c_seen)
+        counts.append(cells.ravel()[seen])
         # F_n at the placed odd counts: X_2n times the count, Y_2n being 0 at odd.placed
         on = beside.nonzero()[0]
         f_rows = np.concatenate([even.rows[on], zero.rows]) + j0
         f_y = np.concatenate([y[on], np.zeros_like(zero.rows)])
-        abs_f = np.abs(self.tables.x(f_rows, f_y) * np.concatenate([beside[on], zero.counts]))
+        abs_f = np.abs(tables.x(f_rows, f_y) * np.concatenate([beside[on], zero.counts]))
         f_pos = np.concatenate([even.pos[on], zero.pos])
-        for last, t in zip(self.last_above, self.config.thresholds):
+        for last, t in zip(last_above, config.thresholds):
             big = (abs_f > t).nonzero()[0]
             np.maximum.at(last, f_pos[big], f_rows[big])
         event = (y == 1).nonzero()[0]
-        w = self.window_of[even.rows[event] + j0]
-        self.ev_or[w[w >= 0], even.pos[event][w >= 0]] = True
-
-
-def _walk_block(config: SimConfig, lo: int, hi: int) -> TrajectoryStats:
-    """One block's cell counts, sup-exceedance and window hits."""
-    tables, grid, windows = _plan(MODELS[config.example], config.n_max)
-    acc = _Block(config, tables, windows, hi - lo)
-    for j0, j1, even, odd in sparse_draws(tables, config.master_seed, lo // BLOCK_SIZE, hi - lo,
-                                          min(config.thresholds)):
-        acc.add(j0, j1, even, odd)
-        del even, odd  # free this chunk's draws before the next is drawn
-    sup_hits = [[(last >= n0 - config.start_n).sum() for n0 in (config.start_n, *grid)]
-                for last in acc.last_above]
-    return TrajectoryStats(config, lo, hi, np.concatenate(acc.cells), np.concatenate(acc.counts),
-                           np.array(sup_hits, dtype=np.int64), acc.ev_or.sum(axis=1))
+        w = window_of[even.rows[event] + j0]
+        ev_or[w[w >= 0], even.pos[event][w >= 0]] = True
+        # free this chunk's draws, and the arrays as long as them, before the next is drawn
+        del even, odd, zero, y, beside, on, f_rows, f_y, abs_f, f_pos, big, event, w
+    sup_hits = [[(last >= n0 - start).sum()
+                 for n0 in (start, *default_diagnostic_grid(start, config.n_max))]
+                for last in last_above]
+    return TrajectoryStats(config, lo, hi, np.concatenate(keys), np.concatenate(counts),
+                           np.array(sup_hits, dtype=np.int64), ev_or.sum(axis=1))
 
 
 def _walk_blocks(config: SimConfig, bounds: list[tuple[int, int]]) -> TrajectoryStats:
@@ -412,21 +403,11 @@ def _walk_blocks(config: SimConfig, bounds: list[tuple[int, int]]) -> Trajectory
     return _assemble(_walk_block(config, lo, hi) for lo, hi in bounds)
 
 
-class Plan(NamedTuple):
-    """What a run derives from its model and n_max alone, all O(n_max)."""
-
-    tables: PairTables
-    grid: tuple[int, ...]                # default_diagnostic_grid
-    windows: tuple[tuple[int, int], ...]  # dyadic_windows
-
-
 @lru_cache(maxsize=1)
-def _plan(model: PairModel, n_max: int) -> Plan:
-    """The pair tables, the diagnostic grid and the windows of a run; cached,
-    so a run's blocks and result share one plan, which no caller writes to."""
-    tables = model.tables(np.arange(model.start_n, n_max + 1))
-    grid = default_diagnostic_grid(model.start_n, n_max)
-    return Plan(tables, grid, dyadic_windows(n_max))
+def _plan(model: PairModel, n_max: int) -> PairTables:
+    """The pair tables of a run; cached, so a run's blocks and result share
+    one, which no caller writes to."""
+    return model.tables(np.arange(model.start_n, n_max + 1))
 
 
 @dataclass
@@ -434,7 +415,7 @@ class TrajectoryStats:
     """What the draws of one replication range determine, combinable by blocks.
 
     The per-n tables, the grid and the windows follow from the config's model
-    and n_max; they are read from _plan.
+    and n_max; the tables are read from _plan.
     """
 
     config: SimConfig
@@ -446,10 +427,9 @@ class TrajectoryStats:
     sup_hits: np.ndarray
     win_hits: np.ndarray           # [n_windows]: count of the event somewhere in the window
 
-    plan = property(lambda self: _plan(MODELS[self.config.example], self.config.n_max))
-    tables = property(lambda self: self.plan.tables)
-    grid = property(lambda self: self.plan.grid)
-    windows = property(lambda self: self.plan.windows)
+    tables = property(lambda self: _plan(MODELS[self.config.example], self.config.n_max))
+    grid = property(lambda self: default_diagnostic_grid(self.config.start_n, self.config.n_max))
+    windows = property(lambda self: dyadic_windows(self.config.n_max))
 
     @property
     def replications(self) -> int:

@@ -53,14 +53,13 @@ def block_bounds(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(b, min(b + BLOCK_SIZE, hi)) for b in range(lo, hi, BLOCK_SIZE)]
 
 
-def generator(master_seed: int, *key: int) -> np.random.Generator:
-    """Philox generator for an arbitrary spawn key under the master seed.
+def generator(master_seed: int) -> np.random.Generator:
+    """Philox generator seeded through a SeedSequence of the master seed.
 
     For seeded draws outside the engine, such as the two counts of
     ``decompose --seed`` and the tests' reference samples.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
 
 
 def block_stream(master_seed: int, parity: int, block: int) -> np.random.Generator:

@@ -139,6 +139,13 @@ def test_l52_decay_bound(l52_run):
         for n in range(1, 1001):
             assert poisson_pair.moment52_exact(n) <= poisson_pair.moment52_bound(n)
         mean, se = l52_run.mean_with_stderr("f_abs52")
+        # |F_n|^(5/2) is far from normal here: nonzero in 34% (n = 16) and 16%
+        # (n = 256) of the trajectories, with E V^2 / (E V)^2 = 172 and 1080, so
+        # the 3-sigma rate of 1.35e-3 per row, and the sample stderr, are not to
+        # be trusted.  A row fails only if its mean exceeds the bound, which lies
+        # 126 and 70 true stderrs above E|F_n|^(5/2) at 10^5 trajectories; by
+        # Cantelli's inequality that has probability below 6.3e-5 and 2.1e-4, so
+        # the two rows fail a correct engine at under 2.7e-4 together
         for n in (16, 256):
             i = n - 1
             assert mean[i] <= poisson_pair.moment52_bound(n) + 3 * se[i]
@@ -147,6 +154,10 @@ def test_l52_decay_bound(l52_run):
 def test_sup_tail_bound(big_poisson_run):
     with criterion("supremum tail bound"):
         p_se = big_poisson_run.proportion(big_poisson_run.sup_hits[:, 0])
+        # the paper's bound is above 1 at each t (25.6, 23.2, 21.8 and 18.5), so
+        # none of the four one-sided rows can fail: their false-failure rate is
+        # 0, and so is their power; test_sup_tail_matches_the_exact_law checks
+        # these counts
         for t, p, se in zip(SUP_TAIL_T, *p_se):
             bound = poisson_pair.sup_tail_bound(t)
             assert p - 3 * se <= bound
@@ -374,6 +385,9 @@ def test_divergence_of_projection_evidence():
         p, se = (a[0] for a in stats.proportion(stats.win_hits))
         assert stats.windows[0] == (10, 20)
         assert abs(exact_prob - float(exact)) <= 1e-12
+        # two-sided 3 sigma, with the sample stderr: the exact Binomial(10^5,
+        # 10/19) rate is 2.7e-3 (normal: 2.7e-3); with the rows above, the
+        # module's three 3-sigma checks fail a correct engine at under 3e-3
         assert abs(p - float(exact)) <= 3 * se
         assert stats.sums("events")[10 - 2 : 20 - 2].sum() > 0 and deviation <= 1e-9
 

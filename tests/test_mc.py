@@ -531,20 +531,45 @@ def test_block_draws_few_uniforms_per_nonzero_count(monkeypatch):
     assert sum(drawn) == sum(slot_draws) + even_nonzero > even_nonzero
 
 
+def frozen(state: dict) -> dict:
+    """A bit generator's state as plain lists, comparable with ==."""
+    return {k: frozen(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
 def test_empty_and_zero_probability_draws_leave_a_block_stream_as_it_was():
     # sparse_draws relies on this numpy behaviour, which numpy does not
     # promise: it asks for no uniforms where no count at rate > 0 needs a
     # value (random(0)), and at rate 0 counts the 2s with p = 0
-    def frozen(state):
-        return {k: frozen(v) if isinstance(v, dict) else np.asarray(v).tolist()
-                for k, v in state.items()}
-
     stream = mc.block_stream(97, 1, 3)
     stream.random(5)
     before = frozen(stream.bit_generator.state)
     assert stream.random(0).size == 0
     assert stream.binomial([5, 7, 0], [0.0, 0.0, 0.3]).tolist() == [0, 0, 0]
     assert frozen(stream.bit_generator.state) == before
+
+
+def test_an_int_width_draws_as_that_width_in_every_row(monkeypatch):
+    # the same positions, counts and stream state, top-ups included: with no
+    # spare gaps some rows run out before their last slot
+    monkeypatch.setattr(mc, "_SPARE_SD", 0.0)
+    top_ups = []
+    real_top_up = mc._top_up
+    monkeypatch.setattr(mc, "_top_up", lambda *args: top_ups.append(args) or real_top_up(*args))
+    q = np.tile([0.0, 0.3, 1e-3, 0.9, 0.05], 40)
+    drawn = []
+    for width in (300, np.full(q.size, 300)):
+        stream = mc.block_stream(5, 0, 2)
+        pos, counts = mc._nonzero_slots(stream, q, width)
+        drawn.append((pos.tolist(), counts.tolist(), frozen(stream.bit_generator.state)))
+    assert drawn[0] == drawn[1] and top_ups
+    # layout 5: a row with q > 0 and width 0 has no slot, yet draws its first
+    # gap, exactly one uniform
+    stream, one = mc.block_stream(5, 0, 2), mc.block_stream(5, 0, 2)
+    pos, counts = mc._nonzero_slots(stream, np.array([0.2, 0.0]), np.array([0, 7]))
+    one.random(1)
+    assert pos.size == 0 and counts.tolist() == [0, 0]
+    assert frozen(stream.bit_generator.state) == frozen(one.bit_generator.state)
 
 
 @pytest.mark.parametrize("example", ["poisson", "twopoint"])

@@ -31,12 +31,12 @@ class QueuedRng:
 
 def test_poisson_spec_validation():
     with pytest.raises(BadIndexError, match="outside the supported range"):
-        sample_poisson(-1.0, streams.generator(0, 0))
+        sample_poisson(-1.0, streams.generator(0))
     with pytest.raises(BadIndexError, match="outside the supported range"):
-        sample_poisson(1e12, streams.generator(0, 0))  # O(rate) table is capped
+        sample_poisson(1e12, streams.generator(0))  # O(rate) table is capped
     for lam in (800.0, 1000.0):  # exp(-lam) would underflow the cdf table
         with pytest.raises(BadIndexError, match="outside the supported range"):
-            sample_poisson(lam, streams.generator(0, 0))
+            sample_poisson(lam, streams.generator(0))
         with pytest.raises(BadIndexError, match="outside the supported range"):
             poisson_from_uniform(np.array([0.5]), lam)
     assert list(poisson_from_uniform(np.array([0.1, 0.5, 0.9]), 700.0)) == [666, 700, 734]
